@@ -106,7 +106,7 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     if not np.all(np.diff(avals) > 0):
         raise ValueError("alpha must be strictly increasing on the grid")
 
-    image = TimeScaleGrid(tuple(avals), intent=alpha.grid.intent, step_hint=alpha.grid.step_hint)
+    image = TimeScaleGrid(tuple(avals), intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 
     mu = graininess(alpha.grid)

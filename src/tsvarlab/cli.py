@@ -105,6 +105,11 @@ def _read_guess_csv(path: Path, problem):
         raise ProblemFileError(
             f"guess file has {len(rows)} rows, grid has {len(problem.grid)} points"
         )
+    for k, row in enumerate(rows):
+        if len(row) <= max(cols):
+            raise ProblemFileError(
+                f"guess file row {k + 1} has {len(row)} of {len(header)} fields"
+            )
     times = np.array([float(row[cols[0]]) for row in rows])
     if not np.array_equal(times, problem.grid.array):
         raise ProblemFileError("guess file times do not match the problem grid")

@@ -303,27 +303,6 @@ def diff_eval(e: Expression, env: dict, seed: dict):
     return out, 0.0
 
 
-def diff2_eval(e: Expression, env: dict, seed1: dict, seed2: dict):
-    """Value, the two directional derivatives, and the mixed second derivative.
-
-    Exact nested-dual propagation; no finite differencing anywhere.
-    """
-    dual_env = {
-        name: Dual(Dual(value, seed1.get(name, 0.0)), Dual(seed2.get(name, 0.0), 0.0))
-        for name, value in env.items()
-    }
-    out = _eval(e, dual_env)
-    if not isinstance(out, Dual):
-        return out, 0.0, 0.0, 0.0
-    inner = out.a
-    outer = out.b
-    v = inner.a if isinstance(inner, Dual) else inner
-    d1 = inner.b if isinstance(inner, Dual) else 0.0
-    d2 = outer.a if isinstance(outer, Dual) else outer
-    d12 = outer.b if isinstance(outer, Dual) else 0.0
-    return v, d1, d2, d12
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 

@@ -19,7 +19,7 @@ from . import expr as ex
 from ._dual import Dual
 from .calculus import GridFunction
 from .timescale import TimeScaleGrid, graininess, kappa
-from .variational import Problem, _cell_error, _traj_values
+from .variational import Problem, _cell_states, _over_cells, _traj_values
 
 _EPS_STEP = 1e-5  # central-difference step for d/deps at 0
 
@@ -136,17 +136,12 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     t = p.grid.array
     mu = graininess(p.grid)
     xi_grid = np.array([gen.xi_at(t[i], vals[i]) for i in range(len(t))])
-    xi_sigma = xi_grid[1:]
-    xi_delta = (xi_grid[1:] - xi_grid[:-1]) / mu[:, None]
-    r = np.empty(len(t) - 1)
-    for i in range(len(t) - 1):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            _, _, d2, d3 = p.lagrangian.value_and_partials(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        r[i] = float(d2 @ xi_sigma[i] + d3 @ xi_delta[i])
+
+    def defect(t_i, y, v, xi_sigma, xi_delta):
+        _, _, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v)
+        return float(d2 @ xi_sigma + d3 @ xi_delta)
+
+    r = _over_cells(t[:-1], defect, *_cell_states(vals, mu), *_cell_states(xi_grid, mu))
     return GridFunction(kappa(p.grid), r)
 
 
@@ -162,18 +157,36 @@ class InvarianceReport:
     action_eps_derivative: float  # central difference at eps = 0
 
 
-def _original_cells(p: Problem, vals: np.ndarray) -> np.ndarray:
-    t = p.grid.array
-    mu = graininess(p.grid)
-    cells = np.empty(len(t) - 1)
-    for i in range(len(t) - 1):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            cells[i] = mu[i] * p.lagrangian.value(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-    return cells
+def _cell_integrals(p: Problem, grid: TimeScaleGrid, vals: np.ndarray) -> np.ndarray:
+    """mu * L on every cell of ``grid``, with the states ``vals`` at its points."""
+    mu = graininess(grid)
+
+    def integral(t_i, mu_i, y, v):
+        return mu_i * p.lagrangian.value(t_i, y, v)
+
+    return _over_cells(grid.array[:-1], integral, mu, *_cell_states(vals, mu))
+
+
+def _invariance_report(mode, t, eps_list, base, cells, weight) -> InvarianceReport:
+    """Compares cells(eps) with base for each eps; weight * cells sums to the action."""
+    eps_values = tuple(float(e) for e in eps_list)
+    disc = np.empty((len(eps_values), len(base)))
+    for e, eps in enumerate(eps_values):
+        disc[e] = np.abs(cells(eps) - base)
+    d_action = float(
+        np.sum(weight * cells(_EPS_STEP)) - np.sum(weight * cells(-_EPS_STEP))
+    ) / (2 * _EPS_STEP)
+    per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
+    return InvarianceReport(
+        mode=mode,
+        eps_values=eps_values,
+        cell_times=t[:-1].copy(),
+        discrepancies=disc,
+        per_eps_max=per_eps,
+        max_discrepancy=float(per_eps.max(initial=0.0)),
+        action_value=float(np.sum(weight * base)),
+        action_eps_derivative=d_action,
+    )
 
 
 def check_invariance_fixed_time(
@@ -189,39 +202,12 @@ def check_invariance_fixed_time(
     mu = graininess(p.grid)
     if gen.has_family:
         validate_family(gen, t, vals)
-    eps_values = tuple(float(e) for e in eps_list)
-    ncell = len(t) - 1
 
     def integrands(eps: float) -> np.ndarray:
         qbar = np.array([gen.qbar_at(t[i], vals[i], eps) for i in range(len(t))])
-        out = np.empty(ncell)
-        for i in range(ncell):
-            y = qbar[i + 1]
-            v = (qbar[i + 1] - qbar[i]) / mu[i]
-            try:
-                out[i] = p.lagrangian.value(t[i], y, v)
-            except ex.EvalError as exc:
-                raise _cell_error(exc, i, t[i]) from None
-        return out
+        return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
 
-    base = integrands(0.0)
-    disc = np.empty((len(eps_values), ncell))
-    for e, eps in enumerate(eps_values):
-        disc[e] = np.abs(integrands(eps) - base)
-    d_action = float(
-        np.sum(mu * integrands(_EPS_STEP)) - np.sum(mu * integrands(-_EPS_STEP))
-    ) / (2 * _EPS_STEP)
-    per_eps = disc.max(axis=1) if ncell else np.zeros(len(eps_values))
-    return InvarianceReport(
-        mode="fixed-time",
-        eps_values=eps_values,
-        cell_times=t[:-1].copy(),
-        discrepancies=disc,
-        per_eps_max=per_eps,
-        max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(np.sum(mu * base)),
-        action_eps_derivative=d_action,
-    )
+    return _invariance_report("fixed-time", t, eps_list, integrands(0.0), integrands, mu)
 
 
 def check_invariance_time_transform(
@@ -239,8 +225,6 @@ def check_invariance_time_transform(
     mu = graininess(p.grid)
     if gen.has_family:
         validate_family(gen, t, vals)
-    eps_values = tuple(float(e) for e in eps_list)
-    ncell = len(t) - 1
 
     def transformed_cells(eps: float) -> np.ndarray:
         tbar = np.array([gen.tbar_at(t[i], vals[i], eps) for i in range(len(t))])
@@ -250,37 +234,12 @@ def check_invariance_time_transform(
             )
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
-        image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent, step_hint=None)
+        image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent)
         qbar = np.array([gen.qbar_at(t[i], vals[i], eps) for i in range(len(t))])
-        mubar = graininess(image)
-        out = np.empty(ncell)
-        for i in range(ncell):
-            y = qbar[i + 1]
-            v = (qbar[i + 1] - qbar[i]) / mubar[i]
-            try:
-                out[i] = mubar[i] * p.lagrangian.value(image.points[i], y, v)
-            except ex.EvalError as exc:
-                raise _cell_error(exc, i, image.points[i]) from None
-        return out
+        return _cell_integrals(p, image, qbar)
 
-    base = _original_cells(p, vals)
-    disc = np.empty((len(eps_values), ncell))
-    for e, eps in enumerate(eps_values):
-        disc[e] = np.abs(transformed_cells(eps) - base)
-    d_action = float(
-        np.sum(transformed_cells(_EPS_STEP)) - np.sum(transformed_cells(-_EPS_STEP))
-    ) / (2 * _EPS_STEP)
-    per_eps = disc.max(axis=1) if ncell else np.zeros(len(eps_values))
-    return InvarianceReport(
-        mode="time-transform",
-        eps_values=eps_values,
-        cell_times=t[:-1].copy(),
-        discrepancies=disc,
-        per_eps_max=per_eps,
-        max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(np.sum(base)),
-        action_eps_derivative=d_action,
-    )
+    base = _cell_integrals(p, p.grid, vals)
+    return _invariance_report("time-transform", t, eps_list, base, transformed_cells, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +301,12 @@ def noether_quantity_fixed_time(
     """C = dL/dv . xi(t, q) along the trajectory, with residual profile."""
     vals = _traj_values(p, q)
     t = p.grid.array
-    mu = graininess(p.grid)
-    ncell = len(t) - 1
-    c = np.empty(ncell)
-    for i in range(ncell):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            _, _, _, d3 = p.lagrangian.value_and_partials(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        c[i] = np.sum(d3 * gen.xi_at(t[i], vals[i]))
+
+    def quantity(t_i, q_i, y, v):
+        _, _, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
+        return np.sum(d3 * gen.xi_at(t_i, q_i))
+
+    c = _over_cells(t[:-1], quantity, vals[:-1], *_cell_states(vals, graininess(p.grid)))
     return _report_from_samples(t[:-1].copy(), c)
 
 
@@ -371,18 +325,14 @@ def noether_quantity(
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    ncell = len(t) - 1
-    c = np.empty(ncell)
-    for i in range(ncell):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            lval, d1, _, d3 = p.lagrangian.value_and_partials(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        mu_term = mu[i] if mu_mode == "grid" else 0.0
+
+    def quantity(t_i, mu_i, q_i, y, v):
+        lval, d1, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
+        mu_term = mu_i if mu_mode == "grid" else 0.0
         bracket = lval - float(d3 @ v) - d1 * mu_term
-        c[i] = np.sum(d3 * gen.xi_at(t[i], vals[i])) + bracket * gen.tau_at(t[i], vals[i])
+        return np.sum(d3 * gen.xi_at(t_i, q_i)) + bracket * gen.tau_at(t_i, q_i)
+
+    c = _over_cells(t[:-1], quantity, mu, vals[:-1], *_cell_states(vals, mu))
     return _report_from_samples(t[:-1].copy(), c)
 
 
@@ -415,48 +365,32 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     """
     if r == 0.0:
         raise ValueError("time-rate r must be nonzero")
+    if len(p.grid) < 2:
+        raise ValueError("extended Lagrangian partials need a grid with at least 2 points")
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    n = p.dim
-    ncell = len(t) - 1
-    basis = np.eye(1 + n)
+    basis = np.eye(1 + p.dim)
 
-    value_c = np.empty(ncell)
-    value_ref = np.empty(ncell)
-    d4_fwd = np.empty(ncell)
-    d4_form = np.empty(ncell)
-    d5_fwd = np.empty((ncell, n))
-    d5_form = np.empty((ncell, n))
-
-    for i in range(ncell):
-        st = t[i + 1]  # jumped time; the time state follows s(t) = t
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-
+    def cell(t_i, st, mu_i, y, v):
+        # st is the jumped time; the time state follows s(t) = t
         r_dual = Dual(float(r), basis[0])
-        env = {"t": st - mu[i] * r_dual}
-        for k in range(n):
+        env = {"t": st - mu_i * r_dual}
+        for k in range(p.dim):
             env[f"qs{k + 1}"] = y[k]
             env[f"qd{k + 1}"] = Dual(v[k], basis[1 + k]) / r_dual
-        try:
-            out = p.lagrangian.eval_env(env) * r_dual
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        grads = out.b if isinstance(out.b, np.ndarray) else np.zeros(1 + n)
-        value_c[i] = out.a
-        d4_fwd[i] = grads[0]
-        d5_fwd[i] = grads[1:]
+        out = ex.evaluate(p.lagrangian.expression, env) * r_dual
+        grads = out.b if isinstance(out.b, np.ndarray) else np.zeros(1 + p.dim)
 
-        shifted_t = st - mu[i] * r
         vr = v / r
-        try:
-            lval, d1, _, d3 = p.lagrangian.value_and_partials(shifted_t, y, vr)
-            value_ref[i] = p.lagrangian.value(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        d5_form[i] = d3
-        d4_form[i] = lval - float(d3 @ vr) - d1 * mu[i] * r
+        lval, d1, _, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr)
+        value_ref = p.lagrangian.value(t_i, y, v)
+        d4_form = lval - float(d3 @ vr) - d1 * mu_i * r
+        return out.a, value_ref, grads[0], d4_form, grads[1:], d3
+
+    value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = _over_cells(
+        t[:-1], cell, t[1:], mu, *_cell_states(vals, mu)
+    )
 
     return ExtendedPartialsReport(
         times=t[:-1].copy(),

@@ -31,7 +31,6 @@ class TimeScaleGrid:
 
     points: tuple[float, ...]
     intent: str = EXACT_DISCRETE
-    step_hint: float | None = None  # sampling step for sampled-continuum grids
 
     def __post_init__(self):
         if len(self.points) == 0:
@@ -145,7 +144,7 @@ def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
         pts.append(t)
         i += 1
     pts.append(b)
-    return TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM, step_hint=h)
+    return TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM)
 
 
 _CONSTRUCTORS = {
@@ -195,7 +194,7 @@ def kappa(ts: TimeScaleGrid) -> TimeScaleGrid:
     """The grid without its final point (the maximum is left-scattered)."""
     if len(ts.points) < 2:
         raise ValueError("kappa truncation would leave an empty grid")
-    return TimeScaleGrid(ts.points[:-1], intent=ts.intent, step_hint=ts.step_hint)
+    return TimeScaleGrid(ts.points[:-1], intent=ts.intent)
 
 
 def classify(ts: TimeScaleGrid, t: float) -> PointClassification:

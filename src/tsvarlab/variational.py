@@ -10,6 +10,7 @@ tridiagonal Jacobian assembled from nested dual numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,10 +87,6 @@ class Lagrangian:
         _, d1, d2, d3 = self.value_and_partials(t, y, v)
         return d1, d2, d3
 
-    def eval_env(self, env: dict):
-        """Raw expression evaluation; entries may be duals (used by composites)."""
-        return ex.evaluate(self.expression, env)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -154,39 +151,53 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
 
 
 def _cell_error(exc: ex.EvalError, i: int, t: float) -> ex.EvalError:
-    return ex.EvalError(f"cell {i} at t={t!r}: {exc.message}", exc.column)
+    return ex.EvalError(f"cell {i} at t={float(t)!r}: {exc.message}", exc.column)
+
+
+def _over_cells(times, fn, *per_cell_args):
+    """Evaluates fn(times[i], *(a[i] for a in per_cell_args)) on every cell.
+
+    This is the package's one per-cell loop.  An EvalError is located as
+    ``cell i at t=...``, and so is the first cell whose results hold an inf
+    or nan.  Returns the results stacked into one array, or a tuple of
+    arrays when fn returns a tuple (which needs at least one cell).
+    """
+    results = []
+    for i, args in enumerate(zip(times, *per_cell_args)):
+        try:
+            results.append(fn(*args))
+        except ex.EvalError as exc:
+            raise _cell_error(exc, i, times[i]) from None
+    is_tuple = bool(results) and isinstance(results[0], tuple)
+    stacked = [np.array(c, dtype=float) for c in (zip(*results) if is_tuple else [results])]
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in stacked]
+    )
+    if not finite.all():
+        i = int(np.argmin(finite))
+        cell = np.concatenate([a[i].ravel() for a in stacked])
+        bad = float(cell[~np.isfinite(cell)][0])
+        raise _cell_error(ex.EvalError(f"non-finite value {bad!r}", 1), i, times[i])
+    return tuple(stacked) if is_tuple else stacked[0]
+
+
+def _cell_states(vals: np.ndarray, mu: np.ndarray):
+    """Per cell: the jumped state and the difference quotient."""
+    return vals[1:], np.diff(vals, axis=0) / mu[:, None]
 
 
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
     vals = _traj_values(p, q)
-    t = p.grid.array
     mu = graininess(p.grid)
-    total = 0.0
-    for i in range(len(t) - 1):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            total += mu[i] * p.lagrangian.value(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-    return total
+    values = _over_cells(p.grid.array[:-1], p.lagrangian.value, *_cell_states(vals, mu))
+    return sum(mu * values, 0.0)
 
 
 def _cell_partials(p: Problem, vals: np.ndarray):
     """d2 and d3 of L at every cell (left endpoints of the grid)."""
-    t = p.grid.array
-    mu = graininess(p.grid)
-    ncell = len(t) - 1
-    d2 = np.empty((ncell, p.dim))
-    d3 = np.empty((ncell, p.dim))
-    for i in range(ncell):
-        y = vals[i + 1]
-        v = (vals[i + 1] - vals[i]) / mu[i]
-        try:
-            _, _, d2[i], d3[i] = p.lagrangian.value_and_partials(t[i], y, v)
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
+    states = _cell_states(vals, graininess(p.grid))
+    _, _, d2, d3 = _over_cells(p.grid.array[:-1], p.lagrangian.value_and_partials, *states)
     return d2, d3
 
 
@@ -232,54 +243,35 @@ class SolveResult:
 def _cell_hessian(p: Problem, t: float, mu_i: float, q_left: np.ndarray, q_right: np.ndarray):
     """Second derivatives of one cell term with respect to (q_left, q_right).
 
-    Returns a symmetric (2n, 2n) matrix computed by nested duals: the inner
-    level seeds one direction, the outer level carries all 2n directions as
-    a vector tangent, so each pass fills one Hessian row exactly.
+    Returns a symmetric (2n, 2n) matrix from one pass of nested duals: the
+    inner tangents have shape (2n, 1) and the outer ones (1, 2n), so the
+    second-order part broadcasts to the whole block.  Each entry takes the
+    same IEEE operations as a pass that seeds one direction at a time.
     """
     n = p.dim
     m = 2 * n
     basis = np.eye(m)
     y = q_right
     v = (q_right - q_left) / mu_i
-    hess = np.empty((m, m))
-    for b in range(m):
-        env = {"t": t}
-        for k in range(n):
-            inner_qs = 1.0 if b == n + k else 0.0
-            inner_qd = ((1.0 if b == n + k else 0.0) - (1.0 if b == k else 0.0)) / mu_i
-            outer_qs = basis[n + k]
-            outer_qd = (basis[n + k] - basis[k]) / mu_i
-            env[f"qs{k + 1}"] = Dual(Dual(y[k], inner_qs), Dual(outer_qs, 0.0))
-            env[f"qd{k + 1}"] = Dual(Dual(v[k], inner_qd), Dual(outer_qd, 0.0))
-        out = p.lagrangian.eval_env(env)
-        if isinstance(out, Dual) and isinstance(out.b, Dual):
-            row = out.b.b
-        else:
-            row = np.zeros(m)
-        hess[b] = mu_i * (row if isinstance(row, np.ndarray) else np.full(m, row))
-    return hess
+    env = {"t": t}
+    for k in range(n):
+        seed_qs = basis[n + k]
+        seed_qd = (basis[n + k] - basis[k]) / mu_i
+        env[f"qs{k + 1}"] = Dual(Dual(y[k], seed_qs[:, None]), Dual(seed_qs[None, :], 0.0))
+        env[f"qd{k + 1}"] = Dual(Dual(v[k], seed_qd[:, None]), Dual(seed_qd[None, :], 0.0))
+    out = ex.evaluate(p.lagrangian.expression, env)
+    second = out.b.b if isinstance(out, Dual) and isinstance(out.b, Dual) else 0.0
+    return mu_i * np.broadcast_to(second, (m, m))
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):
     """Block tridiagonal Hessian of the action over interior points."""
     t = p.grid.array
-    mu = graininess(p.grid)
     n = p.dim
-    ncell = len(t) - 1
     m = len(t) - 2
-    blocks_a = np.empty((ncell, n, n))
-    blocks_b = np.empty((ncell, n, n))
-    blocks_c = np.empty((ncell, n, n))
-    for i in range(ncell):
-        try:
-            hc = _cell_hessian(p, t[i], mu[i], vals[i], vals[i + 1])
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, t[i]) from None
-        blocks_a[i] = hc[:n, :n]
-        blocks_b[i] = hc[:n, n:]
-        blocks_c[i] = hc[n:, n:]
-    diag = blocks_c[:m] + blocks_a[1 : m + 1]
-    upper = blocks_b[1:m]
+    hc = _over_cells(t[:-1], partial(_cell_hessian, p), graininess(p.grid), vals[:-1], vals[1:])
+    diag = hc[:m, n:, n:] + hc[1 : m + 1, :n, :n]
+    upper = hc[1:m, :n, n:]
     return diag, upper
 
 

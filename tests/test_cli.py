@@ -55,6 +55,15 @@ def test_solve_rejects_mismatched_guess(tmp_path):
     assert run(["solve", GRAVITY, "--out", str(tmp_path / "x.csv"), "--guess", str(out)]) == 3
 
 
+def test_solve_rejects_short_guess_row(tmp_path, capsys):
+    guess = tmp_path / "guess.csv"
+    guess.write_text("t,q_1\n0,0\n1\n2,2\n3,3\n4,4\n")
+    out = tmp_path / "fp.csv"
+    assert run(["solve", FREE, "--out", str(out), "--guess", str(guess)]) == 3
+    assert "row 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_file_exits_3(tmp_path):
     bad = tmp_path / "bad.problem"
     bad.write_text("[problem]\ndim = 1\n")
@@ -111,6 +120,21 @@ def test_check_conservation_gravity_tolerance_gate(tmp_path, capsys):
     assert code == 4  # drift h/2 = 0.05 exceeds the default 1e-8
     assert "max_abs=0.05" in capsys.readouterr().out
     assert run(["check", GRAVITY, "conservation", "--report-only", "--out", str(out), "--quiet"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
+    huge = tmp_path / "huge.problem"
+    huge.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 2\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1e200]\n'
+    )
+    out = tmp_path / "huge.csv"
+    assert run(["solve", str(huge), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "cell 0 at t=0.0: non-finite value inf" in captured.err
+    assert "action=" not in captured.out
+    assert not out.exists()
 
 
 def test_check_requires_symmetry_section(tmp_path):

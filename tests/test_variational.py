@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tsvarlab as tv
-from tsvarlab.variational import NonConvergence, SingularJacobian
+from tsvarlab.variational import NonConvergence, SingularJacobian, _interior_hessian
 
 from helpers import (
     brute_action,
@@ -68,8 +68,30 @@ def test_action_jumped_state_weighting():
 def test_action_domain_error_reports_cell():
     p = tv.make_problem(tv.explicit([-1.0, 0.0, 1.0]), "qd1^2 / t", 1, [0.0], [0.0])
     q = tv.as_trajectory(p, [0.0, 1.0, 0.0])
-    with pytest.raises(tv.EvalError, match="cell 1"):
+    with pytest.raises(tv.EvalError, match=r"^cell 1 at t=0\.0: division by zero"):
         tv.action(p, q)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_action_is_located_not_returned():
+    # qd1^2 overflows on the linear guess while the gradient stays 0, so an
+    # unchecked solve would stop at once and report action=inf
+    p = tv.make_problem(tv.integers(0, 2), "qd1^2", 1, [0.0], [1e200])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.action(p, tv.linear_guess(p))
+    with pytest.raises(tv.EvalError, match="non-finite value"):
+        tv.solve_el(p)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_cell_terms_are_located():
+    # L = qd1^4 is inf on every cell while its partials stay finite: the
+    # residual would be finite and the convergence test tol * (1 + inf) true
+    p = tv.make_problem(tv.integers(0, 3), "qd1^4", 1, [0.0], [1e100])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.el_residual(p, tv.linear_guess(p))
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.solve_el(p)
 
 
 def test_el_residual_free_particle_lines():
@@ -134,6 +156,38 @@ def test_gradient_matches_finite_differences():
         grad = tv.stationarity_gradient(p, tv.GridFunction(g, vals))
         fd = fd_action_gradient(p, vals)
         assert np.all(np.abs(grad - fd) <= 1e-5 * np.maximum(1.0, np.abs(grad)))
+
+
+def test_hessian_matches_finite_differences_of_gradient():
+    rng = np.random.default_rng(28)
+    step = 1e-6
+    for _ in range(25):  # 25 draws cover all five grid constructors
+        dim = int(rng.integers(1, 4))
+        g = random_grid(rng, max_points=8)
+        p = tv.make_problem(
+            g, random_smooth_lagrangian_text(rng, dim), dim,
+            rng.uniform(-1, 1, size=dim), rng.uniform(-1, 1, size=dim),
+        )
+        vals = rng.uniform(-1.5, 1.5, size=(len(g), dim))
+        diag, upper = _interior_hessian(p, vals)
+        m = len(g) - 2
+        hess = np.zeros((m, dim, m, dim))
+        for j in range(m):
+            hess[j, :, j, :] = diag[j]
+            if j + 1 < m:
+                hess[j, :, j + 1, :] = upper[j]
+                hess[j + 1, :, j, :] = upper[j].T
+        for j in range(m):
+            for k in range(dim):
+                plus, minus = vals.copy(), vals.copy()
+                plus[j + 1, k] += step
+                minus[j + 1, k] -= step
+                fd = (
+                    tv.stationarity_gradient(p, tv.GridFunction(g, plus))
+                    - tv.stationarity_gradient(p, tv.GridFunction(g, minus))
+                ) / (2 * step)
+                col = hess[:, :, j, k]
+                assert np.all(np.abs(col - fd) <= 1e-5 * np.maximum(1.0, np.abs(col)))
 
 
 def test_gradient_residual_identity():
