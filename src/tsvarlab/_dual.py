@@ -1,20 +1,23 @@
 """Forward-mode dual numbers, nestable for exact second derivatives.
 
 A Dual holds a value part and a tangent part.  Components may be floats,
-numpy arrays (vector tangents propagate many directions in one pass), or
-further Duals (nesting yields exact mixed second derivatives).  Domain
-guards inspect the innermost value via :func:`primal`.
+numpy arrays over cells (tangent directions before the cell axis, so one
+pass covers every cell and direction), or further Duals (nesting yields
+exact mixed second derivatives).  Domain guards inspect the innermost value
+via :func:`primal` and report the first offending cell.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 
 class DomainError(ValueError):
-    """Evaluation left the domain of a function (log, sqrt, division, pow)."""
+    """Evaluation left the domain of a function; ``cell`` is the first offending cell."""
+
+    def __init__(self, message: str, cell: int = 0):
+        super().__init__(message)
+        self.cell = cell
 
 
 def primal(x):
@@ -24,8 +27,20 @@ def primal(x):
     return x
 
 
+def _guard(x, bad, message: str) -> None:
+    """Raises DomainError at the first cell where bad(primal(x)); {} takes its value."""
+    v = primal(x)
+    mask = bad(v)
+    if np.any(mask):
+        cell = int(np.argmax(mask))
+        raise DomainError(message.format(float(np.ravel(v)[cell])), cell)
+
+
 class Dual:
     __slots__ = ("a", "b")
+    # numpy defers to the reflected operators below, so ndarray * Dual is a
+    # Dual and never an object array
+    __array_ufunc__ = None
 
     def __init__(self, a, b=0.0):
         self.a = a
@@ -58,131 +73,93 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if primal(other.a) == 0.0:
-                raise DomainError("division by zero")
             return Dual(
                 self.a / other.a, (self.b * other.a - self.a * other.b) / (other.a * other.a)
             )
-        if primal(other) == 0.0:
-            raise DomainError("division by zero")
         return Dual(self.a / other, self.b / other)
 
     def __rtruediv__(self, other):
-        if primal(self.a) == 0.0:
-            raise DomainError("division by zero")
         return Dual(other / self.a, -other * self.b / (self.a * self.a))
 
     def __neg__(self):
         return Dual(-self.a, -self.b)
 
 
-def add(x, y):
-    return x + y
-
-
-def sub(x, y):
-    return x - y
-
-
-def mul(x, y):
-    return x * y
-
-
 def div(x, y):
-    if not isinstance(x, Dual) and not isinstance(y, Dual):
-        if y == 0.0:
-            raise DomainError("division by zero")
-    return x / y  # Dual operands guard through __truediv__/__rtruediv__
+    _guard(y, lambda v: v == 0.0, "division by zero")
+    return x / y
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(sin(x.a), cos(x.a) * x.b)
-    return math.sin(x)
+    return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(cos(x.a), -sin(x.a) * x.b)
-    return math.cos(x)
+    return np.cos(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.a)
         return Dual(e, e * x.b)
-    return math.exp(x)
+    e = np.exp(x)
+    _guard(x, lambda v: np.isinf(e) & np.isfinite(v), "overflow")
+    return e
 
 
 def ln(x):
     if isinstance(x, Dual):
-        if primal(x.a) <= 0.0:
-            raise DomainError(f"ln of non-positive value {primal(x.a)!r}")
         return Dual(ln(x.a), x.b / x.a)
-    if x <= 0.0:
-        raise DomainError(f"ln of non-positive value {x!r}")
-    return math.log(x)
+    _guard(x, lambda v: v <= 0.0, "ln of non-positive value {!r}")
+    return np.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        if primal(x.a) < 0.0:
-            raise DomainError(f"sqrt of negative value {primal(x.a)!r}")
-        if primal(x.a) == 0.0:
-            raise DomainError("sqrt derivative undefined at 0")
         root = sqrt(x.a)
+        _guard(x, lambda v: v == 0.0, "sqrt derivative undefined at 0")
         return Dual(root, x.b / (2.0 * root))
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
+    _guard(x, lambda v: v < 0.0, "sqrt of negative value {!r}")
+    return np.sqrt(x)
 
 
 def absval(x):
     if isinstance(x, Dual):
-        s = _sign(primal(x.a))
-        return Dual(absval(x.a), x.b * s)
-    return abs(x)
-
-
-def _sign(v):
-    return 1.0 if v > 0 else (-1.0 if v < 0 else 0.0)
+        return Dual(absval(x.a), x.b * np.sign(primal(x.a)))
+    return np.abs(x)
 
 
 def _tangent_free(x) -> bool:
     """True when x carries no derivative information at any nesting level."""
-    while isinstance(x, Dual):
-        if not _is_zero(x.b):
-            return False
-        x = x.a
-    return True
+    return not isinstance(x, Dual) or (_is_zero(x.b) and _tangent_free(x.a))
 
 
-def _is_zero(x):
-    if isinstance(x, Dual):
-        return _is_zero(x.a) and _is_zero(x.b)
-    return bool(np.all(x == 0.0))
+def _is_zero(x) -> bool:
+    return _tangent_free(x) and bool(np.all(primal(x) == 0.0))
 
 
 def power(base, expo):
     """x^p with an integer fast path.
 
-    Tangent-free integer exponents are evaluated by repeated multiplication,
-    so expressions like t^2 stay defined for negative t.  Any other exponent
-    requires a strictly positive base.
+    A tangent-free exponent that is one integer on every cell is evaluated
+    by repeated multiplication, so t^2 stays defined for negative t.  Any
+    other exponent (t over cells at several integer times, say) takes
+    exp(p ln x) and requires a strictly positive base.
     """
-    pe = primal(expo)
-    if _tangent_free(expo) and float(pe).is_integer():
-        k = int(pe)
+    pe = np.ravel(primal(expo))
+    if _tangent_free(expo) and pe.size and np.all(pe == pe[0]) and float(pe[0]).is_integer():
+        k = int(pe[0])
         if k < 0:
-            if primal(base) == 0.0:
-                raise DomainError("0 raised to a negative power")
+            _guard(base, lambda v: v == 0.0, "0 raised to a negative power")
             return div(1.0, _ipow(base, -k))
         return _ipow(base, k)
-    if primal(base) <= 0.0:
-        raise DomainError(
-            f"non-integer exponent requires a positive base (base={primal(base)!r})"
-        )
-    return exp(mul(expo, ln(base)))
+    message = "non-integer or cell-varying exponent requires a positive base (base={!r})"
+    _guard(base, lambda v: v <= 0.0, message)
+    return exp(expo * ln(base))
 
 
 def _ipow(x, k: int):
@@ -190,7 +167,7 @@ def _ipow(x, k: int):
     acc = x
     while k:
         if k & 1:
-            result = mul(result, acc)
-        acc = mul(acc, acc)
+            result = result * acc
+        acc = acc * acc
         k >>= 1
     return result

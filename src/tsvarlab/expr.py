@@ -18,13 +18,17 @@ components, with 1-based index ``k`` up to the declared dimension.
 
 Derivatives are computed by forward-mode dual numbers, never by finite
 differences; seeds may be floats or numpy arrays (vector mode evaluates
-several directions in one pass).
+several directions in one pass).  Variable values may be arrays over cells,
+so one call evaluates a tree on every cell.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import _dual
 from ._dual import Dual, DomainError
@@ -41,6 +45,8 @@ _FN_TABLE = {
     "abs": _dual.absval,
 }
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _dual.div, "^": _dual.power}
+
 
 class ParseError(ValueError):
     """Syntax or identifier error; ``column`` is 1-based."""
@@ -52,12 +58,13 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Domain error during evaluation, pointing at the offending node."""
+    """Domain error during evaluation at a node (``column``) and a ``cell``."""
 
-    def __init__(self, message: str, column: int):
+    def __init__(self, message: str, column: int, cell: int = 0):
         super().__init__(f"{message} (column {column})")
         self.message = message
         self.column = column
+        self.cell = cell
 
 
 # ---------------------------------------------------------------------------
@@ -252,30 +259,19 @@ def _eval(node: Expression, env: dict):
         try:
             return _FN_TABLE[node.fn](arg)
         except DomainError as exc:
-            raise EvalError(f"{exc} in {node.fn}(...)", node.pos) from None
-        except OverflowError:
-            raise EvalError(f"overflow in {node.fn}(...)", node.pos) from None
+            raise EvalError(f"{exc} in {node.fn}(...)", node.pos, exc.cell) from None
     left = _eval(node.left, env)
     right = _eval(node.right, env)
     try:
-        if node.op == "+":
-            return _dual.add(left, right)
-        if node.op == "-":
-            return _dual.sub(left, right)
-        if node.op == "*":
-            return _dual.mul(left, right)
-        if node.op == "/":
-            return _dual.div(left, right)
-        return _dual.power(left, right)
+        return _OPS[node.op](left, right)
     except DomainError as exc:
-        raise EvalError(f"{exc} in {node.op!r}", node.pos) from None
-    except OverflowError:
-        raise EvalError(f"overflow in {node.op!r}", node.pos) from None
+        raise EvalError(f"{exc} in {node.op!r}", node.pos, exc.cell) from None
 
 
-def evaluate(e: Expression, env: dict) -> float:
-    """Plain IEEE-double evaluation; env maps variable names to values."""
-    return _eval(e, env)
+def evaluate(e: Expression, env: dict):
+    """IEEE-double evaluation; env maps variable names to floats or arrays over cells."""
+    with np.errstate(all="ignore"):  # callers check and locate inf and nan
+        return _eval(e, env)
 
 
 def free_variables(e: Expression) -> set[str]:
@@ -297,7 +293,8 @@ def diff_eval(e: Expression, env: dict, seed: dict):
     numpy arrays to evaluate several directions in a single pass.
     """
     dual_env = {name: Dual(value, seed.get(name, 0.0)) for name, value in env.items()}
-    out = _eval(e, dual_env)
+    with np.errstate(all="ignore"):
+        out = _eval(e, dual_env)
     if isinstance(out, Dual):
         return out.a, out.b
     return out, 0.0

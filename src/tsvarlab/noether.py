@@ -19,7 +19,7 @@ from . import expr as ex
 from ._dual import Dual
 from .calculus import GridFunction
 from .timescale import TimeScaleGrid, graininess, kappa
-from .variational import Problem, _cell_states, _over_cells, _traj_values
+from .variational import Problem, _cell_shape, _cell_states, _over_cells, _traj_values
 
 _EPS_STEP = 1e-5  # central-difference step for d/deps at 0
 
@@ -31,7 +31,8 @@ class SymmetryGenerator:
     ``tau`` and each ``xi`` component are expressions over (t, q1..qn); the
     optional exact family ``tbar``/``qbar`` may also reference eps.  When no
     family is given, the first-order family t + eps*tau, q + eps*xi is used
-    (higher-order terms identically zero).
+    (higher-order terms identically zero).  The ``*_at`` samplers take one
+    point (t a float, q of shape (n,)) or many (a leading point axis).
     """
 
     dim: int
@@ -52,30 +53,31 @@ class SymmetryGenerator:
     def has_family(self) -> bool:
         return self.tbar is not None
 
-    def _env(self, t: float, qvec, eps: float | None = None) -> dict:
+    def _sample(self, trees, t, qvec, eps=None) -> np.ndarray:
+        """The trees at the points, one tree per component on the last axis."""
+        qvec = np.asarray(qvec)
         env = {"t": t}
         for k in range(self.dim):
-            env[f"q{k + 1}"] = qvec[k]
+            env[f"q{k + 1}"] = qvec[..., k]
         if eps is not None:
             env["eps"] = eps
-        return env
+        points = _cell_shape(t, qvec)
+        return np.stack([np.broadcast_to(ex.evaluate(c, env), points) for c in trees], axis=-1)
 
-    def tau_at(self, t: float, qvec) -> float:
-        return ex.evaluate(self.tau, self._env(t, qvec))
+    def tau_at(self, t, qvec):
+        return self._sample((self.tau,), t, qvec)[..., 0][()]
 
-    def xi_at(self, t: float, qvec) -> np.ndarray:
-        env = self._env(t, qvec)
-        return np.array([ex.evaluate(c, env) for c in self.xi])
+    def xi_at(self, t, qvec) -> np.ndarray:
+        return self._sample(self.xi, t, qvec)
 
-    def tbar_at(self, t: float, qvec, eps: float) -> float:
+    def tbar_at(self, t, qvec, eps: float):
         if self.tbar is not None:
-            return ex.evaluate(self.tbar, self._env(t, qvec, eps))
+            return self._sample((self.tbar,), t, qvec, eps)[..., 0][()]
         return t + eps * self.tau_at(t, qvec)
 
-    def qbar_at(self, t: float, qvec, eps: float) -> np.ndarray:
+    def qbar_at(self, t, qvec, eps: float) -> np.ndarray:
         if self.qbar is not None:
-            env = self._env(t, qvec, eps)
-            return np.array([ex.evaluate(c, env) for c in self.qbar])
+            return self._sample(self.qbar, t, qvec, eps)
         return np.asarray(qvec) + eps * self.xi_at(t, qvec)
 
 
@@ -102,23 +104,26 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
     if not gen.has_family:
         return
     h = 1e-6
-    for t, qvec in zip(times, qvals):
-        t0 = gen.tbar_at(t, qvec, 0.0)
-        if abs(t0 - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(f"tbar at eps=0 is {t0!r}, expected t={t!r}")
-        q0 = gen.qbar_at(t, qvec, 0.0)
-        if np.any(np.abs(q0 - qvec) > 1e-12 * np.maximum(1.0, np.abs(qvec))):
-            raise ValueError(f"qbar at eps=0 differs from q at t={t!r}")
-        dt = (gen.tbar_at(t, qvec, h) - gen.tbar_at(t, qvec, -h)) / (2 * h)
-        tau = gen.tau_at(t, qvec)
-        if abs(dt - tau) > 1e-6 * max(1.0, abs(tau)):
-            raise ValueError(
-                f"d tbar/d eps at 0 is {dt!r} but tau={tau!r} at t={t!r}"
-            )
-        dq = (gen.qbar_at(t, qvec, h) - gen.qbar_at(t, qvec, -h)) / (2 * h)
-        xi = gen.xi_at(t, qvec)
-        if np.any(np.abs(dq - xi) > 1e-6 * np.maximum(1.0, np.abs(xi))):
-            raise ValueError(f"d qbar/d eps at 0 does not match xi at t={t!r}")
+    t, q = np.asarray(times, dtype=float), np.asarray(qvals, dtype=float)
+    t0, q0 = gen.tbar_at(t, q, 0.0), gen.qbar_at(t, q, 0.0)
+    dt = (gen.tbar_at(t, q, h) - gen.tbar_at(t, q, -h)) / (2 * h)
+    dq = (gen.qbar_at(t, q, h) - gen.qbar_at(t, q, -h)) / (2 * h)
+    tau, xi = gen.tau_at(t, q), gen.xi_at(t, q)
+    bad = np.array([
+        np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
+        np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
+        np.abs(dt - tau) > 1e-6 * np.maximum(1.0, np.abs(tau)),
+        np.any(np.abs(dq - xi) > 1e-6 * np.maximum(1.0, np.abs(xi)), axis=-1),
+    ])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        ti = f"t={float(t[i])!r}"
+        raise ValueError((
+            f"tbar at eps=0 is {float(t0[i])!r}, expected {ti}",
+            f"qbar at eps=0 differs from q at {ti}",
+            f"d tbar/d eps at 0 is {float(dt[i])!r} but tau={float(tau[i])!r} at {ti}",
+            f"d qbar/d eps at 0 does not match xi at {ti}",
+        )[int(np.argmax(bad[:, i]))])
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +140,11 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    xi_grid = np.array([gen.xi_at(t[i], vals[i]) for i in range(len(t))])
+    xi_grid = gen.xi_at(t, vals)
 
     def defect(t_i, y, v, xi_sigma, xi_delta):
         _, _, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v)
-        return float(d2 @ xi_sigma + d3 @ xi_delta)
+        return _dot(d2, xi_sigma) + _dot(d3, xi_delta)
 
     r = _over_cells(t[:-1], defect, *_cell_states(vals, mu), *_cell_states(xi_grid, mu))
     return GridFunction(kappa(p.grid), r)
@@ -155,6 +160,11 @@ class InvarianceReport:
     max_discrepancy: float
     action_value: float
     action_eps_derivative: float  # central difference at eps = 0
+
+
+def _dot(a, b):
+    """a . b along the last axis, each row by the same dot product as a single pair."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _cell_integrals(p: Problem, grid: TimeScaleGrid, vals: np.ndarray) -> np.ndarray:
@@ -200,11 +210,10 @@ def check_invariance_fixed_time(
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    if gen.has_family:
-        validate_family(gen, t, vals)
+    validate_family(gen, t, vals)
 
     def integrands(eps: float) -> np.ndarray:
-        qbar = np.array([gen.qbar_at(t[i], vals[i], eps) for i in range(len(t))])
+        qbar = gen.qbar_at(t, vals, eps)
         return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
 
     return _invariance_report("fixed-time", t, eps_list, integrands(0.0), integrands, mu)
@@ -223,11 +232,10 @@ def check_invariance_time_transform(
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    if gen.has_family:
-        validate_family(gen, t, vals)
+    validate_family(gen, t, vals)
 
     def transformed_cells(eps: float) -> np.ndarray:
-        tbar = np.array([gen.tbar_at(t[i], vals[i], eps) for i in range(len(t))])
+        tbar = gen.tbar_at(t, vals, eps)
         if not np.all(np.diff(tbar) > 0):
             raise ValueError(
                 f"transformed times are not strictly increasing at eps={eps!r}"
@@ -235,8 +243,7 @@ def check_invariance_time_transform(
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
         image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent)
-        qbar = np.array([gen.qbar_at(t[i], vals[i], eps) for i in range(len(t))])
-        return _cell_integrals(p, image, qbar)
+        return _cell_integrals(p, image, gen.qbar_at(t, vals, eps))
 
     base = _cell_integrals(p, p.grid, vals)
     return _invariance_report("time-transform", t, eps_list, base, transformed_cells, 1.0)
@@ -304,7 +311,7 @@ def noether_quantity_fixed_time(
 
     def quantity(t_i, q_i, y, v):
         _, _, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
-        return np.sum(d3 * gen.xi_at(t_i, q_i))
+        return np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1)
 
     c = _over_cells(t[:-1], quantity, vals[:-1], *_cell_states(vals, graininess(p.grid)))
     return _report_from_samples(t[:-1].copy(), c)
@@ -329,8 +336,8 @@ def noether_quantity(
     def quantity(t_i, mu_i, q_i, y, v):
         lval, d1, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
         mu_term = mu_i if mu_mode == "grid" else 0.0
-        bracket = lval - float(d3 @ v) - d1 * mu_term
-        return np.sum(d3 * gen.xi_at(t_i, q_i)) + bracket * gen.tau_at(t_i, q_i)
+        bracket = lval - _dot(d3, v) - d1 * mu_term
+        return np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1) + bracket * gen.tau_at(t_i, q_i)
 
     c = _over_cells(t[:-1], quantity, mu, vals[:-1], *_cell_states(vals, mu))
     return _report_from_samples(t[:-1].copy(), c)
@@ -365,28 +372,27 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     """
     if r == 0.0:
         raise ValueError("time-rate r must be nonzero")
-    if len(p.grid) < 2:
-        raise ValueError("extended Lagrangian partials need a grid with at least 2 points")
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    basis = np.eye(1 + p.dim)
+    m = 1 + p.dim
+    basis = np.eye(m)[:, :, None]
 
     def cell(t_i, st, mu_i, y, v):
         # st is the jumped time; the time state follows s(t) = t
         r_dual = Dual(float(r), basis[0])
         env = {"t": st - mu_i * r_dual}
         for k in range(p.dim):
-            env[f"qs{k + 1}"] = y[k]
-            env[f"qd{k + 1}"] = Dual(v[k], basis[1 + k]) / r_dual
+            env[f"qs{k + 1}"] = y[:, k]
+            env[f"qd{k + 1}"] = Dual(v[:, k], basis[1 + k]) / r_dual
         out = ex.evaluate(p.lagrangian.expression, env) * r_dual
-        grads = out.b if isinstance(out.b, np.ndarray) else np.zeros(1 + p.dim)
+        grads = np.broadcast_to(out.b, (m, len(t_i)))
 
         vr = v / r
         lval, d1, _, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr)
         value_ref = p.lagrangian.value(t_i, y, v)
-        d4_form = lval - float(d3 @ vr) - d1 * mu_i * r
-        return out.a, value_ref, grads[0], d4_form, grads[1:], d3
+        d4_form = lval - _dot(d3, vr) - d1 * mu_i * r
+        return np.broadcast_to(out.a, t_i.shape), value_ref, grads[0], d4_form, grads[1:].T, d3
 
     value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = _over_cells(
         t[:-1], cell, t[1:], mu, *_cell_states(vals, mu)

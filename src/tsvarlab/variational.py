@@ -44,8 +44,9 @@ class SingularJacobian(SolverError):
 class Lagrangian:
     """Evaluator of L(t, y, v) with y the jumped state and v the delta derivative.
 
-    Partial derivatives come from forward-mode duals through the parsed
-    expression; the evaluator accepts any real t, not only grid points.
+    Takes one point (t a float, y and v of shape (n,)) or c cells at once
+    (t of shape (c,), y and v of shape (c, n)) in one walk of the tree.
+    Partials come from forward-mode duals; t may be any real.
     """
 
     dim: int
@@ -60,32 +61,43 @@ class Lagrangian:
         return cls(dim, tree, text)
 
     def _env(self, t, y, v) -> dict:
+        y, v = np.asarray(y), np.asarray(v)
         env = {"t": t}
         for k in range(self.dim):
-            env[f"qs{k + 1}"] = y[k]
-            env[f"qd{k + 1}"] = v[k]
+            env[f"qs{k + 1}"] = y[..., k]
+            env[f"qd{k + 1}"] = v[..., k]
         return env
 
-    def value(self, t: float, y, v) -> float:
-        return ex.evaluate(self.expression, self._env(t, y, v))
+    def value(self, t, y, v):
+        return _on_cells(ex.evaluate(self.expression, self._env(t, y, v)), _cell_shape(t, y, v))
 
-    def value_and_partials(self, t: float, y, v):
-        """Returns (L, dL/dt, dL/dy as (n,), dL/dv as (n,)) in one dual pass."""
+    def value_and_partials(self, t, y, v):
+        """(L, dL/dt, dL/dy, dL/dv) in one dual pass; shapes (c,), (c,), (c, n), (c, n)."""
         n = self.dim
         m = 1 + 2 * n
-        basis = np.eye(m)
+        cells = _cell_shape(t, y, v)
+        basis = np.eye(m).reshape((m, m) + (1,) * len(cells))
         seed = {"t": basis[0]}
         for k in range(n):
             seed[f"qs{k + 1}"] = basis[1 + k]
             seed[f"qd{k + 1}"] = basis[1 + n + k]
         val, grad = ex.diff_eval(self.expression, self._env(t, y, v), seed)
-        if not isinstance(grad, np.ndarray):
-            grad = np.zeros(m)
-        return val, grad[0], grad[1 : 1 + n].copy(), grad[1 + n :].copy()
+        grad = np.moveaxis(np.broadcast_to(grad, (m,) + cells), 0, -1).copy()
+        return _on_cells(val, cells), grad[..., 0][()], grad[..., 1 : 1 + n], grad[..., 1 + n :]
 
-    def partials(self, t: float, y, v):
+    def partials(self, t, y, v):
         _, d1, d2, d3 = self.value_and_partials(t, y, v)
         return d1, d2, d3
+
+
+def _cell_shape(t, *vectors) -> tuple:
+    """The cell axes shared by t and the (..., n) vectors: () for one point."""
+    return np.broadcast_shapes(np.shape(t), *(np.shape(x)[:-1] for x in vectors))
+
+
+def _on_cells(x, cells: tuple):
+    """x as a new float array over the cells; a scalar for one point."""
+    return np.array(np.broadcast_to(x, cells), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -151,34 +163,38 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
 
 
 def _cell_error(exc: ex.EvalError, i: int, t: float) -> ex.EvalError:
-    return ex.EvalError(f"cell {i} at t={float(t)!r}: {exc.message}", exc.column)
+    return ex.EvalError(f"cell {i} at t={float(t)!r}: {exc.message}", exc.column, i)
+
+
+def _located(times, fn, args):
+    """fn(times, *args), with an EvalError located at the lowest failing cell."""
+    try:
+        return fn(times, *args)
+    except ex.EvalError as exc:
+        if exc.cell:  # a node evaluated later may fail at an earlier cell
+            _located(times[: exc.cell], fn, [a[: exc.cell] for a in args])
+        raise _cell_error(exc, exc.cell, times[exc.cell]) from None
 
 
 def _over_cells(times, fn, *per_cell_args):
-    """Evaluates fn(times[i], *(a[i] for a in per_cell_args)) on every cell.
+    """Evaluates fn(times, *per_cell_args) once over all cells, cell axis first.
 
-    This is the package's one per-cell loop.  An EvalError is located as
-    ``cell i at t=...``, and so is the first cell whose results hold an inf
-    or nan.  Returns the results stacked into one array, or a tuple of
-    arrays when fn returns a tuple (which needs at least one cell).
+    An EvalError is located as ``cell i at t=...`` at the lowest failing
+    cell, and so is the first cell whose results hold an inf or nan.
+    Returns fn's result (an array, or a tuple of them) as float arrays.
     """
-    results = []
-    for i, args in enumerate(zip(times, *per_cell_args)):
-        try:
-            results.append(fn(*args))
-        except ex.EvalError as exc:
-            raise _cell_error(exc, i, times[i]) from None
-    is_tuple = bool(results) and isinstance(results[0], tuple)
-    stacked = [np.array(c, dtype=float) for c in (zip(*results) if is_tuple else [results])]
+    results = _located(times, fn, per_cell_args)
+    is_tuple = isinstance(results, tuple)
+    arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
     finite = np.logical_and.reduce(
-        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in stacked]
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in arrays]
     )
     if not finite.all():
         i = int(np.argmin(finite))
-        cell = np.concatenate([a[i].ravel() for a in stacked])
+        cell = np.concatenate([a[i].ravel() for a in arrays])
         bad = float(cell[~np.isfinite(cell)][0])
         raise _cell_error(ex.EvalError(f"non-finite value {bad!r}", 1), i, times[i])
-    return tuple(stacked) if is_tuple else stacked[0]
+    return tuple(arrays) if is_tuple else arrays[0]
 
 
 def _cell_states(vals: np.ndarray, mu: np.ndarray):
@@ -191,7 +207,7 @@ def action(p: Problem, q: GridFunction) -> float:
     vals = _traj_values(p, q)
     mu = graininess(p.grid)
     values = _over_cells(p.grid.array[:-1], p.lagrangian.value, *_cell_states(vals, mu))
-    return sum(mu * values, 0.0)
+    return np.cumsum(np.append(0.0, mu * values))[-1]  # left to right; np.sum pairs terms
 
 
 def _cell_partials(p: Problem, vals: np.ndarray):
@@ -240,28 +256,29 @@ class SolveResult:
     action_value: float
 
 
-def _cell_hessian(p: Problem, t: float, mu_i: float, q_left: np.ndarray, q_right: np.ndarray):
-    """Second derivatives of one cell term with respect to (q_left, q_right).
+def _cell_hessian(p: Problem, t, mu, q_left, q_right):
+    """Symmetric (2n, 2n) Hessians of the cell terms in (q_left, q_right), (c, 2n, 2n) on c cells.
 
-    Returns a symmetric (2n, 2n) matrix from one pass of nested duals: the
-    inner tangents have shape (2n, 1) and the outer ones (1, 2n), so the
-    second-order part broadcasts to the whole block.  Each entry takes the
-    same IEEE operations as a pass that seeds one direction at a time.
+    One nested-dual pass: inner tangents (2n, 1, c) and outer ones (1, 2n, c)
+    broadcast the second-order part to every block, with the same IEEE
+    operations per entry as seeding one direction on one cell at a time.
     """
     n = p.dim
     m = 2 * n
-    basis = np.eye(m)
-    y = q_right
-    v = (q_right - q_left) / mu_i
+    mu = np.asarray(mu)
+    basis = np.eye(m).reshape((m, m) + (1,) * mu.ndim)
+    y = np.asarray(q_right)
+    v = (y - q_left) / mu[..., None]
     env = {"t": t}
     for k in range(n):
         seed_qs = basis[n + k]
-        seed_qd = (basis[n + k] - basis[k]) / mu_i
-        env[f"qs{k + 1}"] = Dual(Dual(y[k], seed_qs[:, None]), Dual(seed_qs[None, :], 0.0))
-        env[f"qd{k + 1}"] = Dual(Dual(v[k], seed_qd[:, None]), Dual(seed_qd[None, :], 0.0))
+        seed_qd = (basis[n + k] - basis[k]) / mu
+        env[f"qs{k + 1}"] = Dual(Dual(y[..., k], seed_qs[:, None]), Dual(seed_qs[None], 0.0))
+        env[f"qd{k + 1}"] = Dual(Dual(v[..., k], seed_qd[:, None]), Dual(seed_qd[None], 0.0))
     out = ex.evaluate(p.lagrangian.expression, env)
     second = out.b.b if isinstance(out, Dual) and isinstance(out.b, Dual) else 0.0
-    return mu_i * np.broadcast_to(second, (m, m))
+    blocks = np.moveaxis(np.broadcast_to(second, (m, m) + mu.shape), (0, 1), (-2, -1))
+    return mu[..., None, None] * blocks
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):

@@ -122,7 +122,6 @@ def test_check_conservation_gravity_tolerance_gate(tmp_path, capsys):
     assert run(["check", GRAVITY, "conservation", "--report-only", "--out", str(out), "--quiet"]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
     huge = tmp_path / "huge.problem"
     huge.write_text(
@@ -133,6 +132,7 @@ def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
     assert run(["solve", str(huge), "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "cell 0 at t=0.0: non-finite value inf" in captured.err
+    assert len(captured.err.splitlines()) == 1  # the error line, no numpy warnings
     assert "action=" not in captured.out
     assert not out.exists()
 

@@ -155,6 +155,21 @@ def test_validate_family_accepts_consistent_maps():
     tv.validate_family(gen, [1.0, 2.0, 4.0], np.array([[1.0], [0.5], [-2.0]]))
 
 
+def test_generator_samples_all_points_in_one_call():
+    # constant components ("0", "1") must still give one value per point
+    gen = tv.make_generator(
+        2, tau="1", xi=["0", "q1 * t"], tbar="t + eps", qbar=["q1", "q2 + eps * q1 * t"]
+    )
+    rng = np.random.default_rng(38)
+    t = rng.uniform(-2, 2, size=7)
+    q = rng.uniform(-2, 2, size=(7, 2))
+    for name, args in (("tau_at", ()), ("xi_at", ()), ("tbar_at", (0.3,)), ("qbar_at", (0.3,))):
+        sample = getattr(gen, name)
+        pointwise = np.array([sample(t[i], q[i], *args) for i in range(len(t))])
+        assert np.array_equal(sample(t, q, *args), pointwise)
+    assert np.array_equal(gen.xi_at(t, q)[:, 0], np.zeros(7))
+
+
 # ---------------------------------------------------------------------------
 # conserved quantities
 

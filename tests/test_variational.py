@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import tsvarlab as tv
-from tsvarlab.variational import NonConvergence, SingularJacobian, _interior_hessian
+from tsvarlab.variational import (
+    NonConvergence,
+    SingularJacobian,
+    _cell_hessian,
+    _interior_hessian,
+)
 
 from helpers import (
     brute_action,
@@ -70,9 +75,90 @@ def test_action_domain_error_reports_cell():
     q = tv.as_trajectory(p, [0.0, 1.0, 0.0])
     with pytest.raises(tv.EvalError, match=r"^cell 1 at t=0\.0: division by zero"):
         tv.action(p, q)
+    # the offending value prints as a plain float, not as a numpy repr
+    p = tv.make_problem(tv.integers(0, 4), "ln(qs1) + qd1^2", 1, [1.0], [-3.0])
+    with pytest.raises(
+        tv.EvalError,
+        match=r"^cell 0 at t=0\.0: ln of non-positive value 0\.0 in ln\(\.\.\.\) \(column 1\)$",
+    ):
+        tv.action(p, tv.linear_guess(p))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_domain_errors_name_the_lowest_failing_cell():
+    g = tv.explicit([0.0, 0.5, 1.5, 2.0, 3.0])
+    gen = tv.make_generator(1, tau="1", xi=["1"])
+    # ln fails on cells 1 and 3; in the second Lagrangian the division,
+    # evaluated after ln, fails on cell 1 and ln only on cell 3
+    for text, vals, message in (
+        ("qd1^2 + ln(qs1)", [1.0, 1.0, -1.0, 1.0, -2.0],
+         r"ln of non-positive value -1\.0 in ln\(\.\.\.\)"),
+        ("ln(qs1) + qd1^2 / (t - 0.5)", [1.0, 1.0, 1.0, 1.0, -2.0],
+         r"division by zero in '/'"),
+    ):
+        vals = np.array(vals)[:, None]
+        p = tv.make_problem(g, text, 1, vals[0], vals[-1])
+        q = tv.GridFunction(g, vals)
+        for run in (
+            lambda: tv.action(p, q),
+            lambda: tv.stationarity_gradient(p, q),
+            lambda: _interior_hessian(p, vals),
+            lambda: tv.noether_quantity(p, q, gen),
+        ):
+            with pytest.raises(tv.EvalError, match=r"^cell 1 at t=0\.5: " + message):
+                run()
+
+
+def test_exponent_must_be_one_integer_on_every_cell():
+    # t is 0, 1, 2, 3 on the cells, not one integer, so qs1^t is exp(t ln qs1)
+    # in every pass (value, gradient, Hessian) and needs a positive base
+    g = tv.integers(0, 4)
+    vals = np.array([[1.0], [2.0], [-1.0], [3.0], [1.0]])
+    p = tv.make_problem(g, "qd1^2 + qs1^t", 1, vals[0], vals[-1])
+    q = tv.GridFunction(g, vals)
+    message = (
+        r"^cell 1 at t=1\.0: non-integer or cell-varying exponent requires a positive "
+        r"base \(base=-1\.0\) in '\^'"
+    )
+    for run in (
+        lambda: tv.action(p, q),
+        lambda: tv.stationarity_gradient(p, q),
+        lambda: _interior_hessian(p, vals),
+    ):
+        with pytest.raises(tv.EvalError, match=message):
+            run()
+    t, y, v = g.array[:-1], np.abs(vals[1:]), np.diff(vals, axis=0)
+    assert np.array_equal(p.lagrangian.value(t, y, v), v[:, 0] ** 2 + np.exp(t * np.log(y[:, 0])))
+    # one integer on every cell keeps repeated multiplication: negative bases are fine
+    cubes = tv.Lagrangian.from_text("qs1^(t - t + 3)", 1)
+    assert np.array_equal(cubes.value(t, vals[1:], v), [8.0, -1.0, 27.0, 1.0])
+
+
+def test_batched_cells_equal_pointwise_calls():
+    rng = np.random.default_rng(29)
+    cases = [(random_smooth_lagrangian_text(rng, int(d)), int(d)) for d in rng.integers(1, 4, 25)]
+    cases += [
+        ("2", 1),
+        ("t * qd1^2", 1),
+        ("abs(qs1) * qd2 - abs(t)", 2),
+        ("sqrt(qs1^2 + 1) * qd1", 1),
+        ("qs1^-3 + t * qd1^-2", 1),
+    ]
+    for text, dim in cases:  # random grids from all five constructors
+        g = random_grid(rng, max_points=12)
+        p = tv.make_problem(g, text, dim, np.zeros(dim), np.zeros(dim))
+        lag = p.lagrangian
+        t, mu = g.array[:-1], tv.graininess(g)
+        vals = rng.uniform(-2, 2, size=(len(g), dim))
+        y, v = vals[1:], np.diff(vals, axis=0) / mu[:, None]
+        points = [lag.value_and_partials(t[i], y[i], v[i]) for i in range(len(t))]
+        for batched, pointwise in zip(lag.value_and_partials(t, y, v), zip(*points), strict=True):
+            assert np.array_equal(batched, np.array(pointwise))
+        values = [lag.value(t[i], y[i], v[i]) for i in range(len(t))]
+        assert np.array_equal(lag.value(t, y, v), values)
+        blocks = [_cell_hessian(p, t[i], mu[i], vals[i], vals[i + 1]) for i in range(len(t))]
+        assert np.array_equal(_cell_hessian(p, t, mu, vals[:-1], vals[1:]), blocks)
+
+
 def test_overflowing_action_is_located_not_returned():
     # qd1^2 overflows on the linear guess while the gradient stays 0, so an
     # unchecked solve would stop at once and report action=inf
@@ -83,7 +169,6 @@ def test_overflowing_action_is_located_not_returned():
         tv.solve_el(p)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_cell_terms_are_located():
     # L = qd1^4 is inf on every cell while its partials stay finite: the
     # residual would be finite and the convergence test tol * (1 + inf) true
