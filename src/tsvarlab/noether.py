@@ -19,7 +19,14 @@ from . import expr as ex
 from ._dual import Dual
 from .calculus import GridFunction
 from .timescale import TimeScaleGrid, graininess, kappa
-from .variational import Problem, _cell_shape, _cell_states, _over_cells, _traj_values
+from .variational import (
+    Problem,
+    _cell_shape,
+    _cell_states,
+    _located,
+    _over_cells,
+    _traj_values,
+)
 
 _EPS_STEP = 1e-5  # central-difference step for d/deps at 0
 
@@ -94,6 +101,11 @@ def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, q
     return SymmetryGenerator(dim, tau_tree, xi_trees, tbar_tree, qbar_trees)
 
 
+def _at_points(times, sample, qvals):
+    """sample(times, qvals) over all points, an EvalError located as ``point i at t=...``."""
+    return _located(times, sample, [qvals], what="point")
+
+
 def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
     """Check the exact family against its generator on sampled arguments.
 
@@ -105,10 +117,18 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
         return
     h = 1e-6
     t, q = np.asarray(times, dtype=float), np.asarray(qvals, dtype=float)
-    t0, q0 = gen.tbar_at(t, q, 0.0), gen.qbar_at(t, q, 0.0)
-    dt = (gen.tbar_at(t, q, h) - gen.tbar_at(t, q, -h)) / (2 * h)
-    dq = (gen.qbar_at(t, q, h) - gen.qbar_at(t, q, -h)) / (2 * h)
-    tau, xi = gen.tau_at(t, q), gen.xi_at(t, q)
+
+    def samples(t, q):
+        return (
+            gen.tbar_at(t, q, 0.0),
+            gen.qbar_at(t, q, 0.0),
+            (gen.tbar_at(t, q, h) - gen.tbar_at(t, q, -h)) / (2 * h),
+            (gen.qbar_at(t, q, h) - gen.qbar_at(t, q, -h)) / (2 * h),
+            gen.tau_at(t, q),
+            gen.xi_at(t, q),
+        )
+
+    t0, q0, dt, dq, tau, xi = _at_points(t, samples, q)
     bad = np.array([
         np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
         np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
@@ -140,7 +160,7 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    xi_grid = gen.xi_at(t, vals)
+    xi_grid = _at_points(t, gen.xi_at, vals)
 
     def defect(t_i, y, v, xi_sigma, xi_delta):
         _, _, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v)
@@ -213,7 +233,7 @@ def check_invariance_fixed_time(
     validate_family(gen, t, vals)
 
     def integrands(eps: float) -> np.ndarray:
-        qbar = gen.qbar_at(t, vals, eps)
+        qbar = _at_points(t, lambda t, q: gen.qbar_at(t, q, eps), vals)
         return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
 
     return _invariance_report("fixed-time", t, eps_list, integrands(0.0), integrands, mu)
@@ -235,7 +255,7 @@ def check_invariance_time_transform(
     validate_family(gen, t, vals)
 
     def transformed_cells(eps: float) -> np.ndarray:
-        tbar = gen.tbar_at(t, vals, eps)
+        tbar = _at_points(t, lambda t, q: gen.tbar_at(t, q, eps), vals)
         if not np.all(np.diff(tbar) > 0):
             raise ValueError(
                 f"transformed times are not strictly increasing at eps={eps!r}"
@@ -243,7 +263,8 @@ def check_invariance_time_transform(
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
         image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent)
-        return _cell_integrals(p, image, gen.qbar_at(t, vals, eps))
+        qbar = _at_points(t, lambda t, q: gen.qbar_at(t, q, eps), vals)
+        return _cell_integrals(p, image, qbar)
 
     base = _cell_integrals(p, p.grid, vals)
     return _invariance_report("time-transform", t, eps_list, base, transformed_cells, 1.0)

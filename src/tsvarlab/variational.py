@@ -4,7 +4,8 @@ The action is the delta integral of L(t, q at the next point, forward
 difference quotient) over the grid window.  Stationarity of that sum with
 respect to the interior values yields the discrete Euler-Lagrange system;
 :func:`solve_el` solves it by Newton iteration with an exact block
-tridiagonal Jacobian assembled from nested dual numbers.
+tridiagonal Jacobian assembled from nested dual numbers, each step by
+block cyclic reduction.
 """
 
 from __future__ import annotations
@@ -162,18 +163,18 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
     return vals
 
 
-def _cell_error(exc: ex.EvalError, i: int, t: float) -> ex.EvalError:
-    return ex.EvalError(f"cell {i} at t={float(t)!r}: {exc.message}", exc.column, i)
+def _cell_error(exc: ex.EvalError, i: int, t: float, what: str = "cell") -> ex.EvalError:
+    return ex.EvalError(f"{what} {i} at t={float(t)!r}: {exc.message}", exc.column, i)
 
 
-def _located(times, fn, args):
-    """fn(times, *args), with an EvalError located at the lowest failing cell."""
+def _located(times, fn, args, what: str = "cell"):
+    """fn(times, *args), with an EvalError located at the lowest failing cell (or point)."""
     try:
         return fn(times, *args)
     except ex.EvalError as exc:
         if exc.cell:  # a node evaluated later may fail at an earlier cell
-            _located(times[: exc.cell], fn, [a[: exc.cell] for a in args])
-        raise _cell_error(exc, exc.cell, times[exc.cell]) from None
+            _located(times[: exc.cell], fn, [a[: exc.cell] for a in args], what)
+        raise _cell_error(exc, exc.cell, times[exc.cell], what) from None
 
 
 def _over_cells(times, fn, *per_cell_args):
@@ -202,19 +203,23 @@ def _cell_states(vals: np.ndarray, mu: np.ndarray):
     return vals[1:], np.diff(vals, axis=0) / mu[:, None]
 
 
+def _delta_integral(mu: np.ndarray, values: np.ndarray) -> float:
+    return np.cumsum(np.append(0.0, mu * values))[-1]  # left to right; np.sum pairs terms
+
+
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
     vals = _traj_values(p, q)
     mu = graininess(p.grid)
     values = _over_cells(p.grid.array[:-1], p.lagrangian.value, *_cell_states(vals, mu))
-    return np.cumsum(np.append(0.0, mu * values))[-1]  # left to right; np.sum pairs terms
+    return _delta_integral(mu, values)
 
 
-def _cell_partials(p: Problem, vals: np.ndarray):
-    """d2 and d3 of L at every cell (left endpoints of the grid)."""
-    states = _cell_states(vals, graininess(p.grid))
-    _, _, d2, d3 = _over_cells(p.grid.array[:-1], p.lagrangian.value_and_partials, *states)
-    return d2, d3
+def _cell_terms(p: Problem, vals: np.ndarray, mu: np.ndarray):
+    """L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
+    states = _cell_states(vals, mu)
+    lval, _, d2, d3 = _over_cells(p.grid.array[:-1], p.lagrangian.value_and_partials, *states)
+    return lval, d2, d3
 
 
 def el_residual(p: Problem, q: GridFunction) -> GridFunction:
@@ -228,7 +233,7 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
         raise ValueError("Euler-Lagrange residual needs a grid with at least 3 points")
     vals = _traj_values(p, q)
     mu = graininess(p.grid)
-    d2, d3 = _cell_partials(p, vals)
+    _, d2, d3 = _cell_terms(p, vals, mu)
     resid = (d3[1:] - d3[:-1]) / mu[: len(d3) - 1, None] - d2[:-1]
     return GridFunction(kappa(kappa(p.grid)), resid)
 
@@ -242,10 +247,14 @@ def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
     """
     if len(p.grid) < 3:
         raise ValueError("stationarity gradient needs a grid with at least 3 points")
-    vals = _traj_values(p, q)
+    return _action_and_gradient(p, _traj_values(p, q))[1]
+
+
+def _action_and_gradient(p: Problem, vals: np.ndarray):
+    """The action and its stationarity gradient, from one pass over the cells."""
     mu = graininess(p.grid)
-    d2, d3 = _cell_partials(p, vals)
-    return mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
+    lval, d2, d3 = _cell_terms(p, vals, mu)
+    return _delta_integral(mu, lval), mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
 
 
 @dataclass(frozen=True)
@@ -293,28 +302,63 @@ def _interior_hessian(p: Problem, vals: np.ndarray):
 
 
 def _block_tridiag_solve(p: Problem, diag, upper, rhs):
-    """Thomas elimination on n-by-n blocks; singular pivots are reported."""
-    m = diag.shape[0]
-    dhat = diag.copy()
-    rhat = rhs.copy()
-    interior_times = p.grid.points[1:-1]
-    for j in range(1, m):
-        try:
-            w = np.linalg.solve(dhat[j - 1].T, upper[j - 1]).T
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(j - 1, interior_times[j - 1]) from None
-        dhat[j] = dhat[j] - w @ upper[j - 1]
-        rhat[j] = rhat[j] - w @ rhat[j - 1]
-    x = np.empty_like(rhat)
+    """Solves the symmetric block tridiagonal system by block cyclic reduction.
+
+    ``diag`` holds the m diagonal n-by-n blocks, ``upper`` the m - 1 blocks
+    right of the diagonal (the lower ones are their transposes), ``rhs`` is
+    (m, n).  Each stage eliminates the rows at even positions with one
+    batched solve and recurses on the others: ceil(log2(m + 1)) solves in
+    all (Buzbee, Golub & Nielson 1970).  Stage s, counted from 1, pivots
+    on the interior points i with i + 1 an odd multiple of 2^(s-1).  The
+    first stage whose batched solve fails reports SingularJacobian at the
+    lowest of its pivot points whose own block solve fails.
+    """
+    lower = np.zeros_like(diag)
+    lower[1:] = np.swapaxes(upper, 1, 2)
+    upper = np.concatenate([upper, np.zeros_like(diag[:1])])
+    x = _cyclic_reduction(
+        lower, diag, upper, rhs[..., None], np.arange(len(diag)), p.grid.points[1:-1]
+    )
+    return x[..., 0]
+
+
+def _cyclic_reduction(lower, diag, upper, rhs, index, times):
+    """Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs (m, n, 1).
+
+    lower[0] and upper[-1] are zero; ``index`` maps rows to interior points.
+    """
+    m, n = diag.shape[:2]
+    pivots = diag[0::2]
+    stacked = np.concatenate([lower[0::2], upper[0::2], rhs[0::2]], axis=2)
     try:
-        x[m - 1] = np.linalg.solve(dhat[m - 1], rhat[m - 1])
+        sol = np.linalg.solve(pivots, stacked)
     except np.linalg.LinAlgError:
-        raise SingularJacobian(m - 1, interior_times[m - 1]) from None
-    for j in range(m - 2, -1, -1):
-        try:
-            x[j] = np.linalg.solve(dhat[j], rhat[j] - upper[j] @ x[j + 1])
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(j, interior_times[j]) from None
+        for i, block, b in zip(index[0::2], pivots, stacked):
+            try:
+                np.linalg.solve(block, b)
+            except np.linalg.LinAlgError:
+                raise SingularJacobian(int(i), times[i]) from None
+        raise
+    if m == 1:
+        return sol[..., 2 * n :]
+    if m % 2 == 0:  # the last odd row has no right neighbour: a zero one stands in
+        sol = np.concatenate([sol, np.zeros_like(sol[:1])])
+    a, b, y = sol[..., :n], sol[..., n : 2 * n], sol[..., 2 * n :]
+    lo, up = lower[1::2], upper[1::2]
+    x_odd = _cyclic_reduction(
+        -lo @ a[:-1],
+        diag[1::2] - lo @ b[:-1] - up @ a[1:],
+        -up @ b[1:],
+        rhs[1::2] - lo @ y[:-1] - up @ y[1:],
+        index[1::2],
+        times,
+    )
+    pad = np.zeros_like(x_odd[:1])
+    x_near = np.concatenate([pad, x_odd, pad])
+    x_even = y - a @ x_near[:-1] - b @ x_near[1:]
+    x = np.empty_like(rhs)
+    x[0::2] = x_even[: (m + 1) // 2]
+    x[1::2] = x_odd
     return x
 
 
@@ -338,13 +382,12 @@ def solve_el(
     vals[0] = p.qa
     vals[-1] = p.qb
 
-    def grad_norm(candidate):
-        g = stationarity_gradient(p, GridFunction(p.grid, candidate))
-        return g, float(np.max(np.abs(g)))
+    def evaluate(candidate):
+        act, g = _action_and_gradient(p, candidate)
+        return act, g, float(np.max(np.abs(g)))
 
-    g, gnorm = grad_norm(vals)
+    act, g, gnorm = evaluate(vals)
     for it in range(max_iter + 1):
-        act = action(p, GridFunction(p.grid, vals))
         if gnorm <= tol * (1.0 + abs(act)):
             return SolveResult(GridFunction(p.grid, vals), it, gnorm, act)
         if it == max_iter:
@@ -362,11 +405,11 @@ def solve_el(
             trial = vals.copy()
             trial[1:-1] += scale * step
             try:
-                g_trial, gnorm_trial = grad_norm(trial)
+                act_trial, g_trial, gnorm_trial = evaluate(trial)
             except ex.EvalError:
                 gnorm_trial = np.inf
             if gnorm_trial < gnorm:
-                vals, g, gnorm = trial, g_trial, gnorm_trial
+                vals, act, g, gnorm = trial, act_trial, g_trial, gnorm_trial
                 accepted = True
                 break
             scale *= 0.5

@@ -170,6 +170,24 @@ def test_generator_samples_all_points_in_one_call():
     assert np.array_equal(gen.xi_at(t, q)[:, 0], np.zeros(7))
 
 
+def test_generator_domain_errors_name_the_lowest_point():
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2 / 2", 1, [-2.0], [2.0])
+    q = tv.linear_guess(p)  # q1 = t - 2: zero at point 2, one at point 3
+    # the left term fails first, at point 3; the lowest failing point is 2
+    xi = "1 / (q1 - 1) + 1 / q1"
+    gen = tv.make_generator(1, xi=[xi])
+    family = tv.make_generator(1, xi=[xi], tbar="t", qbar=[f"q1 + eps * ({xi})"])
+    message = r"^point 2 at t=2\.0: division by zero in '/' \(column \d+\)$"
+    with pytest.raises(tv.EvalError, match=message):
+        tv.check_invariance_fixed_time(p, q, gen, [0.1])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.invariance_residual_pointwise(p, q, gen)
+    with pytest.raises(tv.EvalError, match=message):
+        tv.validate_family(family, p.grid.array, q.values)
+    with pytest.raises(tv.EvalError, match=message):
+        tv.check_invariance_time_transform(p, q, family, [0.1])
+
+
 # ---------------------------------------------------------------------------
 # conserved quantities
 

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import tsvarlab as tv
+from tsvarlab import expr as ex
+from tsvarlab import variational as va
 from tsvarlab.variational import (
     NonConvergence,
     SingularJacobian,
+    _block_tridiag_solve,
     _cell_hessian,
     _interior_hessian,
 )
@@ -344,6 +349,120 @@ def test_singular_jacobian_reports_pivot():
     p = tv.make_problem(tv.integers(0, 3), "t * qs1", 1, [0.0], [0.0])
     with pytest.raises(SingularJacobian, match="interior point 0"):
         tv.solve_el(p)
+
+
+def _block_system(rng, n, m):
+    """Random symmetric, diagonally dominant block tridiagonal system (diag, upper, rhs)."""
+    upper = rng.uniform(-1, 1, size=(max(m - 1, 0), n, n))
+    sym = rng.uniform(-1, 1, size=(m, n, n))
+    diag = sym + np.swapaxes(sym, 1, 2)
+    coupling = np.zeros((m, n))
+    coupling[:-1] += np.abs(upper).sum(axis=2)
+    coupling[1:] += np.abs(upper).sum(axis=1)
+    margin = np.abs(diag).sum(axis=2) - np.abs(np.diagonal(diag, axis1=1, axis2=2)) + coupling
+    diag[:, range(n), range(n)] = margin + rng.uniform(1, 2, size=(m, n))
+    return diag, upper, rng.uniform(-10, 10, size=(m, n))
+
+
+def _dense(diag, upper):
+    m, n = diag.shape[:2]
+    a = np.zeros((m * n, m * n))
+    for i in range(m):
+        a[i * n : (i + 1) * n, i * n : (i + 1) * n] = diag[i]
+    for i in range(m - 1):
+        a[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = upper[i]
+        a[(i + 1) * n : (i + 2) * n, i * n : (i + 1) * n] = upper[i].T
+    return a
+
+
+def _thomas(diag, upper, rhs):
+    """Block Thomas elimination, one block at a time: the reference for large systems."""
+    m = len(diag)
+    dhat, rhat = diag.copy(), rhs.copy()
+    for j in range(1, m):
+        w = upper[j - 1].T @ np.linalg.inv(dhat[j - 1])
+        dhat[j] -= w @ upper[j - 1]
+        rhat[j] -= w @ rhat[j - 1]
+    x = np.empty_like(rhat)
+    x[m - 1] = np.linalg.solve(dhat[m - 1], rhat[m - 1])
+    for j in range(m - 2, -1, -1):
+        x[j] = np.linalg.solve(dhat[j], rhat[j] - upper[j] @ x[j + 1])
+    return x
+
+
+def _interior_problem(m):
+    return tv.make_problem(tv.integers(0, m + 1), "qd1^2", 1, [0.0], [0.0])
+
+
+def test_cyclic_reduction_matches_dense_solve():
+    rng = np.random.default_rng(41)
+    sizes = sorted(set(range(1, 41)) | {2**k + d for k in range(2, 11) for d in (-1, 0, 1)})
+    for n in range(1, 5):
+        for m in sizes:
+            diag, upper, rhs = _block_system(rng, n, m)
+            x = _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+            if m * n <= 1100:  # dense matrices of at most about 10 MB
+                ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(m, n)
+            else:
+                ref = _thomas(diag, upper, rhs)
+            assert x.shape == (m, n)
+            assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), (n, m)
+
+
+def test_cyclic_reduction_reports_lowest_singular_pivot():
+    rng = np.random.default_rng(42)
+    for zero_blocks in ((4,), (8, 4)):
+        diag, upper, rhs = _block_system(rng, 2, 9)
+        diag[list(zero_blocks)] = 0.0
+        with pytest.raises(SingularJacobian, match=r"interior point 4 \(t=5\.0\)$") as err:
+            _block_tridiag_solve(_interior_problem(9), diag, upper, rhs)
+        assert err.value.block_index == 4
+
+
+def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
+    rng = np.random.default_rng(43)
+    m = 3999
+    diag, upper, rhs = _block_system(rng, 2, m)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+    assert len(calls) <= math.ceil(math.log2(m)) + 1
+
+
+def test_solve_reports_the_action_of_its_trajectory():
+    rng = np.random.default_rng(44)
+    cases = [
+        (tv.power2(0, 5), PAPERLIKE_L, 1),
+        (tv.uniform(0, 2, 0.125), "qd1^2 / 2 + cos(qs1)", 1),
+        (tv.integers(1, 9), "qd1^2 + qs1^-2", 1),
+    ]
+    for _ in range(10):
+        dim = int(rng.integers(1, 3))
+        cases.append((random_grid(rng, max_points=30, moderate=True),
+                      random_quadratic_lagrangian_text(rng, dim), dim))
+    for grid, text, dim in cases:
+        p = tv.make_problem(grid, text, dim, np.ones(dim), 1.5 * np.ones(dim))
+        res = tv.solve_el(p)
+        assert res.action_value == tv.action(p, res.trajectory), text
+
+
+def test_newton_step_evaluates_each_iterate_once(monkeypatch):
+    # one pass for the gradient and action of each iterate, one for the Hessian
+    passes = []
+    for name in ("evaluate", "diff_eval"):
+        fn = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, fn=fn, name=name: passes.append(name) or fn(*a))
+    monkeypatch.setattr(va, "action", None)  # the solver never calls it
+    p = tv.make_problem(tv.explicit([1, 2, 4, 8, 16]), PAPERLIKE_L, 1, [1.0], [13.0])
+    res = tv.solve_el(p)
+    assert res.iterations == 1
+    assert passes == ["diff_eval", "evaluate", "diff_eval"]
 
 
 def test_nonconvergence_reports_norm():
