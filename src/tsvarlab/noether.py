@@ -101,11 +101,6 @@ def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, q
     return SymmetryGenerator(dim, tau_tree, xi_trees, tbar_tree, qbar_trees)
 
 
-def _at_points(times, sample, qvals):
-    """sample(times, qvals) over all points, an EvalError located as ``point i at t=...``."""
-    return _located(times, sample, [qvals], what="point")
-
-
 def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
     """Check the exact family against its generator on sampled arguments.
 
@@ -128,7 +123,7 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
             gen.xi_at(t, q),
         )
 
-    t0, q0, dt, dq, tau, xi = _at_points(t, samples, q)
+    t0, q0, dt, dq, tau, xi = _located(t, samples, [q], what="point")
     bad = np.array([
         np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
         np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
@@ -160,7 +155,7 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    xi_grid = _at_points(t, gen.xi_at, vals)
+    xi_grid = _located(t, gen.xi_at, [vals], what="point")
 
     def defect(t_i, y, v, xi_sigma, xi_delta):
         _, _, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v)
@@ -233,7 +228,7 @@ def check_invariance_fixed_time(
     validate_family(gen, t, vals)
 
     def integrands(eps: float) -> np.ndarray:
-        qbar = _at_points(t, lambda t, q: gen.qbar_at(t, q, eps), vals)
+        qbar = _located(t, lambda t, q: gen.qbar_at(t, q, eps), [vals], what="point")
         return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
 
     return _invariance_report("fixed-time", t, eps_list, integrands(0.0), integrands, mu)
@@ -255,7 +250,7 @@ def check_invariance_time_transform(
     validate_family(gen, t, vals)
 
     def transformed_cells(eps: float) -> np.ndarray:
-        tbar = _at_points(t, lambda t, q: gen.tbar_at(t, q, eps), vals)
+        tbar = _located(t, lambda t, q: gen.tbar_at(t, q, eps), [vals], what="point")
         if not np.all(np.diff(tbar) > 0):
             raise ValueError(
                 f"transformed times are not strictly increasing at eps={eps!r}"
@@ -263,7 +258,7 @@ def check_invariance_time_transform(
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
         image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent)
-        qbar = _at_points(t, lambda t, q: gen.qbar_at(t, q, eps), vals)
+        qbar = _located(t, lambda t, q: gen.qbar_at(t, q, eps), [vals], what="point")
         return _cell_integrals(p, image, qbar)
 
     base = _cell_integrals(p, p.grid, vals)

@@ -351,8 +351,12 @@ def test_singular_jacobian_reports_pivot():
         tv.solve_el(p)
 
 
-def _block_system(rng, n, m):
-    """Random symmetric, diagonally dominant block tridiagonal system (diag, upper, rhs)."""
+def _block_system(rng, n, m, flip=0.0):
+    """Random symmetric block tridiagonal system (diag, upper, rhs), every row diagonally dominant.
+
+    About a share ``flip`` of the diagonal blocks change sign: the rows stay
+    dominant, but the matrix is indefinite.
+    """
     upper = rng.uniform(-1, 1, size=(max(m - 1, 0), n, n))
     sym = rng.uniform(-1, 1, size=(m, n, n))
     diag = sym + np.swapaxes(sym, 1, 2)
@@ -361,7 +365,29 @@ def _block_system(rng, n, m):
     coupling[1:] += np.abs(upper).sum(axis=1)
     margin = np.abs(diag).sum(axis=2) - np.abs(np.diagonal(diag, axis1=1, axis2=2)) + coupling
     diag[:, range(n), range(n)] = margin + rng.uniform(1, 2, size=(m, n))
+    diag[rng.random(m) < flip] *= -1
     return diag, upper, rng.uniform(-10, 10, size=(m, n))
+
+
+def _tiny_pivot_system(rng, n, m, delta):
+    """Block system whose diagonal blocks at even positions 2, 4, ... are delta * I.
+
+    Cyclic reduction pivots on those blocks, while every Schur complement of
+    Thomas elimination has eigenvalues of modulus 0.5 to 2.5.  The scalar
+    system behind it has off-diagonal -1; a random orthogonal Q_j per row
+    turns it into the blocks diag_j = d_j I, upper_j = -Q_j^T Q_{j+1}.
+    """
+    pivot, d = np.empty(m), np.empty(m)
+    for j in range(m):
+        if j > 0 and j % 2 == 0:
+            d[j] = delta
+            pivot[j] = delta - 1 / pivot[j - 1]
+        else:
+            pivot[j] = rng.choice([-1, 1]) * rng.uniform(0.5, 2)
+            d[j] = pivot[j] + (1 / pivot[j - 1] if j else 0)
+    q = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    upper = -np.swapaxes(q[:-1], 1, 2) @ q[1:]
+    return d[:, None, None] * np.eye(n), upper, rng.uniform(-10, 10, size=(m, n))
 
 
 def _dense(diag, upper):
@@ -397,26 +423,71 @@ def _interior_problem(m):
 def test_cyclic_reduction_matches_dense_solve():
     rng = np.random.default_rng(41)
     sizes = sorted(set(range(1, 41)) | {2**k + d for k in range(2, 11) for d in (-1, 0, 1)})
+    systems = [(m, _block_system(rng, n, m, flip)) for flip in (0.0, 0.5)
+               for n in range(1, 5) for m in sizes]
+    # cyclic reduction alone is off by up to 0.1 on these: they need the fallback
+    systems += [(m, _tiny_pivot_system(rng, n, m, delta))
+                for delta in (0.0, 1e-14, -1e-12, 1e-10, 1e-8, 1e-6, 1e-3)
+                for n in range(1, 5) for m in range(1, 17)]
+    for m, (diag, upper, rhs) in systems:
+        n = diag.shape[1]
+        x = _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+        if m * n <= 1100:  # dense matrices of at most about 10 MB
+            ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(m, n)
+        else:
+            ref = _thomas(diag, upper, rhs)
+        assert x.shape == (m, n)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), (n, m)
+
+
+def test_block_solve_error_is_bounded_by_the_condition_number():
+    # symmetric blocks with no diagonal dominance: some systems are ill-conditioned,
+    # and an accepted solution has a normwise backward error of at most 1e-13
+    rng = np.random.default_rng(45)
     for n in range(1, 5):
-        for m in sizes:
-            diag, upper, rhs = _block_system(rng, n, m)
+        for m in range(1, 41):
+            sym = rng.uniform(-1, 1, size=(m, n, n))
+            diag, upper = sym + np.swapaxes(sym, 1, 2), rng.uniform(-1, 1, size=(m - 1, n, n))
+            rhs = rng.uniform(-10, 10, size=(m, n))
+            dense = _dense(diag, upper)
             x = _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
-            if m * n <= 1100:  # dense matrices of at most about 10 MB
-                ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(m, n)
-            else:
-                ref = _thomas(diag, upper, rhs)
-            assert x.shape == (m, n)
-            assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref))), (n, m)
+            ref = np.linalg.solve(dense, rhs.ravel()).reshape(m, n)
+            bound = 1e-12 * np.linalg.cond(dense) * np.max(np.abs(ref))
+            assert np.max(np.abs(x - ref)) <= bound, (n, m)
 
 
-def test_cyclic_reduction_reports_lowest_singular_pivot():
+def test_solve_el_with_a_zero_pivot_in_an_indefinite_hessian():
+    # interior Hessian: diagonal [2, 1, 0, -1], off-diagonal -1, determinant 1
+    p = tv.make_problem(tv.integers(0, 5), "qd1^2/2 - t*qs1^2/2", 1, [1.0], [1.0])
+    vals = tv.linear_guess(p).values
+    diag, upper = va._interior_hessian(p, vals)
+    assert np.array_equal(diag[:, 0, 0], [2.0, 1.0, 0.0, -1.0])
+    rhs = -tv.stationarity_gradient(p, tv.linear_guess(p))
+    x = _block_tridiag_solve(p, diag, upper, rhs)
+    ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(4, 1)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+    res = tv.solve_el(p)
+    assert res.iterations == 1
+    assert np.max(np.abs(tv.stationarity_gradient(p, res.trajectory))) <= 1e-12
+
+
+def test_singular_system_reports_first_singular_schur_complement():
     rng = np.random.default_rng(42)
     for zero_blocks in ((4,), (8, 4)):
+        # zero rows and columns: the Schur complement at the first of them is zero
         diag, upper, rhs = _block_system(rng, 2, 9)
-        diag[list(zero_blocks)] = 0.0
+        for k in zero_blocks:
+            diag[k] = upper[k - 1] = 0.0
+            if k < 8:
+                upper[k] = 0.0
         with pytest.raises(SingularJacobian, match=r"interior point 4 \(t=5\.0\)$") as err:
             _block_tridiag_solve(_interior_problem(9), diag, upper, rhs)
         assert err.value.block_index == 4
+    # nonsingular diagonal blocks, singular matrix: Schur complements 1, 1, 0
+    diag = np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1)
+    upper = np.ones((2, 1, 1))
+    with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
+        _block_tridiag_solve(_interior_problem(3), diag, upper, np.ones((3, 1)))
 
 
 def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
