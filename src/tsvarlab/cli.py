@@ -56,11 +56,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> list[str]:
+    """CSV rows of %.17g values: the columns of ``body``, then those of ``tail``.
+
+    ``tail`` has one row fewer than ``body``; the final row leaves its cells blank.
+    """
+    vals = body if tail is None else np.column_stack([body[:-1], tail])
+    fmt = ",".join(["%.17g"] * vals.shape[1])
+    rows = [fmt % tuple(row) for row in vals.tolist()]
+    if tail is not None:
+        last = ",".join(["%.17g"] * body.shape[1]) % tuple(body[-1].tolist())
+        rows.append(last + "," * (vals.shape[1] - body.shape[1]))
+    return rows
+
+
+def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
     path = Path(path)
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    payload = "\n".join(lines) + "\n"
+    payload = "\n".join([",".join(header), *rows]) + "\n"
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -133,15 +145,7 @@ def cmd_solve(args) -> int:
     vals = result.trajectory.values
     mu = graininess(grid)
     header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
-    rows = []
-    for i, t in enumerate(grid.points):
-        row = [_fmt(t)] + [_fmt(vals[i, k]) for k in range(n)]
-        if i + 1 < len(grid.points):
-            qd = (vals[i + 1] - vals[i]) / mu[i]
-            row += [_fmt(qd[k]) for k in range(n)]
-        else:
-            row += [""] * n
-        rows.append(row)
+    rows = _format_rows(np.column_stack([grid.array, vals]), np.diff(vals, axis=0) / mu[:, None])
     out = Path(args.out) if args.out else _default_out(Path(args.file), "solution")
     _write_csv(out, header, rows)
     if not args.quiet:
@@ -174,30 +178,20 @@ def cmd_check(args) -> int:
 
     if args.which == "el":
         resid = el_residual(problem, trajectory)
-        rvals = resid.values if resid.values.ndim == 2 else resid.values[:, None]
         header = ["t"] + [f"r_{k + 1}" for k in range(n)]
-        rows = [
-            [_fmt(t)] + [_fmt(rvals[i, k]) for k in range(n)]
-            for i, t in enumerate(resid.grid.points)
-        ]
-        max_abs = float(np.max(np.abs(rvals), initial=0.0))
+        rows = _format_rows(np.column_stack([resid.grid.array, resid.values]))
+        max_abs = float(np.max(np.abs(resid.values), initial=0.0))
     elif args.which == "invariance":
         time_transform = generator.has_family or not _is_literal_zero(generator.tau)
         check = check_invariance_time_transform if time_transform else check_invariance_fixed_time
         report = check(problem, trajectory, generator, eps_list)
         header = ["t"] + [f"disc_eps={eps:g}" for eps in report.eps_values]
-        rows = [
-            [_fmt(t)] + [_fmt(report.discrepancies[e, i]) for e in range(len(report.eps_values))]
-            for i, t in enumerate(report.cell_times)
-        ]
+        rows = _format_rows(np.column_stack([report.cell_times, report.discrepancies.T]))
         max_abs = report.max_discrepancy
     else:  # conservation
         report = noether_quantity(problem, trajectory, generator)
         header = ["t", "C", "residual"]
-        rows = []
-        for i, t in enumerate(report.times):
-            resid_text = _fmt(report.residuals[i]) if i < len(report.residuals) else ""
-            rows.append([_fmt(t), _fmt(report.values[i]), resid_text])
+        rows = _format_rows(np.column_stack([report.times, report.values]), report.residuals)
         max_abs = report.max_abs_residual
 
     _write_csv(out, header, rows)
@@ -236,6 +230,7 @@ def cmd_sweep(args) -> int:
         actions.append(result.action_value)
 
     header = ["h", "action", "max_residual", "order"]
+    numbers = _format_rows(np.column_stack([h_list, actions, residuals]))
     rows = []
     for k, h in enumerate(h_list):
         order = ""
@@ -245,7 +240,7 @@ def cmd_sweep(args) -> int:
                 order = "exact"
             elif prev_r > _EXACT_ORDER_FLOOR and cur_r > _EXACT_ORDER_FLOOR:
                 order = _fmt(math.log(prev_r / cur_r) / math.log(h_list[k - 1] / h))
-        rows.append([_fmt(h), _fmt(actions[k]), _fmt(residuals[k]), order])
+        rows.append(f"{numbers[k]},{order}")
     out = Path(args.out) if args.out else _default_out(Path(args.file), "sweep")
     _write_csv(out, header, rows)
     return EXIT_OK

@@ -257,7 +257,7 @@ def check_invariance_time_transform(
             )
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
-        image = TimeScaleGrid(tuple(tbar), intent=p.grid.intent)
+        image = TimeScaleGrid(tbar, intent=p.grid.intent)
         qbar = _located(t, lambda t, q: gen.qbar_at(t, q, eps), [vals], what="point")
         return _cell_integrals(p, image, qbar)
 

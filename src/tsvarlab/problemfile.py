@@ -26,6 +26,7 @@ errors carry a section.key field path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -59,6 +60,8 @@ class ProblemFile:
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        return line.partition("#")[0]
     out = []
     quoted = False
     for ch in line:
@@ -95,6 +98,8 @@ def _parse_value(text: str, where: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
+        if '"' not in inner:
+            return [_parse_scalar(item, where) for item in inner.split(",")]
         items = []
         depth_quote = False
         start = 0
@@ -177,7 +182,7 @@ def _as_number(value, where: str) -> float:
 
 def _as_int(value, where: str) -> int:
     v = _as_number(value, where)
-    if v != int(v):
+    if not v.is_integer():
         raise ProblemFileError(f"{where}: expected an integer, got {value!r}")
     return int(v)
 
@@ -282,8 +287,8 @@ def solver_options(pf: ProblemFile) -> dict:
     out = {}
     if "tol" in sec:
         tol = _as_number(sec["tol"], "solver.tol")
-        if tol <= 0:
-            raise ProblemFileError("solver.tol: must be positive")
+        if not 0.0 < tol < math.inf:
+            raise ProblemFileError("solver.tol: must be a positive finite number")
         out["tol"] = tol
     if "max_iter" in sec:
         mi = _as_int(sec["max_iter"], "solver.max_iter")

@@ -10,14 +10,14 @@ downstream works on the literal points.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 EXACT_DISCRETE = "exact-discrete"
 SAMPLED_CONTINUUM = "sampled-continuum"
+MAX_POINTS = 10**7  # largest grid the constructors build
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,26 @@ class TimeScaleGrid:
 
     points: tuple[float, ...]
     intent: str = EXACT_DISCRETE
+    array: np.ndarray = field(init=False, repr=False, compare=False)  # read-only copy of points
 
     def __post_init__(self):
         if len(self.points) == 0:
             raise ValueError("time scale grid needs at least one point")
-        pts = tuple(float(t) for t in self.points)
-        if not all(math.isfinite(t) for t in pts):
+        arr = np.array(self.points, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("time scale grid points must be a flat sequence")
+        if not np.isfinite(arr).all():
             raise ValueError("time scale grid points must be finite")
-        for left, right in zip(pts, pts[1:]):
-            if not right > left:
-                raise ValueError(
-                    f"time scale grid points must be strictly increasing "
-                    f"(got {left!r} followed by {right!r})"
-                )
-        object.__setattr__(self, "points", pts)
+        rising = arr[1:] > arr[:-1]
+        if not rising.all():
+            i = int(np.argmin(rising))
+            raise ValueError(
+                f"time scale grid points must be strictly increasing "
+                f"(got {float(arr[i])!r} followed by {float(arr[i + 1])!r})"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "points", tuple(arr.tolist()))
+        object.__setattr__(self, "array", arr)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -56,12 +62,6 @@ class TimeScaleGrid:
     @property
     def b(self) -> float:
         return self.points[-1]
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.array(self.points, dtype=float)
-        arr.setflags(write=False)
-        return arr
 
     @cached_property
     def _index(self) -> dict[float, int]:
@@ -87,8 +87,15 @@ class PointClassification:
     intent: str
 
 
+def _check_size(what: str, count: float) -> None:
+    """Rejects a grid of ``count`` points (inf or nan included) before it is built."""
+    if not count <= MAX_POINTS:
+        raise ValueError(f"{what} would have {count:.10g} points; the limit is {MAX_POINTS}")
+
+
 def integers(a: int, b: int) -> TimeScaleGrid:
     """All integers in [a, b]."""
+    _check_size("integers(a, b)", float(b) - float(a) + 1)
     a, b = int(a), int(b)
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
@@ -97,9 +104,10 @@ def integers(a: int, b: int) -> TimeScaleGrid:
 
 def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
     """Equally spaced points a, a+h, ..., b; (b - a) must be a multiple of h."""
-    if h <= 0:
+    if not h > 0:
         raise ValueError("uniform step h must be positive")
     span = float(b) - float(a)
+    _check_size("uniform(a, b, h)", abs(span) / h + 1)
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(abs(span), h):
         raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")
@@ -110,6 +118,9 @@ def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
 
 def power2(n0: int, n1: int) -> TimeScaleGrid:
     """Points 2**n for n = n0..n1."""
+    if not n1 < 1024:
+        raise ValueError(f"power2(n0, n1) needs n1 < 1024 (2**1024 overflows a float), got {n1!r}")
+    _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
     n0, n1 = int(n0), int(n1)
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")
@@ -130,11 +141,12 @@ def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
     The final step is shortened when h does not divide b - a; a near-integral
     step count never produces a micro-cell at the end.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("sampled step h must be positive")
     a, b, h = float(a), float(b), float(h)
     if b - a <= 0:
         raise ValueError("sampled(a, b, h) needs b > a")
+    _check_size("sampled(a, b, h)", (b - a) / h + 1)
     pts = [a]
     i = 1
     while True:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvarlab.cli import main
+import tsvarlab as tv
+from tsvarlab.cli import _format_rows, main
+from tsvarlab.problemfile import (
+    build_generator,
+    build_grid,
+    build_problem,
+    load_problem_file,
+    solver_options,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FREE = str(SCENARIOS / "free_particle.problem")
@@ -228,3 +237,168 @@ def test_module_entrypoint_subprocess(tmp_path):
     assert proc.returncode == 0
     assert "action=4" in proc.stdout
     assert out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_solver_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    problem = tmp_path / "gravity.problem"
+    problem.write_text(Path(GRAVITY).read_text() + f"\n[solver]\ntol = {tol}\n")
+    out = tmp_path / "g.csv"
+    assert run(["solve", str(problem), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: solver.tol: must be a positive finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "timescale, message",
+    [
+        ("kind = uniform\na = 0\nb = 1\nh = 1e-300", "uniform(a, b, h) would have 1e+300 points"),
+        ("kind = sampled\na = 0\nb = 1\nh = 1e-300", "sampled(a, b, h) would have 1e+300 points"),
+        ("kind = integers\na = 0\nb = 1e12", "integers(a, b) would have 1e+12 points"),
+        ("kind = power2\nn0 = 0\nn1 = 1100", "power2(n0, n1) needs n1 < 1024"),
+    ],
+)
+def test_oversized_grid_exits_3(tmp_path, capsys, timescale, message):
+    problem = tmp_path / "big.problem"
+    problem.write_text(
+        f"[timescale]\n{timescale}\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1]\n'
+    )
+    assert run(["solve", str(problem), "--out", str(tmp_path / "big.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: timescale: {message}")
+
+
+def test_sweep_step_goes_through_the_grid_size_limit(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", GRAVITY, "--h-list", "1e-300", "--out", str(out)]) == 3
+    assert "would have 1e+300 points; the limit is 10000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_row_format_is_17_significant_digits():
+    values = [0.0, -0.0, 1.0, 0.1, -2.5e-7, 1e22, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, math.pi, float("inf"), float("-inf"), float("nan")]
+    body = np.array(values).reshape(-1, 1)
+    assert _format_rows(body) == [format(x, ".17g") for x in values]
+    tail = np.array([[1.0, 2.0]] * (len(values) - 1))
+    rows = _format_rows(body, tail)
+    assert rows[:-1] == [format(x, ".17g") + ",1,2" for x in values[:-1]]
+    assert rows[-1] == "nan,,"
+
+
+# ---------------------------------------------------------------------------
+# Output bytes, rebuilt from the library results
+
+
+def _g(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _csv_bytes(header, rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
+
+
+def _expected_outputs(path, h_list):
+    """Every CSV the CLI writes for ``path``, formatted here value by value."""
+    pf = load_problem_file(path)
+    problem = build_problem(pf)
+    opts = solver_options(pf)
+    gen = build_generator(pf)
+    n = problem.dim
+    result = tv.solve_el(problem, **opts)
+    q = result.trajectory.values
+    t = problem.grid.points
+    out = {}
+
+    rows = []
+    for i in range(len(t)):
+        row = [_g(t[i])] + [_g(x) for x in q[i]]
+        if i + 1 < len(t):
+            row += [_g((q[i + 1][k] - q[i][k]) / (t[i + 1] - t[i])) for k in range(n)]
+        else:
+            row += [""] * n
+        rows.append(row)
+    header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
+    out["solve"] = _csv_bytes(header, rows)
+
+    resid = tv.el_residual(problem, result.trajectory)
+    r = resid.values.reshape(len(resid.grid), n)
+    rows = [[_g(ti)] + [_g(x) for x in r[i]] for i, ti in enumerate(resid.grid.points)]
+    out["el"] = _csv_bytes(["t"] + [f"r_{k + 1}" for k in range(n)], rows)
+
+    eps = [-0.5, -0.1, 0.1, 0.5]
+    zero_tau = isinstance(gen.tau, tv.expr.Num) and gen.tau.value == 0.0
+    if gen.has_family or not zero_tau:
+        inv = tv.check_invariance_time_transform(problem, result.trajectory, gen, eps)
+    else:
+        inv = tv.check_invariance_fixed_time(problem, result.trajectory, gen, eps)
+    rows = [
+        [_g(ti)] + [_g(inv.discrepancies[e][i]) for e in range(len(eps))]
+        for i, ti in enumerate(inv.cell_times)
+    ]
+    out["invariance"] = _csv_bytes(["t"] + [f"disc_eps={e:g}" for e in eps], rows)
+
+    cons = tv.noether_quantity(problem, result.trajectory, gen)
+    rows = [
+        [_g(ti), _g(cons.values[i]), _g(cons.residuals[i]) if i < len(cons.residuals) else ""]
+        for i, ti in enumerate(cons.times)
+    ]
+    out["conservation"] = _csv_bytes(["t", "C", "residual"], rows)
+
+    if h_list:
+        rows, prev = [], None
+        for h in h_list:
+            p = build_problem(pf, grid=build_grid(pf, h_override=h))
+            sol = tv.solve_el(p, **opts)
+            res = tv.noether_quantity(p, sol.trajectory, gen).max_abs_residual
+            order = ""
+            if prev is not None:
+                if prev[1] <= 1e-12 and res <= 1e-12:
+                    order = "exact"
+                elif prev[1] > 1e-12 and res > 1e-12:
+                    order = _g(math.log(prev[1] / res) / math.log(prev[0] / h))
+            rows.append([_g(h), _g(sol.action_value), _g(res), order])
+            prev = (h, res)
+        out["sweep"] = _csv_bytes(["h", "action", "max_residual", "order"], rows)
+    return out
+
+
+def _random_explicit_problem(tmp_path):
+    rng = np.random.default_rng(20)
+    points = np.cumsum(np.concatenate([[rng.uniform(-1, 1)], rng.uniform(0.05, 0.4, 30)]))
+    path = tmp_path / "random_explicit.problem"
+    path.write_text(
+        "[timescale]\nkind = explicit\n"
+        f"points = [{', '.join(repr(float(p)) for p in points)}]\n"
+        "[problem]\ndim = 2\n"
+        'lagrangian = "qd1^2/2 + qd2^2/2 + 0.5*cos(qs1 - qs2)"\n'
+        "qa = [0, 1]\nqb = [0.5, -0.25]\n"
+        '[symmetry]\nxi = ["1", "1"]\n'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "name, h_list",
+    [("power2_dilation", None), ("free_particle", "0.5,0.25,0.125"),
+     ("gravity_uniform", "0.1,0.05,0.025"), ("random_explicit", None)],
+)
+def test_output_bytes_equal_values_formatted_one_by_one(tmp_path, name, h_list):
+    if name == "random_explicit":
+        path = _random_explicit_problem(tmp_path)
+    else:
+        path = str(SCENARIOS / f"{name}.problem")
+    commands = {
+        "solve": ["solve", path],
+        "el": ["check", path, "el", "--report-only"],
+        "invariance": ["check", path, "invariance", "--report-only"],
+        "conservation": ["check", path, "conservation", "--report-only"],
+    }
+    if h_list:
+        commands["sweep"] = ["sweep", path, "--h-list", h_list]
+    expected = _expected_outputs(path, [float(h) for h in h_list.split(",")] if h_list else None)
+    assert sorted(expected) == sorted(commands)
+    for kind, argv in commands.items():
+        out = tmp_path / f"{kind}.csv"
+        assert run(argv + ["--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == expected[kind], kind

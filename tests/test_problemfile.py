@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from tsvarlab.problemfile import (
     ProblemFileError,
+    _parse_value,
+    _strip_comment,
     build_generator,
     build_grid,
     build_problem,
@@ -122,9 +125,21 @@ def test_solver_options_validated():
     bad = GOOD.replace("tol = 1e-12", "tol = -1")
     with pytest.raises(ProblemFileError, match="solver.tol"):
         solver_options(parse_problem_text(bad))
-    bad = GOOD.replace("max_iter = 50", "max_iter = 2.5")
-    with pytest.raises(ProblemFileError, match="solver.max_iter"):
-        solver_options(parse_problem_text(bad))
+    for max_iter in ("2.5", "inf", "nan"):
+        bad = GOOD.replace("max_iter = 50", f"max_iter = {max_iter}")
+        with pytest.raises(ProblemFileError, match="solver.max_iter: expected an integer"):
+            solver_options(parse_problem_text(bad))
+    for tol in ("nan", "inf"):
+        bad = GOOD.replace("tol = 1e-12", f"tol = {tol}")
+        with pytest.raises(ProblemFileError, match="solver.tol: must be a positive finite number"):
+            solver_options(parse_problem_text(bad))
+
+
+def test_dimension_must_be_a_finite_integer():
+    for dim in ("inf", "nan", "1.5"):
+        bad = GOOD.replace("dim = 1", f"dim = {dim}")
+        with pytest.raises(ProblemFileError, match="problem.dim: expected an integer"):
+            build_problem(parse_problem_text(bad))
 
 
 def test_quoted_strings_keep_hash_and_spaces():
@@ -133,3 +148,83 @@ def test_quoted_strings_keep_hash_and_spaces():
         '[problem]\ndim = 1\nlagrangian = "qd1^2 - 1"\nqa = [0]\nqb = [0]\n'
     )
     assert pf.problem["lagrangian"] == "qd1^2 - 1"
+
+
+def _strip_comment_by_character(line):
+    """Reference: cut at the first '#' outside double quotes."""
+    out = []
+    quoted = False
+    for ch in line:
+        if ch == '"':
+            quoted = not quoted
+        if ch == "#" and not quoted:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+def _split_list_by_character(inner):
+    """Reference: split a list body at the commas outside double quotes."""
+    items, quoted, start = [], False, 0
+    for idx, ch in enumerate(inner):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "," and not quoted:
+            items.append(inner[start:idx])
+            start = idx + 1
+    items.append(inner[start:])
+    return items
+
+
+LINES = [
+    "",
+    "# only a comment",
+    "kind = uniform",
+    "h = 0.1   # step",
+    "points = [1, 2,3]#tail # more",
+    'lagrangian = "qd1^2 # not a comment"   # comment',
+    'xi = ["a, b # c", "#", ","]  # comment',
+    'xi = ["unterminated # still quoted',
+]
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_comment_stripping_matches_the_character_loop(line):
+    assert _strip_comment(line) == _strip_comment_by_character(line)
+
+
+@pytest.mark.parametrize(
+    "body", ["1, 2,3", " -1.5e3 ,2 ", "7", "1, word, 2", '"a, b # c", "#", ","', '"x","y"']
+)
+def test_list_splitting_matches_the_character_loop(body):
+    expected = [_parse_value(item, "k") for item in _split_list_by_character(body)]
+    assert _parse_value(f"[{body}]", "k") == expected
+
+
+@pytest.mark.parametrize("body", ["1,,2", "1, 2,", ",", '"a",,"b"'])
+def test_empty_list_items_are_rejected_on_both_paths(body):
+    with pytest.raises(ProblemFileError, match="k: empty value"):
+        _parse_value(f"[{body}]", "k")
+
+
+def test_long_points_list_with_trailing_comment():
+    rng = np.random.default_rng(3)
+    points = np.cumsum(rng.uniform(0.01, 1.0, size=10**4)).tolist()
+    line = "points = [" + ", ".join(repr(p) for p in points) + "]   # 10^4 points, a, b"
+    pf = parse_problem_text(
+        "[timescale]\nkind = explicit\n" + line + "\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1]\n'
+    )
+    value = _strip_comment_by_character(line).partition("=")[2].strip()
+    expected = [float(item) for item in _split_list_by_character(value[1:-1])]
+    assert pf.timescale["points"] == expected == points
+    assert build_grid(pf).points == tuple(points)
+
+
+def test_quoted_list_keeps_hash_and_comma_inside_strings():
+    pf = parse_problem_text(
+        "[timescale]\nkind = integers\na = 0\nb = 3\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [0]\n'
+        '[symmetry]\nxi = ["q1 # x, y", ","]  # trailing, comment\n'
+    )
+    assert pf.symmetry["xi"] == ["q1 # x, y", ","]

@@ -35,6 +35,9 @@ def test_nonpositive_step_rejected():
         tv.uniform(0, 1, 0)
     with pytest.raises(ValueError):
         tv.sampled(0, 1, -0.5)
+    for ctor in (tv.uniform, tv.sampled):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            ctor(0, 1, float("nan"))
 
 
 def test_unknown_kind_rejected():
@@ -148,3 +151,47 @@ def test_grid_is_immutable_value_object():
     arr = g.array
     with pytest.raises(ValueError):
         arr[0] = 5.0
+
+
+def test_validation_reports_the_first_bad_pair():
+    with pytest.raises(ValueError, match=r"got 2\.0 followed by 1\.0\)"):
+        tv.explicit([0, 2, 1, 3, 2.5])
+    with pytest.raises(ValueError, match="must be finite"):
+        tv.explicit([0.0, float("nan"), 2.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        tv.TimeScaleGrid((0.0, float("inf")))
+
+
+def test_grid_from_an_array_stores_python_floats():
+    src = np.array([0.0, 0.5, 2.0])
+    g = tv.TimeScaleGrid(src)
+    assert g.points == (0.0, 0.5, 2.0)
+    assert all(type(t) is float for t in g.points)
+    assert np.array_equal(g.array, src) and g.array is not src
+    assert not g.array.flags.writeable and src.flags.writeable
+    with pytest.raises(ValueError, match="flat sequence"):
+        tv.TimeScaleGrid(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "ctor, args, message",
+    [
+        (tv.uniform, (0, 1, 1e-300), r"uniform\(a, b, h\) would have 1e\+300 points"),
+        (tv.uniform, (1, 0, 1e-320), r"uniform\(a, b, h\) would have inf points"),
+        (tv.sampled, (0, 1, 1e-300), r"sampled\(a, b, h\) would have 1e\+300 points"),
+        (tv.sampled, (0, float("inf"), 1.0), r"sampled\(a, b, h\) would have inf points"),
+        (tv.integers, (0, 10**7), r"integers\(a, b\) would have 10000001 points"),
+        (tv.integers, (-(10**15), 10**15), r"integers\(a, b\) would have 2e\+15 points"),
+        (tv.power2, (-(10**7), 0), r"power2\(n0, n1\) would have 10000001 points"),
+    ],
+)
+def test_oversized_grids_are_rejected_before_they_are_built(ctor, args, message):
+    with pytest.raises(ValueError, match=message + r"; the limit is 10000000$"):
+        ctor(*args)
+
+
+def test_power2_rejects_exponents_that_overflow():
+    assert tv.power2(1021, 1023).points[-1] == 2.0**1023
+    for n1 in (1024, 1100, float("inf")):
+        with pytest.raises(ValueError, match=r"power2\(n0, n1\) needs n1 < 1024"):
+            tv.power2(0, n1)
