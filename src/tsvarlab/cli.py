@@ -9,6 +9,7 @@ repeated runs on the same platform are bit-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -129,16 +130,12 @@ def _read_guess_csv(path: Path, problem):
     return GridFunction(problem.grid, vals)
 
 
-def _solve(problem, opts, guess=None):
-    return solve_el(problem, guess=guess, **opts)
-
-
 def cmd_solve(args) -> int:
     pf = load_problem_file(args.file)
     problem = build_problem(pf)
     opts = solver_options(pf)
     guess = _read_guess_csv(args.guess, problem) if args.guess else None
-    result = _solve(problem, opts, guess=guess)
+    result = solve_el(problem, guess=guess, **opts)
 
     grid = problem.grid
     n = problem.dim
@@ -162,6 +159,8 @@ def _is_literal_zero(tree) -> bool:
 
 
 def cmd_check(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        raise _UsageError(f"--tol must be a non-negative finite number, got {args.tol!r}")
     pf = load_problem_file(args.file)
     problem = build_problem(pf)
     opts = solver_options(pf)
@@ -170,7 +169,7 @@ def cmd_check(args) -> int:
         raise ProblemFileError(f"check {args.which} requires a [symmetry] section")
     eps_list = _parse_float_list(args.eps, "--eps")
 
-    result = _solve(problem, opts)
+    result = solve_el(problem, **opts)
     trajectory = result.trajectory
     grid = problem.grid
     n = problem.dim
@@ -224,7 +223,7 @@ def cmd_sweep(args) -> int:
     for h in h_list:
         grid = build_grid(pf, h_override=h)
         problem = build_problem(pf, grid=grid)
-        result = _solve(problem, opts)
+        result = solve_el(problem, **opts)
         report = noether_quantity(problem, result.trajectory, generator)
         residuals.append(report.max_abs_residual)
         actions.append(result.action_value)
@@ -246,6 +245,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="tsvarlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

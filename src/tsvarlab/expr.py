@@ -1,4 +1,4 @@
-"""Formula parsing and exact directional differentiation.
+"""Formula parsing, evaluation and exact symbolic differentiation.
 
 Concrete grammar (EBNF), whitespace insignificant::
 
@@ -16,36 +16,23 @@ Variables: ``t`` is time, ``eps`` the transformation parameter, ``q<k>``
 state components, ``qs<k>`` forward-jumped state, ``qd<k>`` delta-derivative
 components, with 1-based index ``k`` up to the declared dimension.
 
-Derivatives are computed by forward-mode dual numbers, never by finite
-differences; seeds may be floats or numpy arrays (vector mode evaluates
-several directions in one pass).  Variable values may be arrays over cells,
-so one call evaluates a tree on every cell.
+Derivatives are exact: :func:`derivative` differentiates a tree into another
+tree, never by finite differences.  Variable values may be arrays over cells,
+so one call evaluates a tree, or several sharing their equal subtrees, on
+every cell.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import _dual
-from ._dual import Dual, DomainError
-
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 VARIABLE_KINDS = ("t", "eps", "q", "qs", "qd")
-
-_FN_TABLE = {
-    "sin": _dual.sin,
-    "cos": _dual.cos,
-    "exp": _dual.exp,
-    "ln": _dual.ln,
-    "sqrt": _dual.sqrt,
-    "abs": _dual.absval,
-}
-
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _dual.div, "^": _dual.power}
 
 
 class ParseError(ValueError):
@@ -71,37 +58,51 @@ class EvalError(ValueError):
 # AST
 
 
+class _Node:
+    """Compares and hashes without the column; a node keeps its hash and derivatives."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((type(self), *(getattr(self, f.name) for f in fields(self) if f.compare)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
     pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
     pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expression"
     pos: int = field(default=0, compare=False)
+    __hash__ = _Node.__hash__  # kept: a dataclass would hash the whole subtree
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
     pos: int = field(default=0, compare=False)
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expression"
     pos: int = field(default=0, compare=False)
+    __hash__ = _Node.__hash__
 
 
 Expression = Num | Var | Neg | BinOp | Call
@@ -204,7 +205,7 @@ class _Parser:
         if kind == "num":
             return Num(float(value), pos=col)
         if kind == "name":
-            if value in _FN_TABLE:
+            if value in FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -244,7 +245,97 @@ def parse(text: str, dim: int, allow: tuple[str, ...] = VARIABLE_KINDS) -> Expre
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval(node: Expression, env: dict):
+
+def _guard(x, bad, message: str) -> None:
+    """Raises EvalError at the first cell where bad(x), for _eval to locate; {} takes its value."""
+    mask = bad(x)
+    if np.any(mask):
+        cell = int(np.argmax(mask))
+        raise EvalError(message.format(float(np.ravel(x)[cell])), 0, cell)
+
+
+def _div(x, y):
+    _guard(y, lambda v: v == 0.0, "division by zero")
+    return x / y
+
+
+def _exp(x):
+    e = np.exp(x)
+    _guard(x, lambda v: np.isinf(e) & np.isfinite(v), "overflow")
+    return e
+
+
+def _ln(x):
+    _guard(x, lambda v: v <= 0.0, "ln of non-positive value {!r}")
+    return np.log(x)
+
+
+def _sqrt(x):
+    _guard(x, lambda v: v < 0.0, "sqrt of negative value {!r}")
+    return np.sqrt(x)
+
+
+_POSITIVE_BASE = "non-integer or cell-varying exponent requires a positive base (base={!r})"
+
+
+def _power(base, expo):
+    """x^p with an integer fast path.
+
+    An exponent that is one integer on every cell is evaluated by repeated
+    multiplication, so t^2 stays defined for negative t.  Any other exponent
+    (t over cells at several integer times, say) takes exp(p ln x) and
+    requires a strictly positive base.
+    """
+    pe = np.ravel(expo)
+    if pe.size and np.all(pe == pe[0]) and float(pe[0]).is_integer():
+        k = int(pe[0])
+        if k < 0:
+            _guard(base, lambda v: v == 0.0, "0 raised to a negative power")
+            return _div(1.0, _ipow(base, -k))
+        return _ipow(base, k)
+    _guard(base, lambda v: v <= 0.0, _POSITIVE_BASE)
+    return _exp(expo * _ln(base))
+
+
+def _ipow(x, k: int):
+    result = 1.0
+    acc = x
+    while k:
+        if k & 1:
+            result = result * acc
+        acc = acc * acc
+        k >>= 1
+    return result
+
+
+def _ln_base(x):
+    _guard(x, lambda v: v <= 0.0, _POSITIVE_BASE)
+    return np.log(x)
+
+
+def _nonzero_sqrt(x):
+    _guard(x, lambda v: v == 0.0, "sqrt derivative undefined at 0")
+    return _sqrt(x)
+
+
+# the last three occur only in derivative trees: abs' = sign, and the domains of slopes
+_FN_TABLE = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": _exp,
+    "ln": _ln,
+    "sqrt": _sqrt,
+    "abs": np.abs,
+    "sign": np.sign,
+    "nonzero sqrt": _nonzero_sqrt,
+    "ln base": _ln_base,
+}
+_SHOWN_AS = {"nonzero sqrt": "sqrt(...)", "ln base": "'^'"}
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _power}
+
+
+def _eval(node: Expression, env: dict, memo: dict):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -252,26 +343,38 @@ def _eval(node: Expression, env: dict):
             return env[node.name]
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}", node.pos) from None
+    value = memo.get(node)
+    if value is not None:
+        return value
     if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env)
+        value = -_eval(node.arg, env, memo)
+    elif isinstance(node, Call):
+        arg = _eval(node.arg, env, memo)
         try:
-            return _FN_TABLE[node.fn](arg)
-        except DomainError as exc:
-            raise EvalError(f"{exc} in {node.fn}(...)", node.pos, exc.cell) from None
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    try:
-        return _OPS[node.op](left, right)
-    except DomainError as exc:
-        raise EvalError(f"{exc} in {node.op!r}", node.pos, exc.cell) from None
+            value = _FN_TABLE[node.fn](arg)
+        except EvalError as exc:
+            shown = _SHOWN_AS.get(node.fn, f"{node.fn}(...)")
+            raise EvalError(f"{exc.message} in {shown}", node.pos, exc.cell) from None
+    else:
+        left = _eval(node.left, env, memo)
+        right = _eval(node.right, env, memo)
+        try:
+            value = _OPS[node.op](left, right)
+        except EvalError as exc:
+            raise EvalError(f"{exc.message} in {node.op!r}", node.pos, exc.cell) from None
+    memo[node] = value
+    return value
 
 
-def evaluate(e: Expression, env: dict):
-    """IEEE-double evaluation; env maps variable names to floats or arrays over cells."""
+def _evaluate(trees, env: dict) -> list:
+    memo = {}  # equal subtrees, in one tree or several, are evaluated once
     with np.errstate(all="ignore"):  # callers check and locate inf and nan
-        return _eval(e, env)
+        return [_eval(e, env, memo) for e in trees]
+
+
+def evaluate(e, env: dict):
+    """IEEE-double value of a tree, or list of values of a list or tuple of trees."""
+    return _evaluate(e, env) if isinstance(e, (list, tuple)) else _evaluate((e,), env)[0]
 
 
 def free_variables(e: Expression) -> set[str]:
@@ -287,17 +390,86 @@ def free_variables(e: Expression) -> set[str]:
 
 
 def diff_eval(e: Expression, env: dict, seed: dict):
-    """Value and exact directional derivative along the seeded direction.
+    """Value and exact directional derivative, sum of seed[name] * derivative(e, name).
 
-    Variables missing from ``seed`` carry tangent 0.  Seed entries may be
-    numpy arrays to evaluate several directions in a single pass.
+    Variables missing from ``seed`` carry tangent 0; array seeds give several directions.
     """
-    dual_env = {name: Dual(value, seed.get(name, 0.0)) for name, value in env.items()}
+    terms = [(seed[name], d) for name in seed if (d := derivative(e, name)) != _ZERO]
+    value, *partials = _evaluate([e, *(d for _, d in terms)], env)
     with np.errstate(all="ignore"):
-        out = _eval(e, dual_env)
-    if isinstance(out, Dual):
-        return out.a, out.b
-    return out, 0.0
+        return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
+
+
+def substitute(e: Expression, trees: dict) -> Expression:
+    """e with every variable named in ``trees`` replaced by its tree."""
+    if isinstance(e, Var):
+        return trees.get(e.name, e)
+    if isinstance(e, BinOp):
+        return replace(e, left=substitute(e.left, trees), right=substitute(e.right, trees))
+    return replace(e, arg=substitute(e.arg, trees)) if isinstance(e, (Neg, Call)) else e
+
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def derivative(e: Expression, name: str) -> Expression:
+    """Exact derivative of e in ``name``, as a tree; a structural zero is literal 0.
+
+    The nodes that can fail (``/``, ``^``, ``ln`` and the slope of sqrt)
+    carry the column of the node they come from.  Nodes keep their
+    derivatives, so a tree is differentiated once per variable.
+    """
+    if isinstance(e, Num):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == name else _ZERO
+    memo = e.__dict__.setdefault("_derivatives", {})
+    if name not in memo:
+        memo[name] = _derive(e, name)
+    return memo[name]
+
+
+def _derive(e: Expression, name: str) -> Expression:
+    if isinstance(e, Neg):
+        return _op("-", _ZERO, derivative(e.arg, name))
+    if isinstance(e, Call):
+        u, du = e.arg, derivative(e.arg, name)
+        if du == _ZERO or e.fn == "sign":
+            return _ZERO
+        if e.fn == "ln":
+            return _op("/", du, u, e.pos)
+        if e.fn in ("sqrt", "nonzero sqrt"):  # du / (2 sqrt(u)), undefined at u = 0
+            return _op("/", du, _op("*", Num(2.0), Call("nonzero sqrt", u, pos=e.pos)), e.pos)
+        slope = {"sin": Call("cos", u), "cos": Neg(Call("sin", u)), "abs": Call("sign", u)}
+        return _op("*", slope.get(e.fn, e), du)  # exp is its own slope
+    a, b = e.left, e.right
+    da, db = derivative(a, name), derivative(b, name)
+    if e.op in "+-":
+        return _op(e.op, da, db)
+    if e.op == "*":
+        return _op("+", _op("*", a, db), _op("*", da, b))
+    if e.op == "/":  # (da - (a/b) db) / b divides only by what e divides by
+        return _op("/", _op("-", da, _op("*", e, db)), b, e.pos)
+    if db == _ZERO:  # b a^(b-1) da, by the same exponent rule as e
+        return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE), e.pos)), da)
+    log_term = _op("*", db, Call("ln base", a, pos=e.pos))  # a^b (b da/a + db ln a)
+    return _op("*", e, _op("+", _op("*", b, _op("/", da, a, e.pos)), log_term))
+
+
+def _op(op: str, a: Expression, b: Expression, pos: int = 0) -> Expression:
+    """BinOp(op, a, b) with the identities of 0 and 1 folded and + - * of numbers computed."""
+    if op in "+-*" and isinstance(a, Num) and isinstance(b, Num):
+        return Num(_OPS[op](a.value, b.value))
+    if b == _ZERO and op in "+-*^":
+        return {"+": a, "-": a, "*": _ZERO, "^": _ONE}[op]
+    if a == _ZERO and op in "+-*/":
+        return {"+": b, "-": Neg(b), "*": _ZERO, "/": _ZERO}[op]
+    if b == _ONE and op in "*/^":
+        return a
+    if a == _ONE and op == "*":
+        return b
+    return BinOp(op, a, b, pos=pos)
 
 
 # ---------------------------------------------------------------------------

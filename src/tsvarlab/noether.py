@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._dual import Dual
 from .calculus import GridFunction
 from .timescale import TimeScaleGrid, graininess, kappa
 from .variational import (
@@ -104,21 +103,20 @@ def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, q
 def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
     """Check the exact family against its generator on sampled arguments.
 
-    At eps = 0 the maps must reproduce (t, q) to 1e-12; their central
-    finite-difference eps-derivative (step 1e-6) must match (tau, xi) to
-    1e-6.  Raises ValueError on the first violation.
+    At eps = 0 the maps must reproduce (t, q) to 1e-12, and their exact
+    eps-derivative must match (tau, xi) to 1e-6.  Raises ValueError on the
+    first violation.
     """
     if not gen.has_family:
         return
-    h = 1e-6
     t, q = np.asarray(times, dtype=float), np.asarray(qvals, dtype=float)
 
     def samples(t, q):
         return (
             gen.tbar_at(t, q, 0.0),
             gen.qbar_at(t, q, 0.0),
-            (gen.tbar_at(t, q, h) - gen.tbar_at(t, q, -h)) / (2 * h),
-            (gen.qbar_at(t, q, h) - gen.qbar_at(t, q, -h)) / (2 * h),
+            gen._sample((ex.derivative(gen.tbar, "eps"),), t, q, 0.0)[..., 0],
+            gen._sample(tuple(ex.derivative(c, "eps") for c in gen.qbar), t, q, 0.0),
             gen.tau_at(t, q),
             gen.xi_at(t, q),
         )
@@ -369,9 +367,9 @@ class ExtendedPartialsReport:
     r: float
     value_composite: np.ndarray  # reparameterized Lagrangian value
     value_reference: np.ndarray  # plain integrand L(t, jumped q, v)
-    d4_forward: np.ndarray  # derivative in the time-rate slot, dual route
+    d4_forward: np.ndarray  # derivative in the time-rate slot, of the composite tree
     d4_formula: np.ndarray  # L - dL/dv . v/r - dL/dt * mu * r at shifted args
-    d5_forward: np.ndarray  # (K, n) derivative in the velocity slot, dual route
+    d5_forward: np.ndarray  # (K, n) derivative in the velocity slot, of the composite tree
     d5_formula: np.ndarray
     max_value_error: float
     max_d4_error: float
@@ -381,34 +379,32 @@ class ExtendedPartialsReport:
 def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) -> ExtendedPartialsReport:
     """Differentiate the reparameterized Lagrangian L(s - mu*r, q, v/r) * r.
 
-    Forward-mode duals differentiate the composite in the (r, v) slots; the
-    results are compared against the closed-form right-hand sides.  At r = 1
-    the composite value reproduces the plain integrand, and the two partials
-    reduce to dL/dv and L - dL/dv . v - dL/dt * mu.
+    The composite tree (``t`` is the jumped time s) is differentiated in r and
+    in the velocity slot and compared against the closed-form right-hand sides.
+    At r = 1 the composite value reproduces the plain integrand, and the two
+    partials reduce to dL/dv and L - dL/dv . v - dL/dt * mu.
     """
     if r == 0.0:
         raise ValueError("time-rate r must be nonzero")
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
-    m = 1 + p.dim
-    basis = np.eye(m)[:, :, None]
+    rate = ex.Var("r")
+    velocities = [f"qd{k + 1}" for k in range(p.dim)]
+    slots = {"t": ex.BinOp("-", ex.Var("t"), ex.BinOp("*", ex.Var("mu"), rate))}
+    slots.update({w: ex.BinOp("/", ex.Var(w), rate) for w in velocities})
+    composite = ex.BinOp("*", ex.substitute(p.lagrangian.expression, slots), rate)
+    trees = [composite] + [ex.derivative(composite, name) for name in ["r", *velocities]]
 
     def cell(t_i, st, mu_i, y, v):
-        # st is the jumped time; the time state follows s(t) = t
-        r_dual = Dual(float(r), basis[0])
-        env = {"t": st - mu_i * r_dual}
-        for k in range(p.dim):
-            env[f"qs{k + 1}"] = y[:, k]
-            env[f"qd{k + 1}"] = Dual(v[:, k], basis[1 + k]) / r_dual
-        out = ex.evaluate(p.lagrangian.expression, env) * r_dual
-        grads = np.broadcast_to(out.b, (m, len(t_i)))
+        env = {**p.lagrangian._env(st, y, v), "mu": mu_i, "r": float(r)}
+        value_c, d4_fwd, *d5_fwd = (np.broadcast_to(x, t_i.shape) for x in ex.evaluate(trees, env))
 
         vr = v / r
         lval, d1, _, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr)
         value_ref = p.lagrangian.value(t_i, y, v)
         d4_form = lval - _dot(d3, vr) - d1 * mu_i * r
-        return np.broadcast_to(out.a, t_i.shape), value_ref, grads[0], d4_form, grads[1:].T, d3
+        return value_c, value_ref, d4_fwd, d4_form, np.stack(d5_fwd, axis=-1), d3
 
     value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = _over_cells(
         t[:-1], cell, t[1:], mu, *_cell_states(vals, mu)

@@ -4,8 +4,8 @@ The action is the delta integral of L(t, q at the next point, forward
 difference quotient) over the grid window.  Stationarity of that sum with
 respect to the interior values yields the discrete Euler-Lagrange system;
 :func:`solve_el` solves it by Newton iteration with an exact block
-tridiagonal Jacobian assembled from nested dual numbers, each step by
-block cyclic reduction.
+tridiagonal Jacobian assembled from the symbolic second derivatives of the
+Lagrangian, each step by block cyclic reduction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from . import expr as ex
-from ._dual import Dual
 from .calculus import GridFunction
 from .timescale import TimeScaleGrid, graininess, kappa
 
@@ -47,7 +46,7 @@ class Lagrangian:
 
     Takes one point (t a float, y and v of shape (n,)) or c cells at once
     (t of shape (c,), y and v of shape (c, n)) in one walk of the tree.
-    Partials come from forward-mode duals; t may be any real.
+    Partials come from derivative trees built once; t may be any real.
     """
 
     dim: int
@@ -73,7 +72,7 @@ class Lagrangian:
         return _on_cells(ex.evaluate(self.expression, self._env(t, y, v)), _cell_shape(t, y, v))
 
     def value_and_partials(self, t, y, v):
-        """(L, dL/dt, dL/dy, dL/dv) in one dual pass; shapes (c,), (c,), (c, n), (c, n)."""
+        """(L, dL/dt, dL/dy, dL/dv) in one pass; shapes (c,), (c,), (c, n), (c, n)."""
         n = self.dim
         m = 1 + 2 * n
         cells = _cell_shape(t, y, v)
@@ -268,26 +267,31 @@ class SolveResult:
 def _cell_hessian(p: Problem, t, mu, q_left, q_right):
     """Symmetric (2n, 2n) Hessians of the cell terms in (q_left, q_right), (c, 2n, 2n) on c cells.
 
-    One nested-dual pass: inner tangents (2n, 1, c) and outer ones (1, 2n, c)
-    broadcast the second-order part to every block, with the same IEEE
-    operations per entry as seeding one direction on one cell at a time.
+    The nonzero second derivatives of L in (y, v) are evaluated in one pass
+    with L itself, whose domain errors come first as in the other passes;
+    the chain rule of y = q_right, v = (q_right - q_left) / mu maps them
+    entry by entry, so one cell alone gives the same block as in a batch.
     """
     n = p.dim
-    m = 2 * n
+    names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
+    tree = p.lagrangian.expression
+    second = {(i, j): ex.derivative(ex.derivative(tree, a), b)
+              for i, a in enumerate(names) for j, b in enumerate(names) if i <= j}
+    second = {ij: d for ij, d in second.items() if d != ex.Num(0.0)}
     mu = np.asarray(mu)
-    basis = np.eye(m).reshape((m, m) + (1,) * mu.ndim)
-    y = np.asarray(q_right)
-    v = (y - q_left) / mu[..., None]
-    env = {"t": t}
-    for k in range(n):
-        seed_qs = basis[n + k]
-        seed_qd = (basis[n + k] - basis[k]) / mu
-        env[f"qs{k + 1}"] = Dual(Dual(y[..., k], seed_qs[:, None]), Dual(seed_qs[None], 0.0))
-        env[f"qd{k + 1}"] = Dual(Dual(v[..., k], seed_qd[:, None]), Dual(seed_qd[None], 0.0))
-    out = ex.evaluate(p.lagrangian.expression, env)
-    second = out.b.b if isinstance(out, Dual) and isinstance(out.b, Dual) else 0.0
-    blocks = np.moveaxis(np.broadcast_to(second, (m, m) + mu.shape), (0, 1), (-2, -1))
-    return mu[..., None, None] * blocks
+    v = (np.asarray(q_right) - q_left) / mu[..., None]
+    _, *values = ex.evaluate([tree, *second.values()], p.lagrangian._env(t, q_right, v))
+    h = np.zeros((2 * n, 2 * n) + mu.shape)  # cells last while filling in
+    for (i, j), value in zip(second, values):
+        h[i, j] = h[j, i] = value
+    h_yy, h_yv, h_vv = h[:n, :n], h[:n, n:], h[n:, n:]
+    h_vy = h_yv.swapaxes(0, 1)
+    left = h_vv / mu
+    cross = -(h_vy + left)
+    blocks = np.empty_like(h)
+    blocks[:n, :n], blocks[:n, n:] = left, cross
+    blocks[n:, :n], blocks[n:, n:] = cross.swapaxes(0, 1), mu * h_yy + (h_yv + h_vy) + left
+    return np.moveaxis(blocks, (0, 1), (-2, -1))
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):

@@ -249,6 +249,17 @@ def test_solver_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_check_tol_must_be_non_negative_and_finite(tmp_path, capsys, tol):
+    out = tmp_path / "fp.csv"
+    assert run(["check", FREE, "el", f"--tol={tol}", "--out", str(out)]) == 3
+    message = f"error: --tol must be a non-negative finite number, got {float(tol)!r}\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # the free particle's residual is exactly 0, which a tolerance of 0 admits
+    assert run(["check", FREE, "el", "--tol=0", "--out", str(out), "--quiet"]) == 0
+
+
 @pytest.mark.parametrize(
     "timescale, message",
     [

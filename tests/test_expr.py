@@ -131,6 +131,16 @@ def test_diff_eval_examples():
     assert (v, d) == (0.0, 1.0)
 
 
+def test_sqrt_slope_is_needed_only_along_the_seed():
+    # the derivative in t passes through the slope of sqrt(t), undefined at 0;
+    # a seed without t needs no derivative in t
+    e = tv.parse("sqrt(t) + qs1^2", 1)
+    env = {"t": 0.0, "qs1": 3.0}
+    assert tv.diff_eval(e, env, {"qs1": 1.0}) == (9.0, 6.0)
+    with pytest.raises(EvalError, match=r"^sqrt derivative undefined at 0 in sqrt\(\.\.\.\)"):
+        tv.diff_eval(e, env, {"t": 1.0, "qs1": 1.0})
+
+
 def test_diff_eval_seed_linearity():
     e = tv.parse("t * qs1 + exp(qd1) * sin(t)", 1)
     env = {"t": 0.7, "qs1": -1.2, "qd1": 0.4}

@@ -148,11 +148,19 @@ def test_family_must_match_generator():
     offset = tv.make_generator(1, tau="1", xi=["0"], tbar="t + eps + 0.001", qbar=["q1"])
     with pytest.raises(ValueError, match="eps=0"):
         tv.check_invariance_time_transform(p, q, offset, [0.1])
+    wobble = tv.make_generator(1, xi=["1"], tbar="t", qbar=["q1 + sin(10000*eps)/5000"])
+    with pytest.raises(ValueError, match=r"^d qbar/d eps at 0 does not match xi at t=0\.0$"):
+        tv.check_invariance_time_transform(p, q, wobble, [0.1])
 
 
 def test_validate_family_accepts_consistent_maps():
     gen = dilation_generator()
     tv.validate_family(gen, [1.0, 2.0, 4.0], np.array([[1.0], [0.5], [-2.0]]))
+    # d qbar/d eps at 0 is exactly 1; a central difference with step 1e-6
+    # would give 0.99998 and reject the family
+    wobble = tv.make_generator(1, xi=["1"], tbar="t", qbar=["q1 + sin(10000*eps)/10000"])
+    g = tv.integers(0, 4)
+    tv.validate_family(wobble, g.array, g.array[:, None])
 
 
 def test_generator_samples_all_points_in_one_call():

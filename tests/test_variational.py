@@ -138,6 +138,22 @@ def test_exponent_must_be_one_integer_on_every_cell():
     assert np.array_equal(cubes.value(t, vals[1:], v), [8.0, -1.0, 27.0, 1.0])
 
 
+def test_sqrt_slope_is_undefined_at_zero_in_the_derivative_passes():
+    # qs1 is 0 on cells 1 and 3: sqrt(qs1) has a value there but no slope
+    g = tv.explicit([0.0, 0.5, 1.5, 2.0, 3.0])
+    vals = np.array([[1.0], [2.0], [0.0], [1.0], [0.0]])
+    p = tv.make_problem(g, "qd1^2 + sqrt(qs1)", 1, vals[0], vals[-1])
+    q = tv.GridFunction(g, vals)
+    assert np.isfinite(tv.action(p, q))
+    message = r"^cell 1 at t=0\.5: sqrt derivative undefined at 0 in sqrt\(\.\.\.\) \(column 9\)$"
+    for run in (
+        lambda: tv.stationarity_gradient(p, q),
+        lambda: _interior_hessian(p, vals),
+    ):
+        with pytest.raises(tv.EvalError, match=message):
+            run()
+
+
 def test_batched_cells_equal_pointwise_calls():
     rng = np.random.default_rng(29)
     cases = [(random_smooth_lagrangian_text(rng, int(d)), int(d)) for d in rng.integers(1, 4, 25)]
@@ -251,11 +267,20 @@ def test_gradient_matches_finite_differences():
 def test_hessian_matches_finite_differences_of_gradient():
     rng = np.random.default_rng(28)
     step = 1e-6
-    for _ in range(25):  # 25 draws cover all five grid constructors
-        dim = int(rng.integers(1, 4))
+    # 25 random draws cover all five grid constructors; the handwritten
+    # Lagrangians, smooth on the sampled states, use every function and
+    # operator, a negative integer power and a cell-varying exponent
+    handwritten = [
+        ("ln(qs1^2 + 1) * sin(qd1) + exp(sin(qs1) * cos(qd1))", 1),
+        ("sqrt(qs1^2 + qd1^2 / (qd1^2 + 1) + 1) + abs(qs1 - 4) * cos(qd1)", 1),
+        ("(qs1^2 + 2)^-2 * qd1 / (qd2^2 + 1) - qs2 / (qs1^2 + 3)", 2),
+        ("(qs1^2 + 1)^(cos(t) + sin(qd1)) + abs(qd1 + 3)^-3 * sqrt(exp(-qs1^2) + 2)", 1),
+    ]
+    for case in [None] * 25 + handwritten:
+        dim = int(rng.integers(1, 4)) if case is None else case[1]
         g = random_grid(rng, max_points=8)
         p = tv.make_problem(
-            g, random_smooth_lagrangian_text(rng, dim), dim,
+            g, random_smooth_lagrangian_text(rng, dim) if case is None else case[0], dim,
             rng.uniform(-1, 1, size=dim), rng.uniform(-1, 1, size=dim),
         )
         vals = rng.uniform(-1.5, 1.5, size=(len(g), dim))
