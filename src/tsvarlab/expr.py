@@ -229,9 +229,7 @@ class _Parser:
         if kind not in self.allow:
             raise ParseError(f"variable {name!r} is not allowed in this context", col)
         if index < 1 or index > self.dim:
-            raise ParseError(
-                f"variable index {index} out of range 1..{self.dim} in {name!r}", col
-            )
+            raise ParseError(f"variable index {index} out of range 1..{self.dim} in {name!r}", col)
         return Var(name, pos=col)
 
 
@@ -265,8 +263,8 @@ def _exp(x):
     return e
 
 
-def _ln(x):
-    _guard(x, lambda v: v <= 0.0, "ln of non-positive value {!r}")
+def _ln(x, message="ln of non-positive value {!r}"):
+    _guard(x, lambda v: v <= 0.0, message)
     return np.log(x)
 
 
@@ -293,8 +291,7 @@ def _power(base, expo):
             _guard(base, lambda v: v == 0.0, "0 raised to a negative power")
             return _div(1.0, _ipow(base, -k))
         return _ipow(base, k)
-    _guard(base, lambda v: v <= 0.0, _POSITIVE_BASE)
-    return _exp(expo * _ln(base))
+    return _exp(expo * _ln(base, _POSITIVE_BASE))
 
 
 def _ipow(x, k: int):
@@ -306,11 +303,6 @@ def _ipow(x, k: int):
         acc = acc * acc
         k >>= 1
     return result
-
-
-def _ln_base(x):
-    _guard(x, lambda v: v <= 0.0, _POSITIVE_BASE)
-    return np.log(x)
 
 
 def _nonzero_sqrt(x):
@@ -328,14 +320,14 @@ _FN_TABLE = {
     "abs": np.abs,
     "sign": np.sign,
     "nonzero sqrt": _nonzero_sqrt,
-    "ln base": _ln_base,
+    "ln base": lambda x: _ln(x, _POSITIVE_BASE),
 }
 _SHOWN_AS = {"nonzero sqrt": "sqrt(...)", "ln base": "'^'"}
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _power}
 
 
-def _eval(node: Expression, env: dict, memo: dict):
+def _eval(node: Expression, env: dict, memo: dict | None):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -343,7 +335,7 @@ def _eval(node: Expression, env: dict, memo: dict):
             return env[node.name]
         except KeyError:
             raise EvalError(f"unbound variable {node.name!r}", node.pos) from None
-    value = memo.get(node)
+    value = memo.get(node) if memo is not None else None
     if value is not None:
         return value
     if isinstance(node, Neg):
@@ -362,19 +354,23 @@ def _eval(node: Expression, env: dict, memo: dict):
             value = _OPS[node.op](left, right)
         except EvalError as exc:
             raise EvalError(f"{exc.message} in {node.op!r}", node.pos, exc.cell) from None
-    memo[node] = value
+    if memo is not None:
+        memo[node] = value
     return value
 
 
-def _evaluate(trees, env: dict) -> list:
-    memo = {}  # equal subtrees, in one tree or several, are evaluated once
+def _evaluate(trees, env: dict, memo: dict | None) -> list:
     with np.errstate(all="ignore"):  # callers check and locate inf and nan
         return [_eval(e, env, memo) for e in trees]
 
 
 def evaluate(e, env: dict):
-    """IEEE-double value of a tree, or list of values of a list or tuple of trees."""
-    return _evaluate(e, env) if isinstance(e, (list, tuple)) else _evaluate((e,), env)[0]
+    """IEEE-double value of a tree, or list of values of a list or tuple of trees.
+
+    A list evaluates equal subtrees once and keeps their values until the call ends.
+    """
+    many = isinstance(e, (list, tuple))
+    return _evaluate(e, env, {}) if many else _evaluate((e,), env, None)[0]
 
 
 def free_variables(e: Expression) -> set[str]:
@@ -395,7 +391,7 @@ def diff_eval(e: Expression, env: dict, seed: dict):
     Variables missing from ``seed`` carry tangent 0; array seeds give several directions.
     """
     terms = [(seed[name], d) for name in seed if (d := derivative(e, name)) != _ZERO]
-    value, *partials = _evaluate([e, *(d for _, d in terms)], env)
+    value, *partials = _evaluate([e, *(d for _, d in terms)], env, {})
     with np.errstate(all="ignore"):
         return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
 
@@ -437,7 +433,7 @@ def _derive(e: Expression, name: str) -> Expression:
         u, du = e.arg, derivative(e.arg, name)
         if du == _ZERO or e.fn == "sign":
             return _ZERO
-        if e.fn == "ln":
+        if e.fn in ("ln", "ln base"):
             return _op("/", du, u, e.pos)
         if e.fn in ("sqrt", "nonzero sqrt"):  # du / (2 sqrt(u)), undefined at u = 0
             return _op("/", du, _op("*", Num(2.0), Call("nonzero sqrt", u, pos=e.pos)), e.pos)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_fractional_power_requires_positive_base():
     assert tv.evaluate(e, {"t": 4.0}) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(EvalError, match="positive base"):
         tv.evaluate(e, {"t": -4.0})
+
+
+def test_one_tree_is_evaluated_without_keeping_its_interior_values():
+    # 80 distinct interior nodes over 20000 cells: only the operands in use
+    # stay alive, so the peak is a few arrays, not one array per node
+    text = "q1"
+    for k in range(40):
+        text = f"sin({text} + {k})"
+    e = tv.parse(text, 1)
+    env = {"q1": np.linspace(0.0, 1.0, 20000)}
+    tracemalloc.start()
+    try:
+        value = tv.evaluate(e, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * value.nbytes
+    assert np.array_equal(tv.evaluate([e, e], env)[1], value)
 
 
 def test_diff_eval_examples():

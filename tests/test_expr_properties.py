@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
-from tsvarlab.expr import FUNCTIONS, EvalError
+from tsvarlab.expr import FUNCTIONS, BinOp, Call, EvalError, Neg, derivative
 
 # Hypothesis caches what it reads from source files in its home directory;
 # with database=None as well, a run writes nothing into the checkout
@@ -31,6 +31,13 @@ def _extend(children):
             lambda a: f"({a[0]})^{a[1]}"
         ),
         children.map(lambda c: f"(-{c})"),
+    )
+
+
+def _extend_with_tree_exponents(children):
+    # an exponent that is a tree puts ln(base) into the first derivative
+    return _extend(children) | st.tuples(children, children).map(
+        lambda a: f"(({a[0]})^2 + 1)^({a[1]})"
     )
 
 
@@ -83,3 +90,43 @@ def test_diff_eval_matches_central_differences_and_batches(text, points, seed_va
     scale = max(1.0, abs(tangent), abs(fine))
     assume(abs(coarse - fine) <= 1e-8 * scale)
     assert abs(tangent - fine) <= 1e-6 * scale
+
+
+def _abs_arguments(e):
+    if isinstance(e, Call):
+        return ([e.arg] if e.fn == "abs" else []) + _abs_arguments(e.arg)
+    if isinstance(e, BinOp):
+        return _abs_arguments(e.left) + _abs_arguments(e.right)
+    return _abs_arguments(e.arg) if isinstance(e, Neg) else []
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.recursive(_leaves, _extend_with_tree_exponents, max_leaves=6),
+    st.tuples(VALUES, VALUES, VALUES),
+    st.sampled_from(NAMES),
+    st.sampled_from(NAMES),
+)
+def test_second_derivatives_match_central_differences_of_first(text, point, first, second):
+    tree = tv.parse(text, 1)
+    first_tree = derivative(tree, first)
+    env = dict(zip(NAMES, point))
+
+    def central(h):
+        plus, minus = dict(env), dict(env)
+        plus[second] += h
+        minus[second] -= h
+        return (tv.evaluate(first_tree, plus) - tv.evaluate(first_tree, minus)) / (2 * h)
+
+    try:
+        # at a kink of abs the first derivative has slope sign(0) = 0 on one
+        # cell, which no difference quotient sees
+        assume(all(tv.evaluate(a, env) != 0 for a in _abs_arguments(tree)))
+        exact = tv.evaluate(derivative(first_tree, second), env)
+        coarse, fine = central(1e-4), central(5e-5)
+    except EvalError:  # the point or a step leaves the domain
+        assume(False)
+    assume(np.isfinite(exact))
+    scale = max(1.0, abs(exact), abs(fine))
+    assume(abs(coarse - fine) <= 1e-8 * scale)
+    assert abs(exact - fine) <= 1e-6 * scale

@@ -275,6 +275,10 @@ def test_hessian_matches_finite_differences_of_gradient():
         ("sqrt(qs1^2 + qd1^2 / (qd1^2 + 1) + 1) + abs(qs1 - 4) * cos(qd1)", 1),
         ("(qs1^2 + 2)^-2 * qd1 / (qd2^2 + 1) - qs2 / (qs1^2 + 3)", 2),
         ("(qs1^2 + 1)^(cos(t) + sin(qd1)) + abs(qd1 + 3)^-3 * sqrt(exp(-qs1^2) + 2)", 1),
+        # exponent and base in the same state, or the exponent in the state
+        # differentiated first: the second derivative differentiates ln(base)
+        ("(qs1^2 + 1)^qs1 + qd1^2", 1),
+        ("(qd1^2 + 1)^qs1", 1),
     ]
     for case in [None] * 25 + handwritten:
         dim = int(rng.integers(1, 4)) if case is None else case[1]
