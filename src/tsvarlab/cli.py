@@ -154,10 +154,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _is_literal_zero(tree) -> bool:
-    return isinstance(tree, ex.Num) and tree.value == 0.0
-
-
 def cmd_check(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise _UsageError(f"--tol must be a non-negative finite number, got {args.tol!r}")
@@ -181,7 +177,7 @@ def cmd_check(args) -> int:
         rows = _format_rows(np.column_stack([resid.grid.array, resid.values]))
         max_abs = float(np.max(np.abs(resid.values), initial=0.0))
     elif args.which == "invariance":
-        time_transform = generator.has_family or not _is_literal_zero(generator.tau)
+        time_transform = generator.has_family or generator.tau != ex.Num(0.0)
         check = check_invariance_time_transform if time_transform else check_invariance_fixed_time
         report = check(problem, trajectory, generator, eps_list)
         header = ["t"] + [f"disc_eps={eps:g}" for eps in report.eps_values]

@@ -11,7 +11,8 @@ profile is the measured object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -22,12 +23,11 @@ from .variational import (
     Problem,
     _cell_shape,
     _cell_states,
+    _delta_integral,
     _located,
     _over_cells,
     _traj_values,
 )
-
-_EPS_STEP = 1e-5  # central-difference step for d/deps at 0
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class SymmetryGenerator:
     """Infinitesimal generator (tau, xi), optionally with exact finite maps.
 
     ``tau`` and each ``xi`` component are expressions over (t, q1..qn); the
-    optional exact family ``tbar``/``qbar`` may also reference eps.  When no
-    family is given, the first-order family t + eps*tau, q + eps*xi is used
-    (higher-order terms identically zero).  The ``*_at`` samplers take one
-    point (t a float, q of shape (n,)) or many (a leading point axis).
+    optional exact family ``tbar``/``qbar`` may also reference eps.  Without
+    it the family is the trees t + eps*tau and q + eps*xi; ``slopes_at`` takes
+    either family's exact derivative trees in eps.  The ``*_at`` samplers take
+    one point (t a float, q of shape (n,)) or many (a leading point axis).
     """
 
     dim: int
@@ -76,15 +76,25 @@ class SymmetryGenerator:
     def xi_at(self, t, qvec) -> np.ndarray:
         return self._sample(self.xi, t, qvec)
 
+    @cached_property
+    def _maps(self) -> tuple[ex.Expression, ...]:
+        """(tbar, *qbar): the exact family, or the trees t + eps*tau and q_k + eps*xi_k."""
+        if self.has_family:
+            return (self.tbar, *self.qbar)
+        names = ["t", *(f"q{k + 1}" for k in range(self.dim))]
+        return tuple(ex.BinOp("+", ex.Var(w), ex.BinOp("*", ex.Var("eps"), c))
+                     for w, c in zip(names, (self.tau, *self.xi)))
+
     def tbar_at(self, t, qvec, eps: float):
-        if self.tbar is not None:
-            return self._sample((self.tbar,), t, qvec, eps)[..., 0][()]
-        return t + eps * self.tau_at(t, qvec)
+        return self._sample(self._maps[:1], t, qvec, eps)[..., 0][()]
 
     def qbar_at(self, t, qvec, eps: float) -> np.ndarray:
-        if self.qbar is not None:
-            return self._sample(self.qbar, t, qvec, eps)
-        return np.asarray(qvec) + eps * self.xi_at(t, qvec)
+        return self._sample(self._maps[1:], t, qvec, eps)
+
+    def slopes_at(self, t, qvec, with_time: bool = True) -> np.ndarray:
+        """Exact d/d eps at eps = 0 of (tbar, *qbar), or of qbar alone, on the last axis."""
+        maps = self._maps if with_time else self._maps[1:]
+        return self._sample([ex.derivative(m, "eps") for m in maps], t, qvec, 0.0)
 
 
 def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, qbar=None) -> SymmetryGenerator:
@@ -112,16 +122,11 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
     t, q = np.asarray(times, dtype=float), np.asarray(qvals, dtype=float)
 
     def samples(t, q):
-        return (
-            gen.tbar_at(t, q, 0.0),
-            gen.qbar_at(t, q, 0.0),
-            gen._sample((ex.derivative(gen.tbar, "eps"),), t, q, 0.0)[..., 0],
-            gen._sample(tuple(ex.derivative(c, "eps") for c in gen.qbar), t, q, 0.0),
-            gen.tau_at(t, q),
-            gen.xi_at(t, q),
-        )
+        return (gen.tbar_at(t, q, 0.0), gen.qbar_at(t, q, 0.0), gen.slopes_at(t, q),
+                gen.tau_at(t, q), gen.xi_at(t, q))
 
-    t0, q0, dt, dq, tau, xi = _located(t, samples, [q], what="point")
+    t0, q0, slopes, tau, xi = _located(t, samples, [q], what="point")
+    dt, dq = slopes[..., 0], slopes[..., 1:]
     bad = np.array([
         np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
         np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
@@ -151,16 +156,29 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     grid operations, exactly as the necessary condition composes them.
     """
     vals = _traj_values(p, q)
-    t = p.grid.array
+    xi_grid = _located(p.grid.array, gen.xi_at, [vals], what="point")
+    return GridFunction(kappa(p.grid), _first_variation(p, vals, xi_grid)[1])
+
+
+def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
+    """L and the necessary condition of invariance on every cell, for eps-slopes at the points.
+
+    L_y . dq^sigma + L_v . dq^Delta for state slopes dq (N, n), plus L_t dt + (L - L_v . v)
+    dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.
+    """
     mu = graininess(p.grid)
-    xi_grid = _located(t, gen.xi_at, [vals], what="point")
+    states = [*_cell_states(vals, mu), *_cell_states(dq, mu)]
+    kinds = ("qs", "qd") if dt is None else ("t", "qs", "qd")
+    time_slopes = [] if dt is None else [dt[:-1], np.diff(dt) / mu]
 
-    def defect(t_i, y, v, xi_sigma, xi_delta):
-        _, _, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v)
-        return _dot(d2, xi_sigma) + _dot(d3, xi_delta)
+    def condition(t_i, y, v, dq_sigma, dq_delta, *dt_i):
+        lval, *d1, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, kinds)
+        c = _dot(d2, dq_sigma) + _dot(d3, dq_delta)
+        if dt_i:  # the grid moves: dt at the left point, and its delta derivative
+            c = c + d1[0] * dt_i[0] + (lval - _dot(d3, v)) * dt_i[1]
+        return lval, c
 
-    r = _over_cells(t[:-1], defect, *_cell_states(vals, mu), *_cell_states(xi_grid, mu))
-    return GridFunction(kappa(p.grid), r)
+    return _over_cells(p.grid.array[:-1], condition, *states, *time_slopes)
 
 
 @dataclass(frozen=True)
@@ -171,8 +189,8 @@ class InvarianceReport:
     discrepancies: np.ndarray  # (n_eps, n_cells) absolute differences
     per_eps_max: np.ndarray
     max_discrepancy: float
-    action_value: float
-    action_eps_derivative: float  # central difference at eps = 0
+    action_value: float  # the action of the trajectory, as action() sums it
+    action_eps_derivative: float  # exact d(action)/d(eps) at 0: delta integral of the condition
 
 
 def _dot(a, b):
@@ -190,28 +208,6 @@ def _cell_integrals(p: Problem, grid: TimeScaleGrid, vals: np.ndarray) -> np.nda
     return _over_cells(grid.array[:-1], integral, mu, *_cell_states(vals, mu))
 
 
-def _invariance_report(mode, t, eps_list, base, cells, weight) -> InvarianceReport:
-    """Compares cells(eps) with base for each eps; weight * cells sums to the action."""
-    eps_values = tuple(float(e) for e in eps_list)
-    disc = np.empty((len(eps_values), len(base)))
-    for e, eps in enumerate(eps_values):
-        disc[e] = np.abs(cells(eps) - base)
-    d_action = float(
-        np.sum(weight * cells(_EPS_STEP)) - np.sum(weight * cells(-_EPS_STEP))
-    ) / (2 * _EPS_STEP)
-    per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
-    return InvarianceReport(
-        mode=mode,
-        eps_values=eps_values,
-        cell_times=t[:-1].copy(),
-        discrepancies=disc,
-        per_eps_max=per_eps,
-        max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(np.sum(weight * base)),
-        action_eps_derivative=d_action,
-    )
-
-
 def check_invariance_fixed_time(
     p: Problem, q: GridFunction, gen: SymmetryGenerator, eps_list
 ) -> InvarianceReport:
@@ -220,16 +216,7 @@ def check_invariance_fixed_time(
     The transformation moves only the state; cells keep their graininess, so
     integrand equality per cell is the subinterval-quantified definition.
     """
-    vals = _traj_values(p, q)
-    t = p.grid.array
-    mu = graininess(p.grid)
-    validate_family(gen, t, vals)
-
-    def integrands(eps: float) -> np.ndarray:
-        qbar = _located(t, lambda t, q: gen.qbar_at(t, q, eps), [vals], what="point")
-        return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
-
-    return _invariance_report("fixed-time", t, eps_list, integrands(0.0), integrands, mu)
+    return _invariance_report(p, q, gen, eps_list, "fixed-time")
 
 
 def check_invariance_time_transform(
@@ -242,25 +229,51 @@ def check_invariance_time_transform(
     commutes with the map.  Cell-by-cell equality of the two integrals is
     the subinterval-quantified definition of invariance.
     """
+    return _invariance_report(p, q, gen, eps_list, "time-transform")
+
+
+def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
+    """Compares the transformed cells with the originals for each eps; d/d eps is exact."""
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
     validate_family(gen, t, vals)
+    moves_time = mode == "time-transform"
 
-    def transformed_cells(eps: float) -> np.ndarray:
-        tbar = _located(t, lambda t, q: gen.tbar_at(t, q, eps), [vals], what="point")
+    def along(sample, *args):
+        return _located(t, lambda t, q: sample(t, q, *args), [vals], what="point")
+
+    def cells(eps: float) -> np.ndarray:
+        if not moves_time:  # the integrands along the transformed states
+            qbar = along(gen.qbar_at, eps)
+            return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
+        tbar = along(gen.tbar_at, eps)
         if not np.all(np.diff(tbar) > 0):
-            raise ValueError(
-                f"transformed times are not strictly increasing at eps={eps!r}"
-            )
+            raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
         image = TimeScaleGrid(tbar, intent=p.grid.intent)
-        qbar = _located(t, lambda t, q: gen.qbar_at(t, q, eps), [vals], what="point")
-        return _cell_integrals(p, image, qbar)
+        return _cell_integrals(p, image, along(gen.qbar_at, eps))
 
-    base = _cell_integrals(p, p.grid, vals)
-    return _invariance_report("time-transform", t, eps_list, base, transformed_cells, 1.0)
+    base = _cell_integrals(p, p.grid, vals) if moves_time else cells(0.0)
+    eps_values = tuple(float(e) for e in eps_list)
+    disc = np.empty((len(eps_values), len(base)))
+    for e, eps in enumerate(eps_values):
+        disc[e] = np.abs(cells(eps) - base)
+    slopes = along(gen.slopes_at, moves_time)
+    dt = slopes[:, 0] if moves_time else None
+    lval, condition = _first_variation(p, vals, slopes[:, -p.dim :], dt)
+    per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
+    return InvarianceReport(
+        mode=mode,
+        eps_values=eps_values,
+        cell_times=t[:-1].copy(),
+        discrepancies=disc,
+        per_eps_max=per_eps,
+        max_discrepancy=float(per_eps.max(initial=0.0)),
+        action_value=float(_delta_integral(mu, lval)),
+        action_eps_derivative=float(_delta_integral(mu, condition)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +332,8 @@ def _report_from_samples(times: np.ndarray, values: np.ndarray) -> ConservationR
 def noether_quantity_fixed_time(
     p: Problem, q: GridFunction, gen: SymmetryGenerator
 ) -> ConservationReport:
-    """C = dL/dv . xi(t, q) along the trajectory, with residual profile."""
-    vals = _traj_values(p, q)
-    t = p.grid.array
-
-    def quantity(t_i, q_i, y, v):
-        _, _, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
-        return np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1)
-
-    c = _over_cells(t[:-1], quantity, vals[:-1], *_cell_states(vals, graininess(p.grid)))
-    return _report_from_samples(t[:-1].copy(), c)
+    """C = dL/dv . xi(t, q) along the trajectory, with residual profile: tau taken as 0."""
+    return noether_quantity(p, q, replace(gen, tau=ex.Num(0.0)))
 
 
 def noether_quantity(
@@ -340,18 +345,24 @@ def noether_quantity(
     (t, jumped state, difference quotient), tau and xi at (t, q(t)).  With
     mu_mode="zero" the graininess term is dropped (continuum-intent
     evaluation), which reproduces the classical energy-momentum quantity.
+    A tau that is literally 0 leaves out the bracket, and with it dL/dt.
     """
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
     vals = _traj_values(p, q)
     t = p.grid.array
     mu = graininess(p.grid)
+    moves_time = gen.tau != ex.Num(0.0)
+    kinds = ("t", "qd") if moves_time else ("qd",)
 
     def quantity(t_i, mu_i, q_i, y, v):
-        lval, d1, _, d3 = p.lagrangian.value_and_partials(t_i, y, v)
+        lval, *d1, d3 = p.lagrangian.value_and_partials(t_i, y, v, kinds)
+        c = np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1)
+        if not moves_time:
+            return c
         mu_term = mu_i if mu_mode == "grid" else 0.0
-        bracket = lval - _dot(d3, v) - d1 * mu_term
-        return np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1) + bracket * gen.tau_at(t_i, q_i)
+        bracket = lval - _dot(d3, v) - d1[0] * mu_term
+        return c + bracket * gen.tau_at(t_i, q_i)
 
     c = _over_cells(t[:-1], quantity, mu, vals[:-1], *_cell_states(vals, mu))
     return _report_from_samples(t[:-1].copy(), c)
@@ -401,7 +412,7 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
         value_c, d4_fwd, *d5_fwd = (np.broadcast_to(x, t_i.shape) for x in ex.evaluate(trees, env))
 
         vr = v / r
-        lval, d1, _, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr)
+        lval, d1, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr, ("t", "qd"))
         value_ref = p.lagrangian.value(t_i, y, v)
         d4_form = lval - _dot(d3, vr) - d1 * mu_i * r
         return value_c, value_ref, d4_fwd, d4_form, np.stack(d5_fwd, axis=-1), d3

@@ -46,7 +46,8 @@ class Lagrangian:
 
     Takes one point (t a float, y and v of shape (n,)) or c cells at once
     (t of shape (c,), y and v of shape (c, n)) in one walk of the tree.
-    Partials come from derivative trees built once; t may be any real.
+    Partials come from derivative trees built once, and a pass evaluates
+    only those it asks for; t may be any real.
     """
 
     dim: int
@@ -71,19 +72,22 @@ class Lagrangian:
     def value(self, t, y, v):
         return _on_cells(ex.evaluate(self.expression, self._env(t, y, v)), _cell_shape(t, y, v))
 
-    def value_and_partials(self, t, y, v):
-        """(L, dL/dt, dL/dy, dL/dv) in one pass; shapes (c,), (c,), (c, n), (c, n)."""
-        n = self.dim
-        m = 1 + 2 * n
+    def value_and_partials(self, t, y, v, kinds=("t", "qs", "qd")):
+        """L and its partials in ``kinds``, in one pass: (L, dL/dt, dL/dy, dL/dv) by default.
+
+        dL/dt ("t") has shape (c,), dL/dy ("qs") and dL/dv ("qd") (c, n); no other is evaluated.
+        """
+        names = [["t"] if kind == "t" else [f"{kind}{k + 1}" for k in range(self.dim)]
+                 for kind in kinds]
+        trees = [ex.derivative(self.expression, w) for group in names for w in group]
+        value, *partials = ex.evaluate([self.expression, *trees], self._env(t, y, v))
         cells = _cell_shape(t, y, v)
-        basis = np.eye(m).reshape((m, m) + (1,) * len(cells))
-        seed = {"t": basis[0]}
-        for k in range(n):
-            seed[f"qs{k + 1}"] = basis[1 + k]
-            seed[f"qd{k + 1}"] = basis[1 + n + k]
-        val, grad = ex.diff_eval(self.expression, self._env(t, y, v), seed)
-        grad = np.moveaxis(np.broadcast_to(grad, (m,) + cells), 0, -1).copy()
-        return _on_cells(val, cells), grad[..., 0][()], grad[..., 1 : 1 + n], grad[..., 1 + n :]
+        stacked = np.stack([np.broadcast_to(d, cells) for d in partials], axis=-1, dtype=float)
+        out = [_on_cells(value, cells)]
+        for kind, group in zip(kinds, names):
+            block, stacked = stacked[..., : len(group)], stacked[..., len(group) :]
+            out.append(block[..., 0][()] if kind == "t" else block)
+        return tuple(out)
 
     def partials(self, t, y, v):
         _, d1, d2, d3 = self.value_and_partials(t, y, v)
@@ -216,9 +220,8 @@ def action(p: Problem, q: GridFunction) -> float:
 
 def _cell_terms(p: Problem, vals: np.ndarray, mu: np.ndarray):
     """L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
-    states = _cell_states(vals, mu)
-    lval, _, d2, d3 = _over_cells(p.grid.array[:-1], p.lagrangian.value_and_partials, *states)
-    return lval, d2, d3
+    terms = partial(p.lagrangian.value_and_partials, kinds=("qs", "qd"))
+    return _over_cells(p.grid.array[:-1], terms, *_cell_states(vals, mu))
 
 
 def el_residual(p: Problem, q: GridFunction) -> GridFunction:

@@ -10,14 +10,15 @@ import numpy as np
 import tsvarlab as tv
 
 
-def random_grid(rng, max_points=50, moderate=False):
-    """Random grid drawn from all five constructors.
+def random_grid(rng, max_points=50, moderate=False, kind=None):
+    """Random grid drawn from all five constructors, or from the one numbered ``kind``.
 
     With moderate=True the graininess stays small enough (roughly <= 32)
     that identity tests with a relative 1e-12 tolerance are not swamped by
     the scale of individual terms.
     """
-    kind = rng.integers(0, 5)
+    if kind is None:
+        kind = rng.integers(0, 5)
     n = int(rng.integers(3, max_points + 1))
     if kind == 0:
         a = int(rng.integers(-10, 10))
@@ -116,6 +117,41 @@ def fd_action_gradient(problem, values, step=1e-6):
                 2 * step
             )
     return grad
+
+
+def fd_action_eps_derivative(problem, values, gen, time_transform, step=1e-4):
+    """Fourth-order central difference in eps of the transformed action at eps = 0.
+
+    The family is evaluated from the generator's trees (t + eps*tau and
+    q + eps*xi when it has no exact maps) and the transformed action is a
+    hand-rolled sum: over the original cells with the states qbar at fixed
+    time, over the image points tbar for a time transform.
+    """
+    t = list(problem.grid.points)
+    vals = np.array(values, dtype=float)
+
+    def maps(i, eps):
+        env = {"t": t[i], "eps": eps, **{f"q{k + 1}": vals[i, k] for k in range(gen.dim)}}
+        if gen.tbar is None:
+            xi = np.array([tv.evaluate(c, env) for c in gen.xi], dtype=float)
+            return t[i] + eps * tv.evaluate(gen.tau, env), vals[i] + eps * xi
+        qbar = np.array([tv.evaluate(c, env) for c in gen.qbar], dtype=float)
+        return tv.evaluate(gen.tbar, env), qbar
+
+    def transformed_action(eps):
+        points = [maps(i, eps) for i in range(len(t))]
+        tb = [tbar if time_transform else t[i] for i, (tbar, _) in enumerate(points)]
+        total = 0.0
+        for i in range(len(t) - 1):
+            mu = tb[i + 1] - tb[i]
+            y = points[i + 1][1]
+            v = (points[i + 1][1] - points[i][1]) / mu
+            total += mu * problem.lagrangian.value(tb[i], y, v)
+        return total
+
+    near = transformed_action(step) - transformed_action(-step)
+    far = transformed_action(2 * step) - transformed_action(-2 * step)
+    return (8 * near - far) / (12 * step)
 
 
 def gravity_oracle_trajectory(grid, qa, qb):

@@ -146,6 +146,31 @@ def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_passes_evaluate_only_the_partials_they_use(tmp_path, capsys):
+    # sqrt(t) has no slope at t = 0; only a quantity with tau != 0 needs dL/dt
+    root = tmp_path / "root.problem"
+    root.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2/2 + sqrt(t)*qs1"\nqa = [0]\nqb = [1]\n'
+        '[symmetry]\ntau = "0"\nxi = ["1"]\n'
+    )
+    assert run(["solve", str(root), "--out", str(tmp_path / "s.csv"), "--quiet"]) == 0
+    cons = ["check", str(root), "conservation", "--report-only", "--out", str(tmp_path / "c.csv")]
+    assert run(cons + ["--quiet"]) == 0
+    root.write_text(root.read_text().replace('tau = "0"', 'tau = "1"'))
+    assert run(cons) == 3
+    assert "cell 0 at t=0.0: sqrt derivative undefined at 0" in capsys.readouterr().err
+
+
+def test_invariance_prints_the_exact_eps_derivative(tmp_path, capsys):
+    # translation is an exact symmetry of the free particle: the first
+    # variation vanishes cell by cell, so the derivative is 0 up to rounding
+    assert run(["check", FREE, "invariance", "--out", str(tmp_path / "inv.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("d_action_d_eps=")
+    assert abs(float(lines[1].split("=")[1])) <= 1e-13
+
+
 def test_check_requires_symmetry_section(tmp_path):
     bare = tmp_path / "bare.problem"
     bare.write_text(

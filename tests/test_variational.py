@@ -154,6 +154,18 @@ def test_sqrt_slope_is_undefined_at_zero_in_the_derivative_passes():
             run()
 
 
+def test_gradient_passes_do_not_evaluate_the_time_slope():
+    # sqrt(t) has no slope at t = 0, and no gradient, Hessian or residual uses dL/dt
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + sqrt(t)*qs1", 1, [0.0], [1.0])
+    res = tv.solve_el(p)
+    assert res.gradient_norm <= 1e-12
+    assert np.max(np.abs(tv.el_residual(p, res.trajectory).values)) <= 1e-12
+    with pytest.raises(tv.EvalError, match=r"^sqrt derivative undefined at 0"):
+        p.lagrangian.value_and_partials(0.0, [1.0], [1.0])
+    lval, d2, d3 = p.lagrangian.value_and_partials(0.0, [1.0], [2.0], ("qs", "qd"))
+    assert (lval, d2.tolist(), d3.tolist()) == (2.0, [0.0], [2.0])
+
+
 def test_batched_cells_equal_pointwise_calls():
     rng = np.random.default_rng(29)
     cases = [(random_smooth_lagrangian_text(rng, int(d)), int(d)) for d in rng.integers(1, 4, 25)]
@@ -198,6 +210,15 @@ def test_overflowing_cell_terms_are_located():
         tv.el_residual(p, tv.linear_guess(p))
     with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
         tv.solve_el(p)
+    # L = 1e200 is finite and dL/dqs1 = -1/qs1^2 is -inf; dL/dt and dL/dqd1 stay finite
+    g = tv.integers(0, 3)
+    vals = np.array([[1.0], [1e-200], [1.0], [1.0]])
+    p = tv.make_problem(g, "qd1^2 + 1/qs1", 1, vals[0], vals[-1])
+    q = tv.GridFunction(g, vals)
+    message = r"^cell 0 at t=0\.0: non-finite value -inf \(column 1\)$"
+    for run in (lambda: tv.el_residual(p, q), lambda: tv.solve_el(p, q)):
+        with pytest.raises(tv.EvalError, match=message):
+            run()
 
 
 def test_el_residual_free_particle_lines():
@@ -562,7 +583,7 @@ def test_newton_step_evaluates_each_iterate_once(monkeypatch):
     p = tv.make_problem(tv.explicit([1, 2, 4, 8, 16]), PAPERLIKE_L, 1, [1.0], [13.0])
     res = tv.solve_el(p)
     assert res.iterations == 1
-    assert passes == ["diff_eval", "evaluate", "diff_eval"]
+    assert passes == ["evaluate"] * 3
 
 
 def test_nonconvergence_reports_norm():
