@@ -41,15 +41,36 @@ class GridFunction:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
 
 
+def _on_cell_axis(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """mu shaped to multiply or divide ``values`` along their leading cell axis."""
+    return mu.reshape(mu.shape + (1,) * (np.ndim(values) - 1))
+
+
+def grid_cells(grid: TimeScaleGrid, values):
+    """Per cell k of the grid: (t_k, mu_k, q_k, q_{k+1}, q^Delta_k), cell axis first.
+
+    ``values`` holds q at the grid's points, shape (N,) or (N, n).
+    """
+    values = np.asarray(values)
+    mu = graininess(grid)
+    left, right = values[:-1], values[1:]
+    return grid.array[:-1], mu, left, right, (right - left) / _on_cell_axis(mu, values)
+
+
+def cell_sum(mu: np.ndarray, values: np.ndarray):
+    """Delta integral of cell values, (c,) or (c, n): mu_k * values_k summed left to right.
+
+    A fixed order makes every caller round alike (np.sum pairs terms).
+    """
+    terms = _on_cell_axis(mu, values) * values
+    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+
+
 def delta_derivative(f: GridFunction) -> GridFunction:
     """Forward-difference derivative, defined on the kappa truncation."""
     if len(f.grid) < 2:
         raise ValueError("delta derivative needs a grid with at least 2 points")
-    mu = graininess(f.grid)
-    if f.values.ndim == 2:
-        mu = mu[:, None]
-    dv = (f.values[1:] - f.values[:-1]) / mu
-    return GridFunction(kappa(f.grid), dv)
+    return GridFunction(kappa(f.grid), grid_cells(f.grid, f.values)[4])
 
 
 def compose_sigma(f: GridFunction) -> GridFunction:
@@ -69,11 +90,8 @@ def delta_integral(f: GridFunction, r: float, s: float) -> float:
     is_ = f.grid.index_of(s)
     if ir > is_:
         raise ValueError(f"integration bounds out of order: r={r!r} > s={s!r}")
-    mu = graininess(f.grid)[ir:is_]
-    vals = f.values[ir:is_]
-    if vals.ndim == 2:
-        return np.sum(mu[:, None] * vals, axis=0)
-    return float(np.sum(mu * vals))
+    total = cell_sum(graininess(f.grid)[ir:is_], f.values[ir:is_])
+    return total if f.values.ndim == 2 else float(total)
 
 
 @dataclass(frozen=True)
@@ -109,8 +127,7 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     image = TimeScaleGrid(tuple(avals), intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 
-    mu = graininess(alpha.grid)
-    alpha_delta = np.diff(avals) / mu
-    lhs = float(np.sum(mu * f.values[:-1] * alpha_delta))
-    rhs = float(np.sum(np.diff(avals) * f.values[:-1]))
+    _, mu, _, _, alpha_delta = grid_cells(alpha.grid, avals)
+    lhs = float(cell_sum(mu, f.values[:-1] * alpha_delta))
+    rhs = float(cell_sum(graininess(image), f.values[:-1]))
     return PushforwardResult(image, transported, lhs, rhs)

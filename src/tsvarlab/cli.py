@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction
+from .calculus import GridFunction, grid_cells
 from .noether import (
     check_invariance_fixed_time,
     check_invariance_time_transform,
@@ -33,7 +33,6 @@ from .problemfile import (
     load_problem_file,
     solver_options,
 )
-from .timescale import graininess
 from .variational import SolverError, el_residual, solve_el
 
 EXIT_OK = 0
@@ -140,9 +139,8 @@ def cmd_solve(args) -> int:
     grid = problem.grid
     n = problem.dim
     vals = result.trajectory.values
-    mu = graininess(grid)
     header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
-    rows = _format_rows(np.column_stack([grid.array, vals]), np.diff(vals, axis=0) / mu[:, None])
+    rows = _format_rows(np.column_stack([grid.array, vals]), grid_cells(grid, vals)[4])
     out = Path(args.out) if args.out else _default_out(Path(args.file), "solution")
     _write_csv(out, header, rows)
     if not args.quiet:

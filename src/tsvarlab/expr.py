@@ -373,18 +373,6 @@ def evaluate(e, env: dict):
     return _evaluate(e, env, {}) if many else _evaluate((e,), env, None)[0]
 
 
-def free_variables(e: Expression) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    return free_variables(e.left) | free_variables(e.right)
-
-
 def diff_eval(e: Expression, env: dict, seed: dict):
     """Value and exact directional derivative, sum of seed[name] * derivative(e, name).
 

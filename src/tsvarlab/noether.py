@@ -12,22 +12,14 @@ profile is the measured object.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction
-from .timescale import TimeScaleGrid, graininess, kappa
-from .variational import (
-    Problem,
-    _cell_shape,
-    _cell_states,
-    _delta_integral,
-    _located,
-    _over_cells,
-    _traj_values,
-)
+from .calculus import GridFunction, cell_sum, grid_cells
+from .timescale import TimeScaleGrid, kappa
+from .variational import Problem, _cell_shape, _located, _over_cells, _traj_values
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,7 @@ class SymmetryGenerator:
         return self.tbar is not None
 
     def _sample(self, trees, t, qvec, eps=None) -> np.ndarray:
-        """The trees at the points, one tree per component on the last axis."""
+        """The trees at the points in one evaluation, one tree per component on the last axis."""
         qvec = np.asarray(qvec)
         env = {"t": t}
         for k in range(self.dim):
@@ -68,7 +60,7 @@ class SymmetryGenerator:
         if eps is not None:
             env["eps"] = eps
         points = _cell_shape(t, qvec)
-        return np.stack([np.broadcast_to(ex.evaluate(c, env), points) for c in trees], axis=-1)
+        return np.stack([np.broadcast_to(x, points) for x in ex.evaluate(list(trees), env)], axis=-1)
 
     def tau_at(self, t, qvec):
         return self._sample((self.tau,), t, qvec)[..., 0][()]
@@ -164,21 +156,28 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
     """L and the necessary condition of invariance on every cell, for eps-slopes at the points.
 
     L_y . dq^sigma + L_v . dq^Delta for state slopes dq (N, n), plus L_t dt + (L - L_v . v)
-    dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.
+    dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.  L_t is
+    evaluated only on the cells where dt != 0.
     """
-    mu = graininess(p.grid)
-    states = [*_cell_states(vals, mu), *_cell_states(dq, mu)]
-    kinds = ("qs", "qd") if dt is None else ("t", "qs", "qd")
-    time_slopes = [] if dt is None else [dt[:-1], np.diff(dt) / mu]
+    t, _, _, y, v = grid_cells(p.grid, vals)
+    _, _, _, dq_sigma, dq_delta = grid_cells(p.grid, dq)
+    time_slopes = [] if dt is None else grid_cells(p.grid, dt)[2::2]
 
     def condition(t_i, y, v, dq_sigma, dq_delta, *dt_i):
-        lval, *d1, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, kinds)
+        lval, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qs", "qd"))
         c = _dot(d2, dq_sigma) + _dot(d3, dq_delta)
         if dt_i:  # the grid moves: dt at the left point, and its delta derivative
-            c = c + d1[0] * dt_i[0] + (lval - _dot(d3, v)) * dt_i[1]
+            moving = np.flatnonzero(dt_i[0])
+            l_t = np.zeros_like(dt_i[0])
+            try:
+                l_t[moving] = p.lagrangian.value_and_partials(
+                    t_i[moving], y[moving], v[moving], ("t",))[1]
+            except ex.EvalError as exc:  # at its cell among all cells
+                raise ex.EvalError(exc.message, exc.column, int(moving[exc.cell])) from None
+            c = c + l_t * dt_i[0] + (lval - _dot(d3, v)) * dt_i[1]
         return lval, c
 
-    return _over_cells(p.grid.array[:-1], condition, *states, *time_slopes)
+    return _over_cells(t, condition, y, v, dq_sigma, dq_delta, *time_slopes)
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,12 @@ def _dot(a, b):
 
 def _cell_integrals(p: Problem, grid: TimeScaleGrid, vals: np.ndarray) -> np.ndarray:
     """mu * L on every cell of ``grid``, with the states ``vals`` at its points."""
-    mu = graininess(grid)
+    t, mu, _, y, v = grid_cells(grid, vals)
 
     def integral(t_i, mu_i, y, v):
         return mu_i * p.lagrangian.value(t_i, y, v)
 
-    return _over_cells(grid.array[:-1], integral, mu, *_cell_states(vals, mu))
+    return _over_cells(t, integral, mu, y, v)
 
 
 def check_invariance_fixed_time(
@@ -236,7 +235,6 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     """Compares the transformed cells with the originals for each eps; d/d eps is exact."""
     vals = _traj_values(p, q)
     t = p.grid.array
-    mu = graininess(p.grid)
     validate_family(gen, t, vals)
     moves_time = mode == "time-transform"
 
@@ -245,8 +243,8 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
 
     def cells(eps: float) -> np.ndarray:
         if not moves_time:  # the integrands along the transformed states
-            qbar = along(gen.qbar_at, eps)
-            return _over_cells(t[:-1], p.lagrangian.value, *_cell_states(qbar, mu))
+            cell_t, _, _, y, v = grid_cells(p.grid, along(gen.qbar_at, eps))
+            return _over_cells(cell_t, p.lagrangian.value, y, v)
         tbar = along(gen.tbar_at, eps)
         if not np.all(np.diff(tbar) > 0):
             raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
@@ -264,15 +262,16 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     dt = slopes[:, 0] if moves_time else None
     lval, condition = _first_variation(p, vals, slopes[:, -p.dim :], dt)
     per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
+    cell_t, mu = grid_cells(p.grid, vals)[:2]
     return InvarianceReport(
         mode=mode,
         eps_values=eps_values,
-        cell_times=t[:-1].copy(),
+        cell_times=cell_t.copy(),
         discrepancies=disc,
         per_eps_max=per_eps,
         max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(_delta_integral(mu, lval)),
-        action_eps_derivative=float(_delta_integral(mu, condition)),
+        action_value=float(cell_sum(mu, lval)),
+        action_eps_derivative=float(cell_sum(mu, condition)),
     )
 
 
@@ -342,30 +341,30 @@ def noether_quantity(
     """Full conserved quantity with both the state and the time generator.
 
     C = dL/dv . xi + [L - dL/dv . v - dL/dt * mu] * tau, every L argument at
-    (t, jumped state, difference quotient), tau and xi at (t, q(t)).  With
+    (t, jumped state, difference quotient), tau and xi at (t, q(t)), sampled
+    at the N - 1 points that carry C before the cell pass.  With
     mu_mode="zero" the graininess term is dropped (continuum-intent
     evaluation), which reproduces the classical energy-momentum quantity.
     A tau that is literally 0 leaves out the bracket, and with it dL/dt.
     """
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
-    vals = _traj_values(p, q)
-    t = p.grid.array
-    mu = graininess(p.grid)
+    t, mu, q_left, y, v = grid_cells(p.grid, _traj_values(p, q))
     moves_time = gen.tau != ex.Num(0.0)
     kinds = ("t", "qd") if moves_time else ("qd",)
+    xi_tau = _located(t, partial(gen._sample, (*gen.xi, gen.tau)), [q_left], what="point")
 
-    def quantity(t_i, mu_i, q_i, y, v):
+    def quantity(t_i, mu_i, y, v, xi, tau):
         lval, *d1, d3 = p.lagrangian.value_and_partials(t_i, y, v, kinds)
-        c = np.sum(d3 * gen.xi_at(t_i, q_i), axis=-1)
+        c = np.sum(d3 * xi, axis=-1)
         if not moves_time:
             return c
         mu_term = mu_i if mu_mode == "grid" else 0.0
         bracket = lval - _dot(d3, v) - d1[0] * mu_term
-        return c + bracket * gen.tau_at(t_i, q_i)
+        return c + bracket * tau
 
-    c = _over_cells(t[:-1], quantity, mu, vals[:-1], *_cell_states(vals, mu))
-    return _report_from_samples(t[:-1].copy(), c)
+    c = _over_cells(t, quantity, mu, y, v, xi_tau[:, :-1], xi_tau[:, -1])
+    return _report_from_samples(t.copy(), c)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +396,7 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     """
     if r == 0.0:
         raise ValueError("time-rate r must be nonzero")
-    vals = _traj_values(p, q)
-    t = p.grid.array
-    mu = graininess(p.grid)
+    t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
     rate = ex.Var("r")
     velocities = [f"qd{k + 1}" for k in range(p.dim)]
     slots = {"t": ex.BinOp("-", ex.Var("t"), ex.BinOp("*", ex.Var("mu"), rate))}
@@ -418,11 +415,11 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
         return value_c, value_ref, d4_fwd, d4_form, np.stack(d5_fwd, axis=-1), d3
 
     value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = _over_cells(
-        t[:-1], cell, t[1:], mu, *_cell_states(vals, mu)
+        t, cell, p.grid.array[1:], mu, y, v
     )
 
     return ExtendedPartialsReport(
-        times=t[:-1].copy(),
+        times=t.copy(),
         r=float(r),
         value_composite=value_c,
         value_reference=value_ref,

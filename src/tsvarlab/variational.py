@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction
-from .timescale import TimeScaleGrid, graininess, kappa
+from .calculus import GridFunction, cell_sum, grid_cells
+from .timescale import TimeScaleGrid, kappa
 
 
 class SolverError(RuntimeError):
@@ -201,27 +201,17 @@ def _over_cells(times, fn, *per_cell_args):
     return tuple(arrays) if is_tuple else arrays[0]
 
 
-def _cell_states(vals: np.ndarray, mu: np.ndarray):
-    """Per cell: the jumped state and the difference quotient."""
-    return vals[1:], np.diff(vals, axis=0) / mu[:, None]
-
-
-def _delta_integral(mu: np.ndarray, values: np.ndarray) -> float:
-    return np.cumsum(np.append(0.0, mu * values))[-1]  # left to right; np.sum pairs terms
-
-
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
-    vals = _traj_values(p, q)
-    mu = graininess(p.grid)
-    values = _over_cells(p.grid.array[:-1], p.lagrangian.value, *_cell_states(vals, mu))
-    return _delta_integral(mu, values)
+    t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
+    return cell_sum(mu, _over_cells(t, p.lagrangian.value, y, v))
 
 
-def _cell_terms(p: Problem, vals: np.ndarray, mu: np.ndarray):
-    """L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
+def _cell_terms(p: Problem, vals: np.ndarray):
+    """mu, and L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
+    t, mu, _, y, v = grid_cells(p.grid, vals)
     terms = partial(p.lagrangian.value_and_partials, kinds=("qs", "qd"))
-    return _over_cells(p.grid.array[:-1], terms, *_cell_states(vals, mu))
+    return mu, *_over_cells(t, terms, y, v)
 
 
 def el_residual(p: Problem, q: GridFunction) -> GridFunction:
@@ -233,10 +223,8 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
     """
     if len(p.grid) < 3:
         raise ValueError("Euler-Lagrange residual needs a grid with at least 3 points")
-    vals = _traj_values(p, q)
-    mu = graininess(p.grid)
-    _, d2, d3 = _cell_terms(p, vals, mu)
-    resid = (d3[1:] - d3[:-1]) / mu[: len(d3) - 1, None] - d2[:-1]
+    mu, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
+    resid = (d3[1:] - d3[:-1]) / mu[:-1, None] - d2[:-1]
     return GridFunction(kappa(kappa(p.grid)), resid)
 
 
@@ -254,9 +242,8 @@ def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
 
 def _action_and_gradient(p: Problem, vals: np.ndarray):
     """The action and its stationarity gradient, from one pass over the cells."""
-    mu = graininess(p.grid)
-    lval, d2, d3 = _cell_terms(p, vals, mu)
-    return _delta_integral(mu, lval), mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
+    mu, lval, d2, d3 = _cell_terms(p, vals)
+    return cell_sum(mu, lval), mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
 
 
 @dataclass(frozen=True)
@@ -267,13 +254,14 @@ class SolveResult:
     action_value: float
 
 
-def _cell_hessian(p: Problem, t, mu, q_left, q_right):
-    """Symmetric (2n, 2n) Hessians of the cell terms in (q_left, q_right), (c, 2n, 2n) on c cells.
+def _cell_hessian(p: Problem, t, mu, y, v):
+    """Hessian blocks of the cell terms in (q_left, q_right): left-left, left-right, right-right.
 
-    The nonzero second derivatives of L in (y, v) are evaluated in one pass
-    with L itself, whose domain errors come first as in the other passes;
-    the chain rule of y = q_right, v = (q_right - q_left) / mu maps them
-    entry by entry, so one cell alone gives the same block as in a batch.
+    Each block is (n, n) for one cell and (c, n, n) on c cells.  The nonzero
+    second derivatives of L in (y, v) are evaluated in one pass with L
+    itself, whose domain errors come first as in the other passes; the
+    chain rule of y = q_right, v = (q_right - q_left) / mu maps them entry
+    by entry, so one cell alone gives the same blocks as in a batch.
     """
     n = p.dim
     names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
@@ -281,31 +269,28 @@ def _cell_hessian(p: Problem, t, mu, q_left, q_right):
     second = {(i, j): ex.derivative(ex.derivative(tree, a), b)
               for i, a in enumerate(names) for j, b in enumerate(names) if i <= j}
     second = {ij: d for ij, d in second.items() if d != ex.Num(0.0)}
-    mu = np.asarray(mu)
-    v = (np.asarray(q_right) - q_left) / mu[..., None]
-    _, *values = ex.evaluate([tree, *second.values()], p.lagrangian._env(t, q_right, v))
-    h = np.zeros((2 * n, 2 * n) + mu.shape)  # cells last while filling in
-    for (i, j), value in zip(second, values):
-        h[i, j] = h[j, i] = value
-    h_yy, h_yv, h_vv = h[:n, :n], h[:n, n:], h[n:, n:]
-    h_vy = h_yv.swapaxes(0, 1)
+    _, *values = ex.evaluate([tree, *second.values()], p.lagrangian._env(t, y, v))
+    entry = dict(zip(second, values))
+    cells = np.shape(mu)
+
+    def block(row, col):  # d2L / d names[row + a] d names[col + b], cells first
+        h = np.zeros(cells + (n, n))
+        for a, b in np.ndindex(n, n):
+            h[..., a, b] = entry.get(tuple(sorted((row + a, col + b))), 0.0)
+        return h
+
+    mu = np.reshape(mu, cells + (1, 1))
+    h_yy, h_yv, h_vv = block(0, 0), block(0, n), block(n, n)
+    h_vy = np.swapaxes(h_yv, -1, -2)
     left = h_vv / mu
-    cross = -(h_vy + left)
-    blocks = np.empty_like(h)
-    blocks[:n, :n], blocks[:n, n:] = left, cross
-    blocks[n:, :n], blocks[n:, n:] = cross.swapaxes(0, 1), mu * h_yy + (h_yv + h_vy) + left
-    return np.moveaxis(blocks, (0, 1), (-2, -1))
+    return left, -(h_vy + left), mu * h_yy + (h_yv + h_vy) + left
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):
-    """Block tridiagonal Hessian of the action over interior points."""
-    t = p.grid.array
-    n = p.dim
-    m = len(t) - 2
-    hc = _over_cells(t[:-1], partial(_cell_hessian, p), graininess(p.grid), vals[:-1], vals[1:])
-    diag = hc[:m, n:, n:] + hc[1 : m + 1, :n, :n]
-    upper = hc[1:m, :n, n:]
-    return diag, upper
+    """Block tridiagonal Hessian of the action over interior points: diagonal and upper blocks."""
+    t, mu, _, y, v = grid_cells(p.grid, vals)
+    left, cross, right = _over_cells(t, partial(_cell_hessian, p), mu, y, v)
+    return right[:-1] + left[1:], cross[1:-1]
 
 
 # Largest normwise backward error accepted from cyclic reduction: about

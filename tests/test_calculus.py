@@ -5,7 +5,7 @@ import pytest
 
 import tsvarlab as tv
 
-from helpers import random_grid, random_values
+from helpers import random_grid, random_smooth_lagrangian_text, random_values
 
 
 def _gf(grid, fn):
@@ -103,6 +103,20 @@ def test_delta_integral_additivity():
         whole = tv.delta_integral(f, r, u)
         split = tv.delta_integral(f, r, s) + tv.delta_integral(f, s, u)
         assert abs(whole - split) <= 1e-12 * max(1.0, abs(whole))
+
+
+def test_delta_integral_of_the_cell_terms_is_the_action():
+    # one left-to-right cell sum: a pairwise np.sum differs in the last bits
+    rng = np.random.default_rng(47)
+    for k in range(200):  # grids from all five constructors
+        g = random_grid(rng, kind=k % 5)
+        dim = int(rng.integers(1, 3))
+        p = tv.make_problem(g, random_smooth_lagrangian_text(rng, dim), dim, np.zeros(dim), np.zeros(dim))
+        vals = random_values(rng, (len(g), dim))
+        mu = tv.graininess(g)
+        terms = p.lagrangian.value(g.array[:-1], vals[1:], np.diff(vals, axis=0) / mu[:, None])
+        f = tv.GridFunction(g, np.append(terms, 0.0))
+        assert tv.delta_integral(f, g.points[0], g.points[-1]) == tv.action(p, tv.GridFunction(g, vals))
 
 
 def test_antiderivative_property():

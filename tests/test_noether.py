@@ -5,6 +5,7 @@ import tsvarlab as tv
 from tsvarlab import noether
 
 from helpers import (
+    fd_action_eps_derivative,
     gravity_oracle_trajectory,
     random_generator,
     random_grid,
@@ -219,6 +220,11 @@ def test_generator_domain_errors_name_the_lowest_point():
         tv.validate_family(family, p.grid.array, q.values)
     with pytest.raises(tv.EvalError, match=message):
         tv.check_invariance_time_transform(p, q, family, [0.1])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.noether_quantity(p, q, gen)
+    # the quantity lives on the N - 1 left points: xi need not exist at the final one
+    last = tv.make_generator(1, tau="1", xi=["1 / (q1 - 2)"])
+    assert np.all(np.isfinite(tv.noether_quantity(p, q, last).values))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +276,22 @@ def test_quantity_evaluates_only_the_partials_it_uses():
     message = r"^cell 0 at t=0\.0: sqrt derivative undefined at 0 in sqrt\(\.\.\.\) \(column 11\)$"
     with pytest.raises(tv.EvalError, match=message):
         tv.noether_quantity(p, traj, tv.make_generator(1, tau="1", xi=["1"]))
+
+
+def test_time_transform_takes_the_time_slope_only_where_the_grid_moves():
+    # the dilation fixes t = 0, where sqrt(t) has no slope: L_t dt is 0 on cell 0
+    p = tv.make_problem(tv.explicit([0, 0.5, 1, 2]), "qd1^2/2 + sqrt(t)*qs1", 1, [0.0], [1.0])
+    traj = tv.solve_el(p).trajectory
+    rep = tv.check_invariance_time_transform(p, traj, dilation_generator(), [0.1])
+    oracle = fd_action_eps_derivative(p, traj.values, dilation_generator(), True)
+    assert abs(rep.action_eps_derivative - oracle) <= 1e-10 * abs(oracle)
+    message = r"^cell 0 at t=0\.0: sqrt derivative undefined at 0 in sqrt\(\.\.\.\) \(column 11\)$"
+    with pytest.raises(tv.EvalError, match=message):
+        tv.check_invariance_time_transform(p, traj, tv.make_generator(1, tau="1", xi=["0"]), [0.1])
+    # a slope error on a moving cell names that cell in the whole grid
+    p = tv.make_problem(tv.integers(0, 3), "qd1^2/2 + sqrt(abs(t - 1))*qs1", 1, [0.0], [1.0])
+    with pytest.raises(tv.EvalError, match=r"^cell 1 at t=1\.0: sqrt derivative undefined at 0"):
+        tv.check_invariance_time_transform(p, tv.solve_el(p).trajectory, dilation_generator(), [0.1])
 
 
 def test_product_rule_ledger_random_instances():

@@ -188,8 +188,9 @@ def test_batched_cells_equal_pointwise_calls():
             assert np.array_equal(batched, np.array(pointwise))
         values = [lag.value(t[i], y[i], v[i]) for i in range(len(t))]
         assert np.array_equal(lag.value(t, y, v), values)
-        blocks = [_cell_hessian(p, t[i], mu[i], vals[i], vals[i + 1]) for i in range(len(t))]
-        assert np.array_equal(_cell_hessian(p, t, mu, vals[:-1], vals[1:]), blocks)
+        blocks = [_cell_hessian(p, t[i], mu[i], y[i], v[i]) for i in range(len(t))]
+        for batched, pointwise in zip(_cell_hessian(p, t, mu, y, v), zip(*blocks), strict=True):
+            assert np.array_equal(batched, np.array(pointwise))
 
 
 def test_overflowing_action_is_located_not_returned():
