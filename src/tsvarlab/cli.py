@@ -155,13 +155,16 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise _UsageError(f"--tol must be a non-negative finite number, got {args.tol!r}")
+    eps_list = _parse_float_list(args.eps, "--eps")
+    for eps in eps_list:
+        if not math.isfinite(eps):
+            raise _UsageError(f"--eps values must be finite, got {eps!r}")
     pf = load_problem_file(args.file)
     problem = build_problem(pf)
     opts = solver_options(pf)
     generator = build_generator(pf)
     if args.which in ("invariance", "conservation") and generator is None:
         raise ProblemFileError(f"check {args.which} requires a [symmetry] section")
-    eps_list = _parse_float_list(args.eps, "--eps")
 
     result = solve_el(problem, **opts)
     trajectory = result.trajectory

@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as ex
 from .calculus import GridFunction, cell_sum, grid_cells
 from .timescale import TimeScaleGrid, kappa
-from .variational import Problem, _cell_shape, _located, _over_cells, _traj_values
+from .variational import Problem, _cell_shape, _over_cells, _time_partial, _traj_values
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class SymmetryGenerator:
 
     ``tau`` and each ``xi`` component are expressions over (t, q1..qn); the
     optional exact family ``tbar``/``qbar`` may also reference eps.  Without
-    it the family is the trees t + eps*tau and q + eps*xi; ``slopes_at`` takes
-    either family's exact derivative trees in eps.  The ``*_at`` samplers take
-    one point (t a float, q of shape (n,)) or many (a leading point axis).
+    it the family is the trees t + eps*tau and q + eps*xi.  The ``*_at``
+    samplers take one point (t a float, q of shape (n,)) or many (a leading
+    point axis).
     """
 
     dim: int
@@ -83,11 +83,6 @@ class SymmetryGenerator:
     def qbar_at(self, t, qvec, eps: float) -> np.ndarray:
         return self._sample(self._maps[1:], t, qvec, eps)
 
-    def slopes_at(self, t, qvec, with_time: bool = True) -> np.ndarray:
-        """Exact d/d eps at eps = 0 of (tbar, *qbar), or of qbar alone, on the last axis."""
-        maps = self._maps if with_time else self._maps[1:]
-        return self._sample([ex.derivative(m, "eps") for m in maps], t, qvec, 0.0)
-
 
 def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, qbar=None) -> SymmetryGenerator:
     """Parse generator expressions; xi defaults to all-zero components."""
@@ -107,18 +102,21 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
 
     At eps = 0 the maps must reproduce (t, q) to 1e-12, and their exact
     eps-derivative must match (tau, xi) to 1e-6.  Raises ValueError on the
-    first violation.
+    first violation, and EvalError at the lowest point where a sample fails
+    or is not finite.
     """
-    if not gen.has_family:
-        return
-    t, q = np.asarray(times, dtype=float), np.asarray(qvals, dtype=float)
+    if gen.has_family:  # one point (t a float, q of shape (n,)) or many
+        _family_slopes(gen, np.atleast_1d(times).astype(float), np.atleast_2d(qvals).astype(float))
 
-    def samples(t, q):
-        return (gen.tbar_at(t, q, 0.0), gen.qbar_at(t, q, 0.0), gen.slopes_at(t, q),
-                gen.tau_at(t, q), gen.xi_at(t, q))
 
-    t0, q0, slopes, tau, xi = _located(t, samples, [q], what="point")
-    dt, dq = slopes[..., 0], slopes[..., 1:]
+def _family_slopes(gen: SymmetryGenerator, t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(tbar, *qbar)'s exact d/d eps at eps = 0, (N, 1 + n), checked as in validate_family."""
+    maps = gen._maps
+    trees = (*maps, *(ex.derivative(m, "eps") for m in maps), gen.tau, *gen.xi)
+    m = len(maps)
+    s = _over_cells(t, partial(gen._sample, trees, eps=0.0), q, what="point")
+    t0, q0, slopes, tau, xi = s[:, 0], s[:, 1:m], s[:, m : 2 * m], s[:, 2 * m], s[:, 2 * m + 1 :]
+    dt, dq = slopes[:, 0], slopes[:, 1:]
     bad = np.array([
         np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
         np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
@@ -134,6 +132,7 @@ def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
             f"d tbar/d eps at 0 is {float(dt[i])!r} but tau={float(tau[i])!r} at {ti}",
             f"d qbar/d eps at 0 does not match xi at {ti}",
         )[int(np.argmax(bad[:, i]))])
+    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,7 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     grid operations, exactly as the necessary condition composes them.
     """
     vals = _traj_values(p, q)
-    xi_grid = _located(p.grid.array, gen.xi_at, [vals], what="point")
+    xi_grid = _over_cells(p.grid.array, gen.xi_at, vals, what="point")
     return GridFunction(kappa(p.grid), _first_variation(p, vals, xi_grid)[1])
 
 
@@ -156,8 +155,7 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
     """L and the necessary condition of invariance on every cell, for eps-slopes at the points.
 
     L_y . dq^sigma + L_v . dq^Delta for state slopes dq (N, n), plus L_t dt + (L - L_v . v)
-    dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.  L_t is
-    evaluated only on the cells where dt != 0.
+    dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.
     """
     t, _, _, y, v = grid_cells(p.grid, vals)
     _, _, _, dq_sigma, dq_delta = grid_cells(p.grid, dq)
@@ -167,13 +165,7 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
         lval, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qs", "qd"))
         c = _dot(d2, dq_sigma) + _dot(d3, dq_delta)
         if dt_i:  # the grid moves: dt at the left point, and its delta derivative
-            moving = np.flatnonzero(dt_i[0])
-            l_t = np.zeros_like(dt_i[0])
-            try:
-                l_t[moving] = p.lagrangian.value_and_partials(
-                    t_i[moving], y[moving], v[moving], ("t",))[1]
-            except ex.EvalError as exc:  # at its cell among all cells
-                raise ex.EvalError(exc.message, exc.column, int(moving[exc.cell])) from None
+            l_t = _time_partial(p.lagrangian, dt_i[0], t_i, y, v)
             c = c + l_t * dt_i[0] + (lval - _dot(d3, v)) * dt_i[1]
         return lval, c
 
@@ -195,16 +187,6 @@ class InvarianceReport:
 def _dot(a, b):
     """a . b along the last axis, each row by the same dot product as a single pair."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _cell_integrals(p: Problem, grid: TimeScaleGrid, vals: np.ndarray) -> np.ndarray:
-    """mu * L on every cell of ``grid``, with the states ``vals`` at its points."""
-    t, mu, _, y, v = grid_cells(grid, vals)
-
-    def integral(t_i, mu_i, y, v):
-        return mu_i * p.lagrangian.value(t_i, y, v)
-
-    return _over_cells(t, integral, mu, y, v)
 
 
 def check_invariance_fixed_time(
@@ -235,34 +217,30 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     """Compares the transformed cells with the originals for each eps; d/d eps is exact."""
     vals = _traj_values(p, q)
     t = p.grid.array
-    validate_family(gen, t, vals)
-    moves_time = mode == "time-transform"
-
-    def along(sample, *args):
-        return _located(t, lambda t, q: sample(t, q, *args), [vals], what="point")
+    slopes = _family_slopes(gen, t, vals)
+    dt = slopes[:, 0] if mode == "time-transform" else None
+    lval, condition = _first_variation(p, vals, slopes[:, 1:], dt)
+    cell_t, mu = grid_cells(p.grid, vals)[:2]
+    maps = gen._maps if dt is not None else gen._maps[1:]
 
     def cells(eps: float) -> np.ndarray:
-        if not moves_time:  # the integrands along the transformed states
-            cell_t, _, _, y, v = grid_cells(p.grid, along(gen.qbar_at, eps))
-            return _over_cells(cell_t, p.lagrangian.value, y, v)
-        tbar = along(gen.tbar_at, eps)
-        if not np.all(np.diff(tbar) > 0):
+        """L along the transformed states at fixed time, or mu * L on the image grid."""
+        sample = _over_cells(t, partial(gen._sample, maps, eps=eps), vals, what="point")
+        if dt is not None and not np.all(np.diff(sample[:, 0]) > 0):
             raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
-        image = TimeScaleGrid(tbar, intent=p.grid.intent)
-        return _cell_integrals(p, image, along(gen.qbar_at, eps))
+        grid = p.grid if dt is None else TimeScaleGrid(sample[:, 0], intent=p.grid.intent)
+        t_e, mu_e, _, y, v = grid_cells(grid, sample[:, -p.dim :])
+        lbar = _over_cells(t_e, p.lagrangian.value, y, v)
+        return lbar if dt is None else mu_e * lbar
 
-    base = _cell_integrals(p, p.grid, vals) if moves_time else cells(0.0)
+    base = lval if dt is None else mu * lval
     eps_values = tuple(float(e) for e in eps_list)
     disc = np.empty((len(eps_values), len(base)))
     for e, eps in enumerate(eps_values):
         disc[e] = np.abs(cells(eps) - base)
-    slopes = along(gen.slopes_at, moves_time)
-    dt = slopes[:, 0] if moves_time else None
-    lval, condition = _first_variation(p, vals, slopes[:, -p.dim :], dt)
     per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
-    cell_t, mu = grid_cells(p.grid, vals)[:2]
     return InvarianceReport(
         mode=mode,
         eps_values=eps_values,
@@ -345,25 +323,23 @@ def noether_quantity(
     at the N - 1 points that carry C before the cell pass.  With
     mu_mode="zero" the graininess term is dropped (continuum-intent
     evaluation), which reproduces the classical energy-momentum quantity.
-    A tau that is literally 0 leaves out the bracket, and with it dL/dt.
+    C is dL/dv . xi where tau = 0, and dL/dt is evaluated only where mu * tau != 0.
     """
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
     t, mu, q_left, y, v = grid_cells(p.grid, _traj_values(p, q))
-    moves_time = gen.tau != ex.Num(0.0)
-    kinds = ("t", "qd") if moves_time else ("qd",)
-    xi_tau = _located(t, partial(gen._sample, (*gen.xi, gen.tau)), [q_left], what="point")
+    xi_tau = _over_cells(t, partial(gen._sample, (*gen.xi, gen.tau)), q_left, what="point")
+    mu_term = mu if mu_mode == "grid" else np.zeros_like(mu)
 
     def quantity(t_i, mu_i, y, v, xi, tau):
-        lval, *d1, d3 = p.lagrangian.value_and_partials(t_i, y, v, kinds)
+        lval, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qd",))
+        l_t = _time_partial(p.lagrangian, mu_i * tau, t_i, y, v)
         c = np.sum(d3 * xi, axis=-1)
-        if not moves_time:
-            return c
-        mu_term = mu_i if mu_mode == "grid" else 0.0
-        bracket = lval - _dot(d3, v) - d1[0] * mu_term
-        return c + bracket * tau
+        k = tau != 0
+        c[k] += (lval[k] - _dot(d3[k], v[k]) - l_t[k] * mu_i[k]) * tau[k]
+        return c
 
-    c = _over_cells(t, quantity, mu, y, v, xi_tau[:, :-1], xi_tau[:, -1])
+    c = _over_cells(t, quantity, mu_term, y, v, xi_tau[:, :-1], xi_tau[:, -1])
     return _report_from_samples(t.copy(), c)
 
 

@@ -180,14 +180,14 @@ def _located(times, fn, args, what: str = "cell"):
         raise _cell_error(exc, exc.cell, times[exc.cell], what) from None
 
 
-def _over_cells(times, fn, *per_cell_args):
-    """Evaluates fn(times, *per_cell_args) once over all cells, cell axis first.
+def _over_cells(times, fn, *per_cell_args, what: str = "cell"):
+    """Evaluates fn(times, *per_cell_args) once over all cells (or points), cell axis first.
 
-    An EvalError is located as ``cell i at t=...`` at the lowest failing
-    cell, and so is the first cell whose results hold an inf or nan.
-    Returns fn's result (an array, or a tuple of them) as float arrays.
+    An EvalError is located as ``cell i at t=...`` (or ``point i``) at the
+    lowest failing cell, and so is the first cell whose results hold an inf
+    or nan.  Returns fn's result (an array, or a tuple of them) as float arrays.
     """
-    results = _located(times, fn, per_cell_args)
+    results = _located(times, fn, per_cell_args, what)
     is_tuple = isinstance(results, tuple)
     arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
     finite = np.logical_and.reduce(
@@ -197,8 +197,20 @@ def _over_cells(times, fn, *per_cell_args):
         i = int(np.argmin(finite))
         cell = np.concatenate([a[i].ravel() for a in arrays])
         bad = float(cell[~np.isfinite(cell)][0])
-        raise _cell_error(ex.EvalError(f"non-finite value {bad!r}", 1), i, times[i])
+        raise _cell_error(ex.EvalError(f"non-finite value {bad!r}", 1), i, times[i], what)
     return tuple(arrays) if is_tuple else arrays[0]
+
+
+def _time_partial(lagrangian: Lagrangian, weight, t, y, v) -> np.ndarray:
+    """dL/dt evaluated only where ``weight`` != 0, else 0; errors name the cell among all cells."""
+    moving = np.flatnonzero(weight)
+    l_t = np.zeros(len(t))
+    try:
+        if moving.size:
+            l_t[moving] = lagrangian.value_and_partials(t[moving], y[moving], v[moving], ("t",))[1]
+    except ex.EvalError as exc:
+        raise ex.EvalError(exc.message, exc.column, int(moving[exc.cell])) from None
+    return l_t
 
 
 def action(p: Problem, q: GridFunction) -> float:

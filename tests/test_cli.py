@@ -285,6 +285,32 @@ def test_check_tol_must_be_non_negative_and_finite(tmp_path, capsys, tol):
     assert run(["check", FREE, "el", "--tol=0", "--out", str(out), "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0.1,nan"])
+def test_check_eps_must_be_finite(tmp_path, capsys, eps):
+    # rejected before the problem file is read, as --tol is
+    out = tmp_path / "inv.csv"
+    assert run(["check", str(tmp_path / "missing.problem"), "invariance", f"--eps={eps}"]) == 3
+    bad = float(eps.split(",")[-1])
+    assert capsys.readouterr().err == f"error: --eps values must be finite, got {bad!r}\n"
+    assert run(["check", DOUBLING, "invariance", f"--eps={eps}", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_non_finite_generator_value_exits_3_at_its_point(tmp_path, capsys):
+    # q1 = 10.75 at point 1, where tau = q1^300 overflows
+    huge = tmp_path / "huge.problem"
+    huge.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [1]\nqb = [40]\n'
+        '[symmetry]\ntau = "q1^300"\nxi = ["0"]\n'
+    )
+    out = tmp_path / "inv.csv"
+    assert run(["check", str(huge), "invariance", "--out", str(out)]) == 3
+    message = "error: point 1 at t=1.0: non-finite value nan (column 1)\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "timescale, message",
     [

@@ -182,6 +182,7 @@ def test_family_must_match_generator():
 def test_validate_family_accepts_consistent_maps():
     gen = dilation_generator()
     tv.validate_family(gen, [1.0, 2.0, 4.0], np.array([[1.0], [0.5], [-2.0]]))
+    tv.validate_family(gen, 2.0, [0.5])  # one point
     # d qbar/d eps at 0 is exactly 1; a central difference with step 1e-6
     # would give 0.99998 and reject the family
     wobble = tv.make_generator(1, xi=["1"], tbar="t", qbar=["q1 + sin(10000*eps)/10000"])
@@ -267,7 +268,7 @@ def test_non_symmetry_residual_equals_pointwise_residual():
 
 
 def test_quantity_evaluates_only_the_partials_it_uses():
-    # sqrt(t) has no slope at t = 0: only a quantity with tau != 0 needs dL/dt
+    # sqrt(t) has no slope at t = 0: the quantity needs dL/dt only where mu * tau != 0
     p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + sqrt(t)*qs1", 1, [0.0], [1.0])
     traj = tv.solve_el(p).trajectory
     momentum = tv.noether_quantity(p, traj, tv.make_generator(1, tau="0", xi=["1"]))
@@ -276,6 +277,58 @@ def test_quantity_evaluates_only_the_partials_it_uses():
     message = r"^cell 0 at t=0\.0: sqrt derivative undefined at 0 in sqrt\(\.\.\.\) \(column 11\)$"
     with pytest.raises(tv.EvalError, match=message):
         tv.noether_quantity(p, traj, tv.make_generator(1, tau="1", xi=["1"]))
+    # closed form C = L_v xi + (L - L_v v - mu L_t) tau with mu = 1, L_v = v, L_t = y / (2 sqrt(t))
+    t, y, v = p.grid.array[:-1], traj.values[1:, 0], np.diff(traj.values[:, 0])
+    lval = v**2 / 2 + np.sqrt(t) * y
+    dilation = tv.noether_quantity(p, traj, tv.make_generator(1, tau="t", xi=["1"]))
+    assert dilation.values[0] == v[0]  # tau = 0 at t = 0: no bracket, no dL/dt
+    closed = v[1:] + (lval[1:] - v[1:] ** 2 - y[1:] / (2 * np.sqrt(t[1:]))) * t[1:]
+    assert np.all(np.abs(dilation.values[1:] - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+    # mu_mode="zero" drops mu L_t, so dL/dt is never evaluated
+    shift = tv.noether_quantity(p, traj, tv.make_generator(1, tau="1", xi=["1"]), mu_mode="zero")
+    closed = v + (lval - v**2)
+    assert np.all(np.abs(shift.values - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+
+
+def test_non_finite_generator_values_fail_at_their_point():
+    # q1 = 10.75 at point 1, where q1^300 overflows; no subtraction of inf may warn first
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2/2", 1, [1.0], [40.0])
+    q = tv.solve_el(p).trajectory
+    huge = "q1^300"
+    moving = tv.make_generator(1, tau=huge)
+    family = tv.make_generator(1, tau=huge, tbar=f"t + eps * {huge}", qbar=["q1"])
+    state = tv.make_generator(1, xi=[huge])
+    message = r"^point 1 at t=1\.0: non-finite value"
+    with pytest.raises(tv.EvalError, match=message):
+        tv.validate_family(family, p.grid.array, q.values)
+    for gen in (moving, family):
+        with pytest.raises(tv.EvalError, match=message):
+            tv.check_invariance_time_transform(p, q, gen, [-0.5, 0.5])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.check_invariance_fixed_time(p, q, state, [-0.5, 0.5])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.noether_quantity(p, q, moving)
+    with pytest.raises(tv.EvalError, match=message):
+        tv.invariance_residual_pointwise(p, q, state)
+
+
+@pytest.mark.parametrize("eps_list", [[0.1], [-0.1, 0.2, 0.5]])
+def test_each_report_samples_its_family_once(monkeypatch, eps_list):
+    # one evaluation samples the generator, one takes L, L_y and L_v (and one
+    # dL/dt for a time transform), and each eps samples the maps once and L once
+    p = doubling_problem()
+    q = tv.linear_guess(p)
+    calls, evaluate = [], noether.ex.evaluate
+    monkeypatch.setattr(noether.ex, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    e = len(eps_list)
+    for gen in (dilation_generator(), tv.make_generator(1, tau="t")):
+        calls.clear()
+        tv.check_invariance_time_transform(p, q, gen, eps_list)
+        assert len(calls) == 3 + 2 * e
+    for gen in (tv.make_generator(1, xi=["1 + q1"]), tv.make_generator(1, xi=["1"], tbar="t", qbar=["q1 + eps"])):
+        calls.clear()
+        tv.check_invariance_fixed_time(p, q, gen, eps_list)
+        assert len(calls) == 2 + 2 * e
 
 
 def test_time_transform_takes_the_time_slope_only_where_the_grid_moves():
