@@ -57,13 +57,19 @@ def grid_cells(grid: TimeScaleGrid, values):
     return grid.array[:-1], mu, left, right, (right - left) / _on_cell_axis(mu, values)
 
 
-def cell_sum(mu: np.ndarray, values: np.ndarray):
-    """Delta integral of cell values, (c,) or (c, n): mu_k * values_k summed left to right.
+def cell_sums(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Partial delta integrals of cell values, (c,) or (c, n): 0, then mu_k * values_k
+    summed left to right, (c + 1,) or (c + 1, n).
 
     A fixed order makes every caller round alike (np.sum pairs terms).
     """
     terms = _on_cell_axis(mu, values) * values
-    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)[-1]
+    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)
+
+
+def cell_sum(mu: np.ndarray, values: np.ndarray):
+    """Delta integral of cell values, (c,) or (c, n): the last of ``cell_sums``."""
+    return cell_sums(mu, values)[-1]
 
 
 def delta_derivative(f: GridFunction) -> GridFunction:

@@ -14,11 +14,14 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import expr as ex
+from ._g17 import CHUNK_VALUES, encode_rows
+from ._g17 import fmt as _fmt
 from .calculus import GridFunction, grid_cells
 from .noether import (
     check_invariance_fixed_time,
@@ -52,31 +55,35 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> list[str]:
-    """CSV rows of %.17g values: the columns of ``body``, then those of ``tail``.
+def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[bytes]:
+    """CSV rows of %.17g values, a block of whole rows at a time: the columns of
+    ``body``, then those of ``tail``.
 
     ``tail`` has one row fewer than ``body``; the final row leaves its cells blank.
     """
-    vals = body if tail is None else np.column_stack([body[:-1], tail])
-    fmt = ",".join(["%.17g"] * vals.shape[1])
-    rows = [fmt % tuple(row) for row in vals.tolist()]
+    stop = len(body) if tail is None else len(body) - 1
+    if np.ndim(tail) == 1:
+        tail = tail[:, None]
+    width = body.shape[1] + (0 if tail is None else tail.shape[1])
+    step = max(1, CHUNK_VALUES // width)
+    for start in range(0, stop, step):
+        block = body[start : min(start + step, stop)]
+        if tail is not None:
+            block = np.column_stack([block, tail[start : start + len(block)]])
+        yield encode_rows(block)
     if tail is not None:
-        last = ",".join(["%.17g"] * body.shape[1]) % tuple(body[-1].tolist())
-        rows.append(last + "," * (vals.shape[1] - body.shape[1]))
-    return rows
+        yield encode_rows(body[-1:])[:-1] + b"," * tail.shape[1] + b"\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[str]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[bytes]) -> None:
+    """Writes the header line and then each block of rows, atomically (temp file + rename)."""
     path = Path(path)
-    payload = "\n".join([",".join(header), *rows]) + "\n"
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode())
+            for block in rows:
+                fh.write(block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -226,7 +233,8 @@ def cmd_sweep(args) -> int:
         actions.append(result.action_value)
 
     header = ["h", "action", "max_residual", "order"]
-    numbers = _format_rows(np.column_stack([h_list, actions, residuals]))
+    numbers = b"".join(_format_rows(np.column_stack([h_list, actions, residuals])))
+    numbers = numbers.decode().splitlines()
     rows = []
     for k, h in enumerate(h_list):
         order = ""
@@ -236,7 +244,7 @@ def cmd_sweep(args) -> int:
                 order = "exact"
             elif prev_r > _EXACT_ORDER_FLOOR and cur_r > _EXACT_ORDER_FLOOR:
                 order = _fmt(math.log(prev_r / cur_r) / math.log(h_list[k - 1] / h))
-        rows.append(f"{numbers[k]},{order}")
+        rows.append(f"{numbers[k]},{order}\n".encode())
     out = Path(args.out) if args.out else _default_out(Path(args.file), "sweep")
     _write_csv(out, header, rows)
     return EXIT_OK

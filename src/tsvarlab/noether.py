@@ -17,9 +17,17 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, cell_sum, grid_cells
+from .calculus import GridFunction, grid_cells
 from .timescale import TimeScaleGrid, kappa
-from .variational import Problem, _cell_shape, _over_cells, _time_partial, _traj_values
+from .variational import (
+    Problem,
+    _cell_shape,
+    _finite_cells,
+    _integral,
+    _over_cells,
+    _time_partial,
+    _traj_values,
+)
 
 
 @dataclass(frozen=True)
@@ -232,10 +240,13 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
         # is index-aligned with the original, so transported cells line up
         grid = p.grid if dt is None else TimeScaleGrid(sample[:, 0], intent=p.grid.intent)
         t_e, mu_e, _, y, v = grid_cells(grid, sample[:, -p.dim :])
-        lbar = _over_cells(t_e, p.lagrangian.value, y, v)
-        return lbar if dt is None else mu_e * lbar
+        if dt is None:
+            return _over_cells(t_e, p.lagrangian.value, y, v)
+        return _over_cells(t_e, lambda t_i, mu_i, y_i, v_i: mu_i * p.lagrangian.value(t_i, y_i, v_i),
+                           mu_e, y, v)
 
-    base = lval if dt is None else mu * lval
+    with np.errstate(all="ignore"):
+        base = lval if dt is None else _finite_cells(cell_t, mu * lval)
     eps_values = tuple(float(e) for e in eps_list)
     disc = np.empty((len(eps_values), len(base)))
     for e, eps in enumerate(eps_values):
@@ -248,8 +259,8 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
         discrepancies=disc,
         per_eps_max=per_eps,
         max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(cell_sum(mu, lval)),
-        action_eps_derivative=float(cell_sum(mu, condition)),
+        action_value=float(_integral(cell_t, mu, lval)),
+        action_eps_derivative=float(_integral(cell_t, mu, condition)),
     )
 
 

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, cell_sum, grid_cells
+from .calculus import GridFunction, cell_sums, grid_cells
 from .timescale import TimeScaleGrid, kappa
 
 
@@ -185,9 +185,11 @@ def _over_cells(times, fn, *per_cell_args, what: str = "cell"):
 
     An EvalError is located as ``cell i at t=...`` (or ``point i``) at the
     lowest failing cell, and so is the first cell whose results hold an inf
-    or nan.  Returns fn's result (an array, or a tuple of them) as float arrays.
+    or nan; arithmetic in fn that overflows raises no numpy warning.  Returns
+    fn's result (an array, or a tuple of them) as float arrays.
     """
-    results = _located(times, fn, per_cell_args, what)
+    with np.errstate(all="ignore"):  # an inf or nan is located below, not warned about
+        results = _located(times, fn, per_cell_args, what)
     is_tuple = isinstance(results, tuple)
     arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
     finite = np.logical_and.reduce(
@@ -213,17 +215,36 @@ def _time_partial(lagrangian: Lagrangian, weight, t, y, v) -> np.ndarray:
     return l_t
 
 
+def _finite_cells(times, values):
+    """values (cell axis first), unless a cell holds an inf or nan: then an EvalError at the first."""
+    if not np.isfinite(values).all():
+        _over_cells(times, lambda _, cells: cells, values)
+    return values
+
+
+def _integral(times, mu, values):
+    """cell_sum(mu, values), located: ``cell i`` is the first cell whose partial sum is inf or nan.
+
+    The partial sums before a non-finite term are finite, so that cell is the
+    first whose term mu_i * values_i is not finite, or else where the sum overflows.
+    """
+    with np.errstate(all="ignore"):
+        sums = cell_sums(mu, values)
+    _finite_cells(times, sums[1:])
+    return sums[-1]
+
+
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
     t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
-    return cell_sum(mu, _over_cells(t, p.lagrangian.value, y, v))
+    return _integral(t, mu, _over_cells(t, p.lagrangian.value, y, v))
 
 
 def _cell_terms(p: Problem, vals: np.ndarray):
-    """mu, and L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
+    """t and mu, and L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
     t, mu, _, y, v = grid_cells(p.grid, vals)
     terms = partial(p.lagrangian.value_and_partials, kinds=("qs", "qd"))
-    return mu, *_over_cells(t, terms, y, v)
+    return t, mu, *_over_cells(t, terms, y, v)
 
 
 def el_residual(p: Problem, q: GridFunction) -> GridFunction:
@@ -235,9 +256,10 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
     """
     if len(p.grid) < 3:
         raise ValueError("Euler-Lagrange residual needs a grid with at least 3 points")
-    mu, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
-    resid = (d3[1:] - d3[:-1]) / mu[:-1, None] - d2[:-1]
-    return GridFunction(kappa(kappa(p.grid)), resid)
+    t, mu, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
+    with np.errstate(all="ignore"):
+        resid = (d3[1:] - d3[:-1]) / mu[:-1, None] - d2[:-1]
+    return GridFunction(kappa(kappa(p.grid)), _finite_cells(t[:-1], resid))
 
 
 def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
@@ -254,8 +276,10 @@ def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
 
 def _action_and_gradient(p: Problem, vals: np.ndarray):
     """The action and its stationarity gradient, from one pass over the cells."""
-    mu, lval, d2, d3 = _cell_terms(p, vals)
-    return cell_sum(mu, lval), mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
+    t, mu, lval, d2, d3 = _cell_terms(p, vals)
+    with np.errstate(all="ignore"):
+        gradient = mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
+    return _integral(t, mu, lval), _finite_cells(t[:-1], gradient)
 
 
 @dataclass(frozen=True)

@@ -133,17 +133,21 @@ def test_check_conservation_gravity_tolerance_gate(tmp_path, capsys):
 
 def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
     huge = tmp_path / "huge.problem"
-    huge.write_text(
+    # L overflows on the first problem, the term mu * L on the second
+    for text in (
         "[timescale]\nkind = integers\na = 0\nb = 2\n"
-        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1e200]\n'
-    )
-    out = tmp_path / "huge.csv"
-    assert run(["solve", str(huge), "--out", str(out)]) == 3
-    captured = capsys.readouterr()
-    assert "cell 0 at t=0.0: non-finite value inf" in captured.err
-    assert len(captured.err.splitlines()) == 1  # the error line, no numpy warnings
-    assert "action=" not in captured.out
-    assert not out.exists()
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1e200]\n',
+        "[timescale]\nkind = explicit\npoints = [0, 1e10, 2e10, 3e10]\n"
+        '[problem]\ndim = 1\nlagrangian = "1e300 + qd1^2"\nqa = [0]\nqb = [1]\n',
+    ):
+        huge.write_text(text)
+        out = tmp_path / "huge.csv"
+        assert run(["solve", str(huge), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cell 0 at t=0.0: non-finite value inf")
+        assert len(captured.err.splitlines()) == 1  # the error line, no numpy warnings
+        assert "action=" not in captured.out
+        assert not out.exists()
 
 
 def test_passes_evaluate_only_the_partials_they_use(tmp_path, capsys):
@@ -341,9 +345,9 @@ def test_row_format_is_17_significant_digits():
     values = [0.0, -0.0, 1.0, 0.1, -2.5e-7, 1e22, 5e-324, 2.2250738585072014e-308,
               1.7976931348623157e308, math.pi, float("inf"), float("-inf"), float("nan")]
     body = np.array(values).reshape(-1, 1)
-    assert _format_rows(body) == [format(x, ".17g") for x in values]
+    assert b"".join(_format_rows(body)).decode().splitlines() == [format(x, ".17g") for x in values]
     tail = np.array([[1.0, 2.0]] * (len(values) - 1))
-    rows = _format_rows(body, tail)
+    rows = b"".join(_format_rows(body, tail)).decode().splitlines()
     assert rows[:-1] == [format(x, ".17g") + ",1,2" for x in values[:-1]]
     assert rows[-1] == "nan,,"
 
@@ -360,7 +364,7 @@ def _csv_bytes(header, rows) -> bytes:
     return "".join(",".join(row) + "\n" for row in [header, *rows]).encode()
 
 
-def _expected_outputs(path, h_list):
+def _expected_outputs(path, h_list, eps):
     """Every CSV the CLI writes for ``path``, formatted here value by value."""
     pf = load_problem_file(path)
     problem = build_problem(pf)
@@ -388,7 +392,6 @@ def _expected_outputs(path, h_list):
     rows = [[_g(ti)] + [_g(x) for x in r[i]] for i, ti in enumerate(resid.grid.points)]
     out["el"] = _csv_bytes(["t"] + [f"r_{k + 1}" for k in range(n)], rows)
 
-    eps = [-0.5, -0.1, 0.1, 0.5]
     zero_tau = isinstance(gen.tau, tv.expr.Num) and gen.tau.value == 0.0
     if gen.has_family or not zero_tau:
         inv = tv.check_invariance_time_transform(problem, result.trajectory, gen, eps)
@@ -440,25 +443,47 @@ def _random_explicit_problem(tmp_path):
     return str(path)
 
 
+def _large_explicit_problem(tmp_path):
+    # 2000 points and 16 eps: every CSV is above the encoder's size constant
+    rng = np.random.default_rng(21)
+    points = np.concatenate([[0.0], np.cumsum(rng.uniform(5e-4, 1.5e-3, 1999))])
+    path = tmp_path / "large_explicit.problem"
+    path.write_text(
+        "[timescale]\nkind = explicit\n"
+        f"points = [{', '.join(repr(float(p)) for p in points)}]\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2/2 + cos(qs1)"\nqa = [0]\nqb = [1]\n'
+        '[symmetry]\ntau = "1"\nxi = ["0"]\n'
+    )
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "name, h_list",
     [("power2_dilation", None), ("free_particle", "0.5,0.25,0.125"),
-     ("gravity_uniform", "0.1,0.05,0.025"), ("random_explicit", None)],
+     ("gravity_uniform", "0.1,0.05,0.025"), ("random_explicit", None), ("large_explicit", None)],
 )
 def test_output_bytes_equal_values_formatted_one_by_one(tmp_path, name, h_list):
+    eps = [-0.5, -0.1, 0.1, 0.5]
     if name == "random_explicit":
         path = _random_explicit_problem(tmp_path)
+    elif name == "large_explicit":
+        path = _large_explicit_problem(tmp_path)
+        eps = [-0.5, -0.3, -0.2, -0.1, -0.05, -0.02, -0.01, -0.001,
+               0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5]
     else:
         path = str(SCENARIOS / f"{name}.problem")
     commands = {
         "solve": ["solve", path],
         "el": ["check", path, "el", "--report-only"],
-        "invariance": ["check", path, "invariance", "--report-only"],
+        "invariance": ["check", path, "invariance", "--report-only",
+                       "--eps=" + ",".join(map(repr, eps))],
         "conservation": ["check", path, "conservation", "--report-only"],
     }
     if h_list:
         commands["sweep"] = ["sweep", path, "--h-list", h_list]
-    expected = _expected_outputs(path, [float(h) for h in h_list.split(",")] if h_list else None)
+    expected = _expected_outputs(
+        path, [float(h) for h in h_list.split(",")] if h_list else None, eps
+    )
     assert sorted(expected) == sorted(commands)
     for kind, argv in commands.items():
         out = tmp_path / f"{kind}.csv"

@@ -312,6 +312,19 @@ def test_non_finite_generator_values_fail_at_their_point():
         tv.invariance_residual_pointwise(p, q, state)
 
 
+def test_overflowing_report_terms_are_located_without_a_warning():
+    # mu * L = 1e10 * 1e300 overflows on the image grid and on the original one
+    g = tv.TimeScaleGrid((0.0, 1e10, 2e10, 3e10))
+    p = tv.make_problem(g, "1e300 + qd1^2", 1, [0.0], [1.0])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.check_invariance_time_transform(p, tv.linear_guess(p), tv.make_generator(1, tau="1"), [0.1])
+    # L is inf where t != 1; tau = 0 at t = 0 leaves C = L_v xi, and at t = 2 the
+    # bracket L - L_v v is inf - inf
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + (1e10 - 1e10*t)^40", 1, [0.0], [1.0])
+    with pytest.raises(tv.EvalError, match=r"^cell 2 at t=2\.0: non-finite value nan"):
+        tv.noether_quantity(p, tv.linear_guess(p), tv.make_generator(1, tau="t", xi=["1"]))
+
+
 @pytest.mark.parametrize("eps_list", [[0.1], [-0.1, 0.2, 0.5]])
 def test_each_report_samples_its_family_once(monkeypatch, eps_list):
     # one evaluation samples the generator, one takes L, L_y and L_v (and one

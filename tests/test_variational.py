@@ -222,6 +222,32 @@ def test_overflowing_cell_terms_are_located():
             run()
 
 
+def test_overflowing_mu_weighted_terms_and_sums_are_located():
+    # L = 1e300 + qd1^2 is finite on every cell; mu = 1e10 makes the term mu * L inf
+    g = tv.TimeScaleGrid((0.0, 1e10, 2e10, 3e10))
+    p = tv.make_problem(g, "1e300 + qd1^2", 1, [0.0], [1.0])
+    message = r"^cell 0 at t=0\.0: non-finite value inf \(column 1\)$"
+    for run in (lambda: tv.action(p, tv.linear_guess(p)), lambda: tv.solve_el(p)):
+        with pytest.raises(tv.EvalError, match=message):
+            run()
+    # every term is 1.5e308; their sum overflows at cell 1
+    p = tv.make_problem(tv.integers(0, 3), "1.5e308 + qd1^2", 1, [0.0], [1.0])
+    for run in (lambda: tv.action(p, tv.linear_guess(p)), lambda: tv.solve_el(p)):
+        with pytest.raises(tv.EvalError, match=r"^cell 1 at t=1\.0: non-finite value inf"):
+            run()
+    # the action 1e290 is finite, and the gradient term mu * dL/dqs1 = 1e10 * 1e300 is not
+    p = tv.make_problem(g, "1e300*qs1 + qd1^2", 1, [0.0], [1e-20])
+    q = tv.GridFunction(g, [[0.0], [1e-20], [1e-20], [1e-20]])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.stationarity_gradient(p, q)
+    # dL/dqd1 = qd1 is finite, and its delta derivative 1e100 / 1e-250 is not
+    g = tv.TimeScaleGrid((0.0, 1e-250, 1.0, 2.0))
+    p = tv.make_problem(g, "qd1^2/2", 1, [0.0], [1.0])
+    q = tv.GridFunction(g, [[0.0], [0.0], [1e100], [1e100]])
+    with pytest.raises(tv.EvalError, match=message):
+        tv.el_residual(p, q)
+
+
 def test_el_residual_free_particle_lines():
     # dL/dv is constant along a line and dL/dy vanishes; the only leftovers
     # are difference-quotient rounding amplified by 1/mu on fine grids
