@@ -122,7 +122,7 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     indices.  The image of an increasing map is a new time scale, and the
     two integrals agree cell by cell.
     """
-    if alpha.grid.points != f.grid.points:
+    if not np.array_equal(alpha.grid.array, f.grid.array):
         raise ValueError("alpha and f must live on the same grid")
     if alpha.values.ndim != 1 or f.values.ndim != 1:
         raise ValueError("pushforward expects scalar grid functions")
@@ -130,7 +130,7 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     if not np.all(np.diff(avals) > 0):
         raise ValueError("alpha must be strictly increasing on the grid")
 
-    image = TimeScaleGrid(tuple(avals), intent=alpha.grid.intent)
+    image = TimeScaleGrid(avals, intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 
     _, mu, _, _, alpha_delta = grid_cells(alpha.grid, avals)

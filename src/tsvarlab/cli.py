@@ -175,7 +175,6 @@ def cmd_check(args) -> int:
 
     result = solve_el(problem, **opts)
     trajectory = result.trajectory
-    grid = problem.grid
     n = problem.dim
     out = Path(args.out) if args.out else _default_out(Path(args.file), f"check_{args.which}")
 
@@ -188,7 +187,8 @@ def cmd_check(args) -> int:
         time_transform = generator.has_family or generator.tau != ex.Num(0.0)
         check = check_invariance_time_transform if time_transform else check_invariance_fixed_time
         report = check(problem, trajectory, generator, eps_list)
-        header = ["t"] + [f"disc_eps={eps:g}" for eps in report.eps_values]
+        header = ["t"] + [f"disc_eps={e:g}" if float(f"{e:g}") == e else f"disc_eps={e!r}"
+                          for e in report.eps_values]
         rows = _format_rows(np.column_stack([report.cell_times, report.discrepancies.T]))
         max_abs = report.max_discrepancy
     else:  # conservation

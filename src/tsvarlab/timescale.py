@@ -10,7 +10,7 @@ downstream works on the literal points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,23 +20,22 @@ SAMPLED_CONTINUUM = "sampled-continuum"
 MAX_POINTS = 10**7  # largest grid the constructors build
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TimeScaleGrid:
-    """Immutable finite grid of time points with an intent tag.
+    """Immutable finite grid of time points with an intent tag, equal by value.
 
-    ``points`` must be strictly increasing.  Public constructors
-    (:func:`make_timescale` and friends) guarantee at least two points;
-    :func:`kappa` may produce a single-point truncation.
+    ``points`` must be strictly increasing; ``array`` holds them as read-only
+    float64, the grid's one stored copy.  Public constructors guarantee at
+    least two points; :func:`kappa` may produce a single-point truncation.
     """
 
-    points: tuple[float, ...]
-    intent: str = EXACT_DISCRETE
-    array: np.ndarray = field(init=False, repr=False, compare=False)  # read-only copy of points
+    array: np.ndarray
+    intent: str
 
-    def __post_init__(self):
-        if len(self.points) == 0:
+    def __init__(self, points, intent: str = EXACT_DISCRETE):
+        arr = np.array(points, dtype=float)
+        if len(arr) == 0:
             raise ValueError("time scale grid needs at least one point")
-        arr = np.array(self.points, dtype=float)
         if arr.ndim != 1:
             raise ValueError("time scale grid points must be a flat sequence")
         if not np.isfinite(arr).all():
@@ -49,30 +48,38 @@ class TimeScaleGrid:
                 f"(got {float(arr[i])!r} followed by {float(arr[i + 1])!r})"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "points", tuple(arr.tolist()))
         object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "intent", intent)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__ and self.intent == other.intent
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.intent, (self.array + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
+
+    @cached_property
+    def points(self) -> tuple[float, ...]:
+        """The points as a tuple of Python floats, built from ``array`` on first read."""
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.array)
 
     @property
     def a(self) -> float:
-        return self.points[0]
+        return float(self.array[0])
 
     @property
     def b(self) -> float:
-        return self.points[-1]
-
-    @cached_property
-    def _index(self) -> dict[float, int]:
-        return {t: i for i, t in enumerate(self.points)}
+        return float(self.array[-1])
 
     def index_of(self, t: float) -> int:
         """Index of a stored grid point; exact-equality lookup by design."""
-        try:
-            return self._index[float(t)]
-        except KeyError:
-            raise ValueError(f"t={t!r} is not a point of this time scale grid") from None
+        i = int(np.searchsorted(self.array, float(t)))
+        if i < len(self) and self.array[i] == float(t):
+            return i
+        raise ValueError(f"t={t!r} is not a point of this time scale grid")
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,9 @@ def integers(a: int, b: int) -> TimeScaleGrid:
     a, b = int(a), int(b)
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
-    return TimeScaleGrid(tuple(float(k) for k in range(a, b + 1)))
+    # base is exact as a float and a - base + k < 2**25: one rounding gives float(a + k)
+    base = a >> 24 << 24
+    return TimeScaleGrid(float(base) + np.arange(a - base, b - base + 1, dtype=float))
 
 
 def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
@@ -111,9 +120,9 @@ def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(abs(span), h):
         raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")
-    pts = [float(a) + i * float(h) for i in range(n)]
-    pts.append(float(b))
-    return TimeScaleGrid(tuple(pts))
+    pts = float(a) + float(h) * np.arange(n + 1.0)
+    pts[-1] = float(b)
+    return TimeScaleGrid(pts)
 
 
 def power2(n0: int, n1: int) -> TimeScaleGrid:
@@ -124,12 +133,12 @@ def power2(n0: int, n1: int) -> TimeScaleGrid:
     n0, n1 = int(n0), int(n1)
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")
-    return TimeScaleGrid(tuple(2.0 ** n for n in range(n0, n1 + 1)))
+    return TimeScaleGrid(np.ldexp(1.0, np.arange(n0, n1 + 1)))
 
 
 def explicit(points) -> TimeScaleGrid:
     """Grid from an explicit strictly increasing list of times."""
-    pts = tuple(float(t) for t in points)
+    pts = np.array(points, dtype=float)
     if len(pts) < 2:
         raise ValueError("explicit grid needs at least 2 points")
     return TimeScaleGrid(pts)
@@ -147,16 +156,10 @@ def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
     if b - a <= 0:
         raise ValueError("sampled(a, b, h) needs b > a")
     _check_size("sampled(a, b, h)", (b - a) / h + 1)
-    pts = [a]
-    i = 1
-    while True:
-        t = a + i * h
-        if t >= b - 1e-9 * h:
-            break
-        pts.append(t)
-        i += 1
-    pts.append(b)
-    return TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM)
+    # a + i*h rises with i; keep those below b - 1e-9 h (i runs 2 past (b - a)/h, for rounding)
+    steps = a + h * np.arange(1.0, int((b - a) / h) + 3)
+    inner = steps[: np.searchsorted(steps, b - 1e-9 * h)]
+    return TimeScaleGrid(np.concatenate(([a], inner, [b])), intent=SAMPLED_CONTINUUM)
 
 
 _CONSTRUCTORS = {
@@ -181,20 +184,18 @@ def make_timescale(kind: str, **params) -> TimeScaleGrid:
 
 def sigma(ts: TimeScaleGrid, t: float) -> float:
     """Forward jump: next stored point, or t itself at the maximum."""
-    i = ts.index_of(t)
-    return ts.points[i + 1] if i + 1 < len(ts.points) else ts.points[i]
+    return float(ts.array[min(ts.index_of(t) + 1, len(ts) - 1)])
 
 
 def rho(ts: TimeScaleGrid, t: float) -> float:
     """Backward jump: previous stored point, or t itself at the minimum."""
-    i = ts.index_of(t)
-    return ts.points[i - 1] if i > 0 else ts.points[i]
+    return float(ts.array[max(ts.index_of(t) - 1, 0)])
 
 
 def mu(ts: TimeScaleGrid, t: float) -> float:
     """Graininess sigma(t) - t; zero at the final point."""
     i = ts.index_of(t)
-    return ts.points[i + 1] - ts.points[i] if i + 1 < len(ts.points) else 0.0
+    return float(ts.array[min(i + 1, len(ts) - 1)] - ts.array[i])
 
 
 def graininess(ts: TimeScaleGrid) -> np.ndarray:
@@ -204,25 +205,23 @@ def graininess(ts: TimeScaleGrid) -> np.ndarray:
 
 def kappa(ts: TimeScaleGrid) -> TimeScaleGrid:
     """The grid without its final point (the maximum is left-scattered)."""
-    if len(ts.points) < 2:
+    if len(ts) < 2:
         raise ValueError("kappa truncation would leave an empty grid")
-    return TimeScaleGrid(ts.points[:-1], intent=ts.intent)
+    return TimeScaleGrid(ts.array[:-1], intent=ts.intent)
 
 
 def classify(ts: TimeScaleGrid, t: float) -> PointClassification:
     """Scattered/dense flags for a stored point, honoring endpoint conventions."""
     i = ts.index_of(t)
-    right_scattered = i + 1 < len(ts.points)
+    right_scattered = i + 1 < len(ts)
     left_scattered = i > 0
-    right_dense = not right_scattered
-    left_dense = not left_scattered
     return PointClassification(
-        t=ts.points[i],
+        t=float(ts.array[i]),
         right_scattered=right_scattered,
-        right_dense=right_dense,
+        right_dense=not right_scattered,
         left_scattered=left_scattered,
-        left_dense=left_dense,
+        left_dense=not left_scattered,
         isolated=right_scattered and left_scattered,
-        dense=right_dense and left_dense,
+        dense=not (right_scattered or left_scattered),
         intent=ts.intent,
     )

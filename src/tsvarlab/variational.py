@@ -34,10 +34,10 @@ class NonConvergence(SolverError):
 class SingularJacobian(SolverError):
     def __init__(self, block_index: int, time: float):
         super().__init__(
-            f"singular Jacobian pivot at interior point {block_index} (t={time!r})"
+            f"singular Jacobian pivot at interior point {block_index} (t={float(time)!r})"
         )
         self.block_index = block_index
-        self.time = time
+        self.time = float(time)
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def _block_thomas(p: Problem, diag, upper, rhs):
     m = diag.shape[0]
     dhat = diag.copy()
     rhat = rhs.copy()
-    interior_times = p.grid.points[1:-1]
+    interior_times = p.grid.array[1:-1]
     for j in range(1, m):
         try:
             w = np.linalg.solve(dhat[j - 1].T, upper[j - 1]).T

@@ -8,6 +8,7 @@ hand-rolled loops, and the recurrence oracles integrate closed forms.
 import numpy as np
 
 import tsvarlab as tv
+from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
 
 def random_grid(rng, max_points=50, moderate=False, kind=None):
@@ -196,3 +197,65 @@ def recurrence_oracle_power2(qa, qb, npoints):
     seq = run(q1)[:npoints]
     assert abs(seq[-1] - qb) < 1e-9 * max(1.0, abs(qb))
     return np.array(seq)
+
+
+# ---------------------------------------------------------------------------
+# Grid constructors as point-by-point loops: the reference the array
+# constructors in tsvarlab.timescale must match bit for bit, errors included.
+
+
+def loop_integers(a, b):
+    _check_size("integers(a, b)", float(b) - float(a) + 1)
+    a, b = int(a), int(b)
+    if b - a < 1:
+        raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
+    return tv.TimeScaleGrid(tuple(float(k) for k in range(a, b + 1)))
+
+
+def loop_uniform(a, b, h):
+    if not h > 0:
+        raise ValueError("uniform step h must be positive")
+    span = float(b) - float(a)
+    _check_size("uniform(a, b, h)", abs(span) / h + 1)
+    n = round(span / h)
+    if n < 1 or abs(n * h - span) > 1e-9 * max(abs(span), h):
+        raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")
+    pts = [float(a) + i * float(h) for i in range(n)]
+    pts.append(float(b))
+    return tv.TimeScaleGrid(tuple(pts))
+
+
+def loop_power2(n0, n1):
+    if not n1 < 1024:
+        raise ValueError(f"power2(n0, n1) needs n1 < 1024 (2**1024 overflows a float), got {n1!r}")
+    _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
+    n0, n1 = int(n0), int(n1)
+    if n1 - n0 < 1:
+        raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")
+    return tv.TimeScaleGrid(tuple(2.0 ** n for n in range(n0, n1 + 1)))
+
+
+def loop_explicit(points):
+    pts = tuple(float(t) for t in points)
+    if len(pts) < 2:
+        raise ValueError("explicit grid needs at least 2 points")
+    return tv.TimeScaleGrid(pts)
+
+
+def loop_sampled(a, b, h):
+    if not h > 0:
+        raise ValueError("sampled step h must be positive")
+    a, b, h = float(a), float(b), float(h)
+    if b - a <= 0:
+        raise ValueError("sampled(a, b, h) needs b > a")
+    _check_size("sampled(a, b, h)", (b - a) / h + 1)
+    pts = [a]
+    i = 1
+    while True:
+        t = a + i * h
+        if t >= b - 1e-9 * h:
+            break
+        pts.append(t)
+        i += 1
+    pts.append(b)
+    return tv.TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM)

@@ -112,6 +112,12 @@ def test_check_invariance_default_eps_columns(tmp_path):
     assert run(["check", DOUBLING, "invariance", "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "t,disc_eps=-0.5,disc_eps=-0.1,disc_eps=0.1,disc_eps=0.5"
+    # %g when it reads back as the same number, the shortest round-trip form otherwise
+    eps = "--eps=0.1000001,0.1000002,0.25,1e-07,0.30000000000000004"
+    assert run(["check", DOUBLING, "invariance", eps, "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert header == ("t,disc_eps=0.1000001,disc_eps=0.1000002,disc_eps=0.25,disc_eps=1e-07,"
+                      "disc_eps=0.30000000000000004")
 
 
 def test_check_conservation_free_particle_momentum(tmp_path):

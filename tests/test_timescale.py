@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tsvarlab as tv
 from tsvarlab.timescale import EXACT_DISCRETE, SAMPLED_CONTINUUM
 
+import helpers
 from helpers import random_grid
 
 
@@ -141,6 +144,12 @@ def test_sigma_returns_stored_point():
         for i, t in enumerate(g.points[:-1]):
             assert tv.sigma(g, t) is g.points[i + 1] or tv.sigma(g, t) == g.points[i + 1]
             assert tv.mu(g, t) == g.points[i + 1] - g.points[i]
+        for t in (g.a, g.points[len(g) // 2], g.b):
+            assert type(tv.sigma(g, t)) is float
+            assert type(tv.rho(g, t)) is float
+            assert type(tv.mu(g, t)) is float
+        assert type(g.a) is float and type(g.b) is float
+        assert type(tv.classify(g, g.b).t) is float
 
 
 def test_grid_is_immutable_value_object():
@@ -195,3 +204,117 @@ def test_power2_rejects_exponents_that_overflow():
     for n1 in (1024, 1100, float("inf")):
         with pytest.raises(ValueError, match=r"power2\(n0, n1\) needs n1 < 1024"):
             tv.power2(0, n1)
+
+
+def test_index_of_finds_exactly_the_stored_points():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        g = random_grid(rng, max_points=30)
+        for i, t in enumerate(g.array):
+            assert g.index_of(t) == i and g.index_of(float(t)) == i
+            for near in (np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+                with pytest.raises(ValueError, match="is not a point"):
+                    g.index_of(near)
+        outside = (np.nextafter(g.a, -np.inf), g.a - 1.0, g.b + 1.0, float("nan"),
+                   float("inf"), float("-inf"))
+        for t in outside:
+            with pytest.raises(ValueError, match="is not a point"):
+                g.index_of(t)
+    g = tv.integers(-2, 2)
+    assert g.index_of(-0.0) == g.index_of(0.0) == 2
+    assert tv.explicit([-1.0, -0.0, 1.0]).index_of(0.0) == 1
+    with pytest.raises(ValueError, match=r"^t=2\.5 is not a point of this time scale grid$"):
+        g.index_of(2.5)
+
+
+def test_grid_equality_and_hash_are_by_value():
+    g = tv.integers(-2, 2)
+    same = tv.explicit([-2.0, -1.0, -0.0, 1.0, 2.0])
+    assert g == same and hash(g) == hash(same)
+    assert g != tv.TimeScaleGrid(g.array, intent=SAMPLED_CONTINUUM)
+    assert g != tv.integers(-2, 3) and g != tv.kappa(g)
+    assert g != g.points and {g: 1}[same] == 1
+
+
+def _outcome(ctor, args):
+    try:
+        return ctor(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _constructor_cases(rng):
+    """(name, args) cases for the five constructors: valid and rejected ones."""
+    for _ in range(150):
+        a = int(rng.integers(-500, 500))
+        yield "integers", (a, a + int(rng.integers(-2, 300)))
+    for a in (2**53 - 3, 2**53 + 1, 2**63 + 3071, -(2**63) - 3072, 2**70 + 1, -(2**76)):
+        for span in (1, 2, 5):
+            yield "integers", (a, a + span)
+    yield "integers", (-3.7, 4.2)
+    yield "integers", (float(2**53), float(2**53) + 8.0)
+    for _ in range(200):
+        a = float(rng.uniform(-20, 20))
+        h = float(rng.uniform(1e-3, 2.0)) if rng.random() < 0.5 else 1.0 / int(rng.integers(1, 1000))
+        k = int(rng.integers(-1, 400))
+        frac = (0.0, 1e-12, -1e-12, float(rng.uniform(0.01, 0.99)))[int(rng.integers(0, 4))]
+        yield "uniform", (a, a + (k + frac) * h, h)
+        yield "sampled", (a, a + (k + frac) * h, h)
+        yield "sampled", (a, a + (k + float(rng.uniform(-3e-9, 3e-9))) * h, h)
+    yield "uniform", (0, 1, 1e-5)
+    yield "sampled", (0, 1, 0.1)
+    yield "sampled", (-0.0, 1, 0.3)
+    yield "uniform", (-0.0, 1, 0.25)
+    yield "uniform", (1, 0, 0.5)
+    yield "uniform", (0, 1, 1e-300)
+    yield "sampled", (0, float("inf"), 1.0)
+    yield "sampled", (1e16, 1e16 + 64, 3.0)
+    for h in (0.0, -1.0, float("nan")):
+        yield "uniform", (0, 1, h)
+        yield "sampled", (0, 1, h)
+    for _ in range(150):
+        n0 = int(rng.integers(-1100, 1024))
+        yield "power2", (n0, min(n0 + int(rng.integers(-1, 60)), 1023))
+    for n0 in (-1080, -1075, -1074, -1060, -3, 0, 960, 1022):
+        yield "power2", (n0, 1023)
+    yield "power2", (-1100, -1070)
+    yield "power2", (0, 1024)
+    yield "power2", (2.5, 7.9)
+    for _ in range(100):
+        pts = np.cumsum(rng.uniform(-0.01, 1.0, size=int(rng.integers(0, 40)))) - 5
+        yield "explicit", (pts,)
+        yield "explicit", (pts.tolist(),)
+    for pts in ([], [1.0], [0, 1, float("nan")], [0, float("inf")], [2, 2], ["0.5", 1, 2.5],
+                [-0.0, 1.0], (1, 2, 3)):
+        yield "explicit", (pts,)
+
+
+def test_constructors_match_the_loop_forms_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    built = 0
+    for name, args in _constructor_cases(rng):
+        got = _outcome(getattr(tv, name), args)
+        want = _outcome(getattr(helpers, f"loop_{name}"), args)
+        if isinstance(want, tv.TimeScaleGrid):
+            assert isinstance(got, tv.TimeScaleGrid), (name, args, got)
+            assert got.intent == want.intent
+            assert np.array_equal(got.array.view(np.uint64), want.array.view(np.uint64)), (name, args)
+            built += 1
+        else:
+            assert got == want, (name, args)
+    assert built > 500
+
+
+def test_a_grid_stores_its_points_once():
+    # 8 bytes per point for the array; building may hold it and the caller's copy
+    # at once (16), plus bool masks of 1 byte per point while the points are checked
+    tv.uniform(0, 1, 0.5)
+    tracemalloc.start()
+    try:
+        g = tv.uniform(0, 1, 1e-5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g) == 100001
+    assert peak < 3 * 8 * len(g)
+    assert kept < 1.25 * 8 * len(g)

@@ -559,7 +559,7 @@ def test_singular_system_reports_first_singular_schur_complement():
                 upper[k] = 0.0
         with pytest.raises(SingularJacobian, match=r"interior point 4 \(t=5\.0\)$") as err:
             _block_tridiag_solve(_interior_problem(9), diag, upper, rhs)
-        assert err.value.block_index == 4
+        assert err.value.block_index == 4 and type(err.value.time) is float
     # nonsingular diagonal blocks, singular matrix: Schur complements 1, 1, 0
     diag = np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1)
     upper = np.ones((2, 1, 1))
