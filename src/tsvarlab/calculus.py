@@ -1,10 +1,15 @@
-"""Grid functions, delta derivative/integral, and the change-of-variables map.
+"""Grid functions, the cell layer, and the change-of-variables map.
 
 On a finite grid every non-final point is right-scattered, so the delta
 derivative is the exact forward difference (f(next) - f(t)) / mu(t) and the
 delta integral is the exact left-endpoint cell sum.  There is no quadrature
 and no limit-taking; identities such as the product rule hold pointwise up
 to floating-point rounding.
+
+This is the one cell layer: it forms cells (:func:`grid_cells`), evaluates
+trees over them (:func:`sample`), names the lowest cell where a pass fails or
+is not finite (:func:`over_cells`, :func:`finite_cells`) and sums them
+(:func:`integral`); the variational and Noether modules only state formulas.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .timescale import TimeScaleGrid, graininess, kappa
 
 
@@ -57,19 +63,66 @@ def grid_cells(grid: TimeScaleGrid, values):
     return grid.array[:-1], mu, left, right, (right - left) / _on_cell_axis(mu, values)
 
 
-def cell_sums(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Partial delta integrals of cell values, (c,) or (c, n): 0, then mu_k * values_k
-    summed left to right, (c + 1,) or (c + 1, n).
+def sample(trees, env: dict, cells: tuple) -> np.ndarray:
+    """The trees over ``env`` in one evaluation: a float array, cells + (len(trees),).
 
-    A fixed order makes every caller round alike (np.sum pairs terms).
+    Equal subtrees of several trees are computed once; a lone tree keeps only the operands in use.
     """
-    terms = _on_cell_axis(mu, values) * values
-    return np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)
+    values = ex.evaluate(trees, env) if len(trees) > 1 else [ex.evaluate(trees[0], env)]
+    return np.stack([np.broadcast_to(x, cells) for x in values], axis=-1, dtype=float)
 
 
-def cell_sum(mu: np.ndarray, values: np.ndarray):
-    """Delta integral of cell values, (c,) or (c, n): the last of ``cell_sums``."""
-    return cell_sums(mu, values)[-1]
+def over_cells(times, fn, *per_cell_args, what: str = "cell"):
+    """Evaluates fn(times, *per_cell_args) once over all cells (or points), cell axis first.
+
+    An EvalError is located as ``cell i at t=...`` (or ``point i``) at the
+    lowest failing cell, and so is the first cell whose results hold an inf
+    or nan; arithmetic in fn that overflows raises no numpy warning.  Returns
+    fn's result (an array, or a tuple of them) as float arrays.
+    """
+    with np.errstate(all="ignore"):  # an inf or nan is located below, not warned about
+        try:
+            results = fn(times, *per_cell_args)
+        except ex.EvalError as exc:
+            while exc.cell:  # a node evaluated later may fail at an earlier cell
+                try:
+                    fn(times[: exc.cell], *(a[: exc.cell] for a in per_cell_args))
+                    break
+                except ex.EvalError as earlier:
+                    exc = earlier
+            message = f"{what} {exc.cell} at t={float(times[exc.cell])!r}: {exc.message}"
+            raise ex.EvalError(message, exc.column, exc.cell) from None
+    is_tuple = isinstance(results, tuple)
+    arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
+    if not all(np.isfinite(a).all() for a in arrays):  # the lowest such cell among all results
+        finite_cells(times, np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1), what)
+    return tuple(arrays) if is_tuple else arrays[0]
+
+
+def finite_cells(times, values, what: str = "cell"):
+    """values (cell axis first), unless a cell holds an inf or nan: then an EvalError at the first."""
+    if not np.isfinite(values).all():
+        first = tuple(np.argwhere(~np.isfinite(values))[0])
+        i = int(first[0])
+        message = f"{what} {i} at t={float(times[i])!r}: non-finite value {float(values[first])!r}"
+        raise ex.EvalError(message, 1, i)
+    return values
+
+
+def integral(times, mu: np.ndarray, values: np.ndarray):
+    """Delta integral of cell values, (c,) or (c, n), on cells at ``times`` of graininess mu.
+
+    mu_k * values_k is summed left to right from 0: a fixed order makes every
+    caller round alike (np.sum pairs terms).  The first cell whose partial
+    sum is inf or nan fails as ``cell i at t=...``; the partial sums before
+    a non-finite term are finite, so that is the first cell whose term is
+    not finite, or else where the sum overflows.
+    """
+    with np.errstate(all="ignore"):
+        terms = _on_cell_axis(mu, values) * values
+        sums = np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)
+    finite_cells(times, sums[1:])
+    return sums[-1]
 
 
 def delta_derivative(f: GridFunction) -> GridFunction:
@@ -96,7 +149,9 @@ def delta_integral(f: GridFunction, r: float, s: float) -> float:
     is_ = f.grid.index_of(s)
     if ir > is_:
         raise ValueError(f"integration bounds out of order: r={r!r} > s={s!r}")
-    total = cell_sum(graininess(f.grid)[ir:is_], f.values[ir:is_])
+    mu = np.zeros(len(f.grid) - 1)  # cells outside [r, s) weigh 0: a failure names its grid cell
+    mu[ir:is_] = graininess(f.grid)[ir:is_]
+    total = integral(f.grid.array[:-1], mu, f.values[:-1])
     return total if f.values.ndim == 2 else float(total)
 
 
@@ -133,7 +188,9 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     image = TimeScaleGrid(avals, intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 
-    _, mu, _, _, alpha_delta = grid_cells(alpha.grid, avals)
-    lhs = float(cell_sum(mu, f.values[:-1] * alpha_delta))
-    rhs = float(cell_sum(graininess(image), f.values[:-1]))
+    t, mu, _, _, alpha_delta = grid_cells(alpha.grid, avals)
+    with np.errstate(all="ignore"):  # an overflow is located by the integral
+        integrand = f.values[:-1] * alpha_delta
+    lhs = float(integral(t, mu, integrand))
+    rhs = float(integral(avals[:-1], graininess(image), f.values[:-1]))
     return PushforwardResult(image, transported, lhs, rhs)

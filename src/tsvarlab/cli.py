@@ -288,10 +288,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args)
         return cmd_sweep(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ProblemFileError, ex.ParseError, ex.EvalError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:  # ProblemFileError, ParseError and EvalError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverError as exc:

@@ -17,17 +17,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, grid_cells
+from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
 from .timescale import TimeScaleGrid, kappa
-from .variational import (
-    Problem,
-    _cell_shape,
-    _finite_cells,
-    _integral,
-    _over_cells,
-    _time_partial,
-    _traj_values,
-)
+from .variational import Problem, _traj_values
 
 
 @dataclass(frozen=True)
@@ -67,8 +59,7 @@ class SymmetryGenerator:
             env[f"q{k + 1}"] = qvec[..., k]
         if eps is not None:
             env["eps"] = eps
-        points = _cell_shape(t, qvec)
-        return np.stack([np.broadcast_to(x, points) for x in ex.evaluate(list(trees), env)], axis=-1)
+        return sample(trees, env, np.broadcast_shapes(np.shape(t), qvec.shape[:-1]))
 
     def tau_at(self, t, qvec):
         return self._sample((self.tau,), t, qvec)[..., 0][()]
@@ -122,7 +113,7 @@ def _family_slopes(gen: SymmetryGenerator, t: np.ndarray, q: np.ndarray) -> np.n
     maps = gen._maps
     trees = (*maps, *(ex.derivative(m, "eps") for m in maps), gen.tau, *gen.xi)
     m = len(maps)
-    s = _over_cells(t, partial(gen._sample, trees, eps=0.0), q, what="point")
+    s = over_cells(t, partial(gen._sample, trees, eps=0.0), q, what="point")
     t0, q0, slopes, tau, xi = s[:, 0], s[:, 1:m], s[:, m : 2 * m], s[:, 2 * m], s[:, 2 * m + 1 :]
     dt, dq = slopes[:, 0], slopes[:, 1:]
     bad = np.array([
@@ -155,8 +146,25 @@ def invariance_residual_pointwise(p: Problem, q: GridFunction, gen: SymmetryGene
     grid operations, exactly as the necessary condition composes them.
     """
     vals = _traj_values(p, q)
-    xi_grid = _over_cells(p.grid.array, gen.xi_at, vals, what="point")
+    xi_grid = over_cells(p.grid.array, gen.xi_at, vals, what="point")
     return GridFunction(kappa(p.grid), _first_variation(p, vals, xi_grid)[1])
+
+
+def _time_partial(p: Problem, weight, t, y, v) -> np.ndarray:
+    """dL/dt evaluated only where ``weight`` != 0, else 0; errors name the cell among all cells."""
+    moving = np.flatnonzero(weight)
+    l_t = np.zeros(len(t))
+    try:
+        if moving.size:
+            l_t[moving] = p.lagrangian.value_and_partials(t[moving], y[moving], v[moving], ("t",))[1]
+    except ex.EvalError as exc:
+        raise ex.EvalError(exc.message, exc.column, int(moving[exc.cell])) from None
+    return l_t
+
+
+def _h(lval, d3, v):
+    """H = L - L_v . v, which the time generator tau multiplies in every time-transform formula."""
+    return lval - _dot(d3, v)
 
 
 def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
@@ -173,11 +181,11 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
         lval, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qs", "qd"))
         c = _dot(d2, dq_sigma) + _dot(d3, dq_delta)
         if dt_i:  # the grid moves: dt at the left point, and its delta derivative
-            l_t = _time_partial(p.lagrangian, dt_i[0], t_i, y, v)
-            c = c + l_t * dt_i[0] + (lval - _dot(d3, v)) * dt_i[1]
+            l_t = _time_partial(p, dt_i[0], t_i, y, v)
+            c = c + l_t * dt_i[0] + _h(lval, d3, v) * dt_i[1]
         return lval, c
 
-    return _over_cells(t, condition, y, v, dq_sigma, dq_delta, *time_slopes)
+    return over_cells(t, condition, y, v, dq_sigma, dq_delta, *time_slopes)
 
 
 @dataclass(frozen=True)
@@ -233,20 +241,20 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
 
     def cells(eps: float) -> np.ndarray:
         """L along the transformed states at fixed time, or mu * L on the image grid."""
-        sample = _over_cells(t, partial(gen._sample, maps, eps=eps), vals, what="point")
-        if dt is not None and not np.all(np.diff(sample[:, 0]) > 0):
+        mapped = over_cells(t, partial(gen._sample, maps, eps=eps), vals, what="point")
+        if dt is not None and not np.all(np.diff(mapped[:, 0]) > 0):
             raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
-        grid = p.grid if dt is None else TimeScaleGrid(sample[:, 0], intent=p.grid.intent)
-        t_e, mu_e, _, y, v = grid_cells(grid, sample[:, -p.dim :])
+        grid = p.grid if dt is None else TimeScaleGrid(mapped[:, 0], intent=p.grid.intent)
+        t_e, mu_e, _, y, v = grid_cells(grid, mapped[:, -p.dim :])
         if dt is None:
-            return _over_cells(t_e, p.lagrangian.value, y, v)
-        return _over_cells(t_e, lambda t_i, mu_i, y_i, v_i: mu_i * p.lagrangian.value(t_i, y_i, v_i),
-                           mu_e, y, v)
+            return over_cells(t_e, p.lagrangian.value, y, v)
+        return over_cells(t_e, lambda t_i, mu_i, y_i, v_i: mu_i * p.lagrangian.value(t_i, y_i, v_i),
+                          mu_e, y, v)
 
     with np.errstate(all="ignore"):
-        base = lval if dt is None else _finite_cells(cell_t, mu * lval)
+        base = lval if dt is None else finite_cells(cell_t, mu * lval)
     eps_values = tuple(float(e) for e in eps_list)
     disc = np.empty((len(eps_values), len(base)))
     for e, eps in enumerate(eps_values):
@@ -259,8 +267,8 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
         discrepancies=disc,
         per_eps_max=per_eps,
         max_discrepancy=float(per_eps.max(initial=0.0)),
-        action_value=float(_integral(cell_t, mu, lval)),
-        action_eps_derivative=float(_integral(cell_t, mu, condition)),
+        action_value=float(integral(cell_t, mu, lval)),
+        action_eps_derivative=float(integral(cell_t, mu, condition)),
     )
 
 
@@ -339,18 +347,18 @@ def noether_quantity(
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
     t, mu, q_left, y, v = grid_cells(p.grid, _traj_values(p, q))
-    xi_tau = _over_cells(t, partial(gen._sample, (*gen.xi, gen.tau)), q_left, what="point")
+    xi_tau = over_cells(t, partial(gen._sample, (*gen.xi, gen.tau)), q_left, what="point")
     mu_term = mu if mu_mode == "grid" else np.zeros_like(mu)
 
     def quantity(t_i, mu_i, y, v, xi, tau):
         lval, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qd",))
-        l_t = _time_partial(p.lagrangian, mu_i * tau, t_i, y, v)
+        l_t = _time_partial(p, mu_i * tau, t_i, y, v)
         c = np.sum(d3 * xi, axis=-1)
         k = tau != 0
-        c[k] += (lval[k] - _dot(d3[k], v[k]) - l_t[k] * mu_i[k]) * tau[k]
+        c[k] += (_h(lval[k], d3[k], v[k]) - l_t[k] * mu_i[k]) * tau[k]
         return c
 
-    c = _over_cells(t, quantity, mu_term, y, v, xi_tau[:, :-1], xi_tau[:, -1])
+    c = over_cells(t, quantity, mu_term, y, v, xi_tau[:, :-1], xi_tau[:, -1])
     return _report_from_samples(t.copy(), c)
 
 
@@ -392,16 +400,14 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     trees = [composite] + [ex.derivative(composite, name) for name in ["r", *velocities]]
 
     def cell(t_i, st, mu_i, y, v):
-        env = {**p.lagrangian._env(st, y, v), "mu": mu_i, "r": float(r)}
-        value_c, d4_fwd, *d5_fwd = (np.broadcast_to(x, t_i.shape) for x in ex.evaluate(trees, env))
-
+        forward = p.lagrangian._sample(trees, st, y, v, mu=mu_i, r=float(r))
         vr = v / r
         lval, d1, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr, ("t", "qd"))
         value_ref = p.lagrangian.value(t_i, y, v)
-        d4_form = lval - _dot(d3, vr) - d1 * mu_i * r
-        return value_c, value_ref, d4_fwd, d4_form, np.stack(d5_fwd, axis=-1), d3
+        d4_form = _h(lval, d3, vr) - d1 * mu_i * r
+        return forward[:, 0], value_ref, forward[:, 1], d4_form, forward[:, 2:], d3
 
-    value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = _over_cells(
+    value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = over_cells(
         t, cell, p.grid.array[1:], mu, y, v
     )
 

@@ -147,8 +147,9 @@ def explicit(points) -> TimeScaleGrid:
 def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
     """Sampled continuum window: steps of h from a, clipped so b is included.
 
-    The final step is shortened when h does not divide b - a; a near-integral
-    step count never produces a micro-cell at the end.
+    The final step is shortened when h does not divide b - a.  A step within
+    1e-9 * h of b (absolute), or past it, is dropped; any shorter last cell is
+    kept: sampled(0, 1 + 2e-10, 0.1) has 12 points and a last cell of 2e-10.
     """
     if not h > 0:
         raise ValueError("sampled step h must be positive")

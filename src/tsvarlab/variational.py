@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, cell_sums, grid_cells
+from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
 from .timescale import TimeScaleGrid, kappa
 
 
@@ -61,16 +61,17 @@ class Lagrangian:
         tree = ex.parse(text, dim, allow=("t", "qs", "qd"))
         return cls(dim, tree, text)
 
-    def _env(self, t, y, v) -> dict:
+    def _sample(self, trees, t, y, v, **extra) -> np.ndarray:
+        """The trees, over t, y and v (and ``extra`` variables), one per entry of the last axis."""
         y, v = np.asarray(y), np.asarray(v)
-        env = {"t": t}
+        env = {"t": t, **extra}
         for k in range(self.dim):
             env[f"qs{k + 1}"] = y[..., k]
             env[f"qd{k + 1}"] = v[..., k]
-        return env
+        return sample(trees, env, np.broadcast_shapes(np.shape(t), y.shape[:-1], v.shape[:-1]))
 
     def value(self, t, y, v):
-        return _on_cells(ex.evaluate(self.expression, self._env(t, y, v)), _cell_shape(t, y, v))
+        return self._sample([self.expression], t, y, v)[..., 0][()]
 
     def value_and_partials(self, t, y, v, kinds=("t", "qs", "qd")):
         """L and its partials in ``kinds``, in one pass: (L, dL/dt, dL/dy, dL/dv) by default.
@@ -80,10 +81,8 @@ class Lagrangian:
         names = [["t"] if kind == "t" else [f"{kind}{k + 1}" for k in range(self.dim)]
                  for kind in kinds]
         trees = [ex.derivative(self.expression, w) for group in names for w in group]
-        value, *partials = ex.evaluate([self.expression, *trees], self._env(t, y, v))
-        cells = _cell_shape(t, y, v)
-        stacked = np.stack([np.broadcast_to(d, cells) for d in partials], axis=-1, dtype=float)
-        out = [_on_cells(value, cells)]
+        stacked = self._sample([self.expression, *trees], t, y, v)
+        out, stacked = [stacked[..., 0][()]], stacked[..., 1:]
         for kind, group in zip(kinds, names):
             block, stacked = stacked[..., : len(group)], stacked[..., len(group) :]
             out.append(block[..., 0][()] if kind == "t" else block)
@@ -92,16 +91,6 @@ class Lagrangian:
     def partials(self, t, y, v):
         _, d1, d2, d3 = self.value_and_partials(t, y, v)
         return d1, d2, d3
-
-
-def _cell_shape(t, *vectors) -> tuple:
-    """The cell axes shared by t and the (..., n) vectors: () for one point."""
-    return np.broadcast_shapes(np.shape(t), *(np.shape(x)[:-1] for x in vectors))
-
-
-def _on_cells(x, cells: tuple):
-    """x as a new float array over the cells; a scalar for one point."""
-    return np.array(np.broadcast_to(x, cells), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -166,85 +155,17 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
     return vals
 
 
-def _cell_error(exc: ex.EvalError, i: int, t: float, what: str = "cell") -> ex.EvalError:
-    return ex.EvalError(f"{what} {i} at t={float(t)!r}: {exc.message}", exc.column, i)
-
-
-def _located(times, fn, args, what: str = "cell"):
-    """fn(times, *args), with an EvalError located at the lowest failing cell (or point)."""
-    try:
-        return fn(times, *args)
-    except ex.EvalError as exc:
-        if exc.cell:  # a node evaluated later may fail at an earlier cell
-            _located(times[: exc.cell], fn, [a[: exc.cell] for a in args], what)
-        raise _cell_error(exc, exc.cell, times[exc.cell], what) from None
-
-
-def _over_cells(times, fn, *per_cell_args, what: str = "cell"):
-    """Evaluates fn(times, *per_cell_args) once over all cells (or points), cell axis first.
-
-    An EvalError is located as ``cell i at t=...`` (or ``point i``) at the
-    lowest failing cell, and so is the first cell whose results hold an inf
-    or nan; arithmetic in fn that overflows raises no numpy warning.  Returns
-    fn's result (an array, or a tuple of them) as float arrays.
-    """
-    with np.errstate(all="ignore"):  # an inf or nan is located below, not warned about
-        results = _located(times, fn, per_cell_args, what)
-    is_tuple = isinstance(results, tuple)
-    arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in arrays]
-    )
-    if not finite.all():
-        i = int(np.argmin(finite))
-        cell = np.concatenate([a[i].ravel() for a in arrays])
-        bad = float(cell[~np.isfinite(cell)][0])
-        raise _cell_error(ex.EvalError(f"non-finite value {bad!r}", 1), i, times[i], what)
-    return tuple(arrays) if is_tuple else arrays[0]
-
-
-def _time_partial(lagrangian: Lagrangian, weight, t, y, v) -> np.ndarray:
-    """dL/dt evaluated only where ``weight`` != 0, else 0; errors name the cell among all cells."""
-    moving = np.flatnonzero(weight)
-    l_t = np.zeros(len(t))
-    try:
-        if moving.size:
-            l_t[moving] = lagrangian.value_and_partials(t[moving], y[moving], v[moving], ("t",))[1]
-    except ex.EvalError as exc:
-        raise ex.EvalError(exc.message, exc.column, int(moving[exc.cell])) from None
-    return l_t
-
-
-def _finite_cells(times, values):
-    """values (cell axis first), unless a cell holds an inf or nan: then an EvalError at the first."""
-    if not np.isfinite(values).all():
-        _over_cells(times, lambda _, cells: cells, values)
-    return values
-
-
-def _integral(times, mu, values):
-    """cell_sum(mu, values), located: ``cell i`` is the first cell whose partial sum is inf or nan.
-
-    The partial sums before a non-finite term are finite, so that cell is the
-    first whose term mu_i * values_i is not finite, or else where the sum overflows.
-    """
-    with np.errstate(all="ignore"):
-        sums = cell_sums(mu, values)
-    _finite_cells(times, sums[1:])
-    return sums[-1]
-
-
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
     t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
-    return _integral(t, mu, _over_cells(t, p.lagrangian.value, y, v))
+    return integral(t, mu, over_cells(t, p.lagrangian.value, y, v))
 
 
 def _cell_terms(p: Problem, vals: np.ndarray):
     """t and mu, and L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
     t, mu, _, y, v = grid_cells(p.grid, vals)
     terms = partial(p.lagrangian.value_and_partials, kinds=("qs", "qd"))
-    return t, mu, *_over_cells(t, terms, y, v)
+    return t, mu, *over_cells(t, terms, y, v)
 
 
 def el_residual(p: Problem, q: GridFunction) -> GridFunction:
@@ -259,7 +180,7 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
     t, mu, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
     with np.errstate(all="ignore"):
         resid = (d3[1:] - d3[:-1]) / mu[:-1, None] - d2[:-1]
-    return GridFunction(kappa(kappa(p.grid)), _finite_cells(t[:-1], resid))
+    return GridFunction(kappa(kappa(p.grid)), finite_cells(t[:-1], resid))
 
 
 def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
@@ -279,7 +200,7 @@ def _action_and_gradient(p: Problem, vals: np.ndarray):
     t, mu, lval, d2, d3 = _cell_terms(p, vals)
     with np.errstate(all="ignore"):
         gradient = mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
-    return _integral(t, mu, lval), _finite_cells(t[:-1], gradient)
+    return integral(t, mu, lval), finite_cells(t[:-1], gradient)
 
 
 @dataclass(frozen=True)
@@ -305,19 +226,12 @@ def _cell_hessian(p: Problem, t, mu, y, v):
     second = {(i, j): ex.derivative(ex.derivative(tree, a), b)
               for i, a in enumerate(names) for j, b in enumerate(names) if i <= j}
     second = {ij: d for ij, d in second.items() if d != ex.Num(0.0)}
-    _, *values = ex.evaluate([tree, *second.values()], p.lagrangian._env(t, y, v))
-    entry = dict(zip(second, values))
-    cells = np.shape(mu)
-
-    def block(row, col):  # d2L / d names[row + a] d names[col + b], cells first
-        h = np.zeros(cells + (n, n))
-        for a, b in np.ndindex(n, n):
-            h[..., a, b] = entry.get(tuple(sorted((row + a, col + b))), 0.0)
-        return h
-
-    mu = np.reshape(mu, cells + (1, 1))
-    h_yy, h_yv, h_vv = block(0, 0), block(0, n), block(n, n)
-    h_vy = np.swapaxes(h_yv, -1, -2)
+    values = p.lagrangian._sample([tree, *second.values()], t, y, v)
+    h = np.zeros(np.shape(mu) + (2 * n, 2 * n))  # d2L / d names[i] d names[j], cells first
+    for k, (i, j) in enumerate(second, start=1):
+        h[..., i, j] = h[..., j, i] = values[..., k]
+    mu = np.reshape(mu, np.shape(mu) + (1, 1))
+    h_yy, h_yv, h_vy, h_vv = h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:]
     left = h_vv / mu
     return left, -(h_vy + left), mu * h_yy + (h_yv + h_vy) + left
 
@@ -325,7 +239,7 @@ def _cell_hessian(p: Problem, t, mu, y, v):
 def _interior_hessian(p: Problem, vals: np.ndarray):
     """Block tridiagonal Hessian of the action over interior points: diagonal and upper blocks."""
     t, mu, _, y, v = grid_cells(p.grid, vals)
-    left, cross, right = _over_cells(t, partial(_cell_hessian, p), mu, y, v)
+    left, cross, right = over_cells(t, partial(_cell_hessian, p), mu, y, v)
     return right[:-1] + left[1:], cross[1:-1]
 
 

@@ -93,6 +93,17 @@ def test_delta_integral_bounds_checked():
         tv.delta_integral(f, 0.5, 3)
 
 
+def test_overflowing_delta_integral_is_located_without_a_warning():
+    # mu * f = 10 * 1e308 overflows; the cell index counts from the start of the grid
+    g = tv.explicit([0.0, 10.0, 20.0])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.delta_integral(tv.GridFunction(g, [1e308, 1e308, 1.0]), 0.0, 20.0)
+    f = tv.GridFunction(g, [1.0, 1e308, 1e308])
+    with pytest.raises(tv.EvalError, match=r"^cell 1 at t=10\.0: non-finite value inf"):
+        tv.delta_integral(f, 10.0, 20.0)
+    assert tv.delta_integral(f, 0.0, 10.0) == 10.0  # the cell outside the window is not summed
+
+
 def test_delta_integral_additivity():
     rng = np.random.default_rng(13)
     for _ in range(30):
@@ -192,6 +203,14 @@ def test_pushforward_image_jump_commutes_with_map():
         jumped_then_mapped = alpha.values[g.index_of(tv.sigma(g, t))]
         mapped_then_jumped = tv.sigma(res.image_grid, alpha.values[i])
         assert mapped_then_jumped == jumped_then_mapped
+
+
+def test_overflowing_pushforward_is_located_without_a_warning():
+    # f * alpha^Delta = 1e10 * 1e299 overflows on the first cell
+    g = tv.explicit([0.0, 10.0, 20.0])
+    alpha = tv.GridFunction(g, [0.0, 1e300, 2e300])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.pushforward(alpha, tv.GridFunction(g, [1e10, 1e10, 1e10]))
 
 
 def test_pushforward_rejects_decreasing_alpha():

@@ -127,20 +127,27 @@ def test_fractional_power_requires_positive_base():
 
 def test_one_tree_is_evaluated_without_keeping_its_interior_values():
     # 80 distinct interior nodes over 20000 cells: only the operands in use
-    # stay alive, so the peak is a few arrays, not one array per node
+    # stay alive, so the peak is a few arrays, not one array per node; a
+    # Lagrangian's value (the action's pass, and each eps's) takes the same path
     text = "q1"
     for k in range(40):
         text = f"sin({text} + {k})"
     e = tv.parse(text, 1)
-    env = {"q1": np.linspace(0.0, 1.0, 20000)}
-    tracemalloc.start()
-    try:
-        value = tv.evaluate(e, env)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * value.nbytes
-    assert np.array_equal(tv.evaluate([e, e], env)[1], value)
+    x = np.linspace(0.0, 1.0, 20000)
+    env = {"q1": x}
+    lagrangian = tv.Lagrangian.from_text(text.replace("q1", "qs1"), 1)
+    values = []
+    for evaluate in (lambda: tv.evaluate(e, env), lambda: lagrangian.value(x, x[:, None], x[:, None])):
+        tracemalloc.start()
+        try:
+            value = evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * value.nbytes
+        values.append(value)
+    assert np.array_equal(values[1], values[0])
+    assert np.array_equal(tv.evaluate([e, e], env)[1], values[0])
 
 
 def test_diff_eval_examples():

@@ -122,6 +122,12 @@ def test_sampled_no_micro_cell_on_divisible_span():
     g = tv.sampled(0, 1, 0.1)
     assert len(g.points) == 11
     assert min(np.diff(g.array)) > 0.09
+    # a step 1e-10 * h short of b is dropped; one 2e-9 * h short of b is kept,
+    # so that grid ends in a cell of 2e-10
+    assert len(tv.sampled(0, 1 + 1e-11, 0.1)) == 11
+    g = tv.sampled(0, 1 + 2e-10, 0.1)
+    assert len(g) == 12
+    assert g.array[-2] == 1.0 and g.array[-1] - g.array[-2] == pytest.approx(2e-10, rel=1e-6)
 
 
 def test_integers_equals_unit_uniform():
