@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .timescale import TimeScaleGrid, graininess, kappa
+from .timescale import TimeScaleGrid, kappa
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,19 @@ def _on_cell_axis(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
     return mu.reshape(mu.shape + (1,) * (np.ndim(values) - 1))
 
 
-def grid_cells(grid: TimeScaleGrid, values):
-    """Per cell k of the grid: (t_k, mu_k, q_k, q_{k+1}, q^Delta_k), cell axis first.
+def grid_cells(times: np.ndarray, values):
+    """Per cell k of the points ``times``: (t_k, mu_k, q_k, q_{k+1}, q^Delta_k), cell axis first.
 
-    ``values`` holds q at the grid's points, shape (N,) or (N, n).
+    ``values`` holds q at the points, shape (N,) or (N, n).  The package forms
+    every graininess and forward difference quotient here; a quotient that
+    overflows is left inf or nan, unwarned, for the located pass to name.
     """
     values = np.asarray(values)
-    mu = graininess(grid)
+    mu = np.diff(times)
     left, right = values[:-1], values[1:]
-    return grid.array[:-1], mu, left, right, (right - left) / _on_cell_axis(mu, values)
+    with np.errstate(all="ignore"):
+        delta = (right - left) / _on_cell_axis(mu, values)
+    return times[:-1], mu, left, right, delta
 
 
 def sample(trees, env: dict, cells: tuple) -> np.ndarray:
@@ -129,7 +133,8 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     """Forward-difference derivative, defined on the kappa truncation."""
     if len(f.grid) < 2:
         raise ValueError("delta derivative needs a grid with at least 2 points")
-    return GridFunction(kappa(f.grid), grid_cells(f.grid, f.values)[4])
+    t, _, _, _, delta = grid_cells(f.grid.array, f.values)
+    return GridFunction(kappa(f.grid), finite_cells(t, delta))
 
 
 def compose_sigma(f: GridFunction) -> GridFunction:
@@ -149,9 +154,9 @@ def delta_integral(f: GridFunction, r: float, s: float) -> float:
     is_ = f.grid.index_of(s)
     if ir > is_:
         raise ValueError(f"integration bounds out of order: r={r!r} > s={s!r}")
-    mu = np.zeros(len(f.grid) - 1)  # cells outside [r, s) weigh 0: a failure names its grid cell
-    mu[ir:is_] = graininess(f.grid)[ir:is_]
-    total = integral(f.grid.array[:-1], mu, f.values[:-1])
+    t, mu, left = grid_cells(f.grid.array, f.values)[:3]
+    mu[:ir] = mu[is_:] = 0.0  # cells outside [r, s) weigh 0: a failure names its grid cell
+    total = integral(t, mu, left)
     return total if f.values.ndim == 2 else float(total)
 
 
@@ -188,9 +193,9 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     image = TimeScaleGrid(avals, intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 
-    t, mu, _, _, alpha_delta = grid_cells(alpha.grid, avals)
+    t, mu, _, _, alpha_delta = grid_cells(alpha.grid.array, avals)
     with np.errstate(all="ignore"):  # an overflow is located by the integral
         integrand = f.values[:-1] * alpha_delta
     lhs = float(integral(t, mu, integrand))
-    rhs = float(integral(avals[:-1], graininess(image), f.values[:-1]))
+    rhs = float(integral(*grid_cells(avals, f.values)[:3]))
     return PushforwardResult(image, transported, lhs, rhs)

@@ -124,16 +124,20 @@ def _read_guess_csv(path: Path, problem):
         raise ProblemFileError(
             f"guess file has {len(rows)} rows, grid has {len(problem.grid)} points"
         )
+    table = np.empty((len(rows), len(cols)))
     for k, row in enumerate(rows):
         if len(row) <= max(cols):
-            raise ProblemFileError(
-                f"guess file row {k + 1} has {len(row)} of {len(header)} fields"
-            )
-    times = np.array([float(row[cols[0]]) for row in rows])
-    if not np.array_equal(times, problem.grid.array):
+            raise ProblemFileError(f"guess file row {k + 1} has {len(row)} of {len(header)} fields")
+        for j, (c, name) in enumerate(zip(cols, wanted)):
+            try:
+                table[k, j] = float(row[c])
+            except ValueError:
+                raise ProblemFileError(
+                    f"guess file row {k + 1}, column {name}: cannot parse {row[c]!r}"
+                ) from None
+    if not np.array_equal(table[:, 0], problem.grid.array):
         raise ProblemFileError("guess file times do not match the problem grid")
-    vals = np.array([[float(row[c]) for c in cols[1:]] for row in rows])
-    return GridFunction(problem.grid, vals)
+    return GridFunction(problem.grid, table[:, 1:])
 
 
 def cmd_solve(args) -> int:
@@ -147,7 +151,7 @@ def cmd_solve(args) -> int:
     n = problem.dim
     vals = result.trajectory.values
     header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
-    rows = _format_rows(np.column_stack([grid.array, vals]), grid_cells(grid, vals)[4])
+    rows = _format_rows(np.column_stack([grid.array, vals]), grid_cells(grid.array, vals)[4])
     out = Path(args.out) if args.out else _default_out(Path(args.file), "solution")
     _write_csv(out, header, rows)
     if not args.quiet:
@@ -233,8 +237,6 @@ def cmd_sweep(args) -> int:
         actions.append(result.action_value)
 
     header = ["h", "action", "max_residual", "order"]
-    numbers = b"".join(_format_rows(np.column_stack([h_list, actions, residuals])))
-    numbers = numbers.decode().splitlines()
     rows = []
     for k, h in enumerate(h_list):
         order = ""
@@ -244,7 +246,7 @@ def cmd_sweep(args) -> int:
                 order = "exact"
             elif prev_r > _EXACT_ORDER_FLOOR and cur_r > _EXACT_ORDER_FLOOR:
                 order = _fmt(math.log(prev_r / cur_r) / math.log(h_list[k - 1] / h))
-        rows.append(f"{numbers[k]},{order}\n".encode())
+        rows.append(f"{_fmt(h)},{_fmt(actions[k])},{_fmt(residuals[k])},{order}\n".encode())
     out = Path(args.out) if args.out else _default_out(Path(args.file), "sweep")
     _write_csv(out, header, rows)
     return EXIT_OK

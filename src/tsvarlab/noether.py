@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
-from .timescale import TimeScaleGrid, kappa
+from .timescale import kappa
 from .variational import Problem, _traj_values
 
 
@@ -173,9 +173,9 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
     L_y . dq^sigma + L_v . dq^Delta for state slopes dq (N, n), plus L_t dt + (L - L_v . v)
     dt^Delta for time slopes dt (N,): the eps-derivative of the cell term over mu.
     """
-    t, _, _, y, v = grid_cells(p.grid, vals)
-    _, _, _, dq_sigma, dq_delta = grid_cells(p.grid, dq)
-    time_slopes = [] if dt is None else grid_cells(p.grid, dt)[2::2]
+    t, _, _, y, v = grid_cells(p.grid.array, vals)
+    _, _, _, dq_sigma, dq_delta = grid_cells(p.grid.array, dq)
+    time_slopes = [] if dt is None else grid_cells(p.grid.array, dt)[2::2]
 
     def condition(t_i, y, v, dq_sigma, dq_delta, *dt_i):
         lval, d2, d3 = p.lagrangian.value_and_partials(t_i, y, v, ("qs", "qd"))
@@ -236,7 +236,7 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     slopes = _family_slopes(gen, t, vals)
     dt = slopes[:, 0] if mode == "time-transform" else None
     lval, condition = _first_variation(p, vals, slopes[:, 1:], dt)
-    cell_t, mu = grid_cells(p.grid, vals)[:2]
+    cell_t, mu = grid_cells(t, vals)[:2]
     maps = gen._maps if dt is not None else gen._maps[1:]
 
     def cells(eps: float) -> np.ndarray:
@@ -246,8 +246,7 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
             raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
-        grid = p.grid if dt is None else TimeScaleGrid(mapped[:, 0], intent=p.grid.intent)
-        t_e, mu_e, _, y, v = grid_cells(grid, mapped[:, -p.dim :])
+        t_e, mu_e, _, y, v = grid_cells(t if dt is None else mapped[:, 0], mapped[:, -p.dim :])
         if dt is None:
             return over_cells(t_e, p.lagrangian.value, y, v)
         return over_cells(t_e, lambda t_i, mu_i, y_i, v_i: mu_i * p.lagrangian.value(t_i, y_i, v_i),
@@ -295,12 +294,9 @@ class ConservationReport:
 
 
 def _profile(times: np.ndarray, values: np.ndarray) -> ResidualProfile:
-    resid = (values[1:] - values[:-1]) / (times[1:] - times[:-1])
-    return ResidualProfile(
-        times=times[:-1].copy(),
-        residuals=resid,
-        max_abs=float(np.max(np.abs(resid), initial=0.0)),
-    )
+    """delta C / delta t, unless a quotient is inf or nan: then an EvalError at its cell."""
+    resid = finite_cells(times[:-1], grid_cells(times, values)[4])
+    return ResidualProfile(times[:-1].copy(), resid, float(np.max(np.abs(resid), initial=0.0)))
 
 
 def conservation_residual(report: ConservationReport) -> ResidualProfile:
@@ -312,17 +308,6 @@ def conservation_residual(report: ConservationReport) -> ResidualProfile:
     if len(report.values) < 2:
         raise ValueError("conservation residual needs at least 2 C samples")
     return _profile(report.times, report.values)
-
-
-def _report_from_samples(times: np.ndarray, values: np.ndarray) -> ConservationReport:
-    prof = _profile(times, values)
-    return ConservationReport(
-        times=times,
-        values=values,
-        residual_times=prof.times,
-        residuals=prof.residuals,
-        max_abs_residual=prof.max_abs,
-    )
 
 
 def noether_quantity_fixed_time(
@@ -346,7 +331,7 @@ def noether_quantity(
     """
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
-    t, mu, q_left, y, v = grid_cells(p.grid, _traj_values(p, q))
+    t, mu, q_left, y, v = grid_cells(p.grid.array, _traj_values(p, q))
     xi_tau = over_cells(t, partial(gen._sample, (*gen.xi, gen.tau)), q_left, what="point")
     mu_term = mu if mu_mode == "grid" else np.zeros_like(mu)
 
@@ -359,7 +344,8 @@ def noether_quantity(
         return c
 
     c = over_cells(t, quantity, mu_term, y, v, xi_tau[:, :-1], xi_tau[:, -1])
-    return _report_from_samples(t.copy(), c)
+    prof = _profile(t, c)
+    return ConservationReport(t.copy(), c, prof.times, prof.residuals, prof.max_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +377,7 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     """
     if r == 0.0:
         raise ValueError("time-rate r must be nonzero")
-    t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
+    t, mu, _, y, v = grid_cells(p.grid.array, _traj_values(p, q))
     rate = ex.Var("r")
     velocities = [f"qd{k + 1}" for k in range(p.dim)]
     slots = {"t": ex.BinOp("-", ex.Var("t"), ex.BinOp("*", ex.Var("mu"), rate))}

@@ -157,13 +157,13 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
 
 def action(p: Problem, q: GridFunction) -> float:
     """Delta integral of the composed integrand over the whole window."""
-    t, mu, _, y, v = grid_cells(p.grid, _traj_values(p, q))
+    t, mu, _, y, v = grid_cells(p.grid.array, _traj_values(p, q))
     return integral(t, mu, over_cells(t, p.lagrangian.value, y, v))
 
 
 def _cell_terms(p: Problem, vals: np.ndarray):
     """t and mu, and L, d2 and d3 of L at every cell (left endpoints of the grid), in one pass."""
-    t, mu, _, y, v = grid_cells(p.grid, vals)
+    t, mu, _, y, v = grid_cells(p.grid.array, vals)
     terms = partial(p.lagrangian.value_and_partials, kinds=("qs", "qd"))
     return t, mu, *over_cells(t, terms, y, v)
 
@@ -177,10 +177,11 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
     """
     if len(p.grid) < 3:
         raise ValueError("Euler-Lagrange residual needs a grid with at least 3 points")
-    t, mu, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
+    t, _, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
+    t, _, _, _, d3_delta = grid_cells(t, d3)
     with np.errstate(all="ignore"):
-        resid = (d3[1:] - d3[:-1]) / mu[:-1, None] - d2[:-1]
-    return GridFunction(kappa(kappa(p.grid)), finite_cells(t[:-1], resid))
+        resid = d3_delta - d2[:-1]
+    return GridFunction(kappa(kappa(p.grid)), finite_cells(t, resid))
 
 
 def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
@@ -238,7 +239,7 @@ def _cell_hessian(p: Problem, t, mu, y, v):
 
 def _interior_hessian(p: Problem, vals: np.ndarray):
     """Block tridiagonal Hessian of the action over interior points: diagonal and upper blocks."""
-    t, mu, _, y, v = grid_cells(p.grid, vals)
+    t, mu, _, y, v = grid_cells(p.grid.array, vals)
     left, cross, right = over_cells(t, partial(_cell_hessian, p), mu, y, v)
     return right[:-1] + left[1:], cross[1:-1]
 

@@ -104,6 +104,13 @@ def test_overflowing_delta_integral_is_located_without_a_warning():
     assert tv.delta_integral(f, 0.0, 10.0) == 10.0  # the cell outside the window is not summed
 
 
+def test_overflowing_delta_derivative_is_located_without_a_warning():
+    # (-1e308 - 1e308) / 1 overflows on cell 1
+    f = tv.GridFunction(tv.integers(0, 2), [0.0, 1e308, -1e308])
+    with pytest.raises(tv.EvalError, match=r"^cell 1 at t=1\.0: non-finite value -inf"):
+        tv.delta_derivative(f)
+
+
 def test_delta_integral_additivity():
     rng = np.random.default_rng(13)
     for _ in range(30):

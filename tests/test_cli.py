@@ -66,11 +66,13 @@ def test_solve_rejects_mismatched_guess(tmp_path):
 
 def test_solve_rejects_short_guess_row(tmp_path, capsys):
     guess = tmp_path / "guess.csv"
-    guess.write_text("t,q_1\n0,0\n1\n2,2\n3,3\n4,4\n")
     out = tmp_path / "fp.csv"
-    assert run(["solve", FREE, "--out", str(out), "--guess", str(guess)]) == 3
-    assert "row 2" in capsys.readouterr().err
-    assert not out.exists()
+    for row, message in [("1", "row 2"),
+                         ("1,zz", "error: guess file row 2, column q_1: cannot parse 'zz'\n")]:
+        guess.write_text(f"t,q_1\n0,0\n{row}\n2,2\n3,3\n4,4\n")
+        assert run(["solve", FREE, "--out", str(out), "--guess", str(guess)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_invalid_file_exits_3(tmp_path):

@@ -148,10 +148,17 @@ def test_report_action_is_the_action_bit_for_bit():
 
 
 def test_time_transform_builds_one_image_grid_per_eps(monkeypatch):
-    # the eps-derivative comes from derivative trees, not from image grids at +-step
-    built, grid = [], tv.TimeScaleGrid
-    monkeypatch.setattr(noether, "TimeScaleGrid", lambda *a, **k: built.append(a) or grid(*a, **k))
+    # the eps-derivative comes from derivative trees, not from image grids at +-step;
+    # an image grid's cells are the ones formed over times other than the problem grid's
     p = tv.make_problem(tv.power2(0, 6), PAPERLIKE_L, 1, [1.0], [13.0])
+    built, cells = [], noether.grid_cells
+
+    def counting(times, values):
+        if not np.array_equal(times, p.grid.array):
+            built.append(times)
+        return cells(times, values)
+
+    monkeypatch.setattr(noether, "grid_cells", counting)
     q = tv.linear_guess(p)
     rep = tv.check_invariance_time_transform(p, q, dilation_generator(), [-0.1, 0.2, 0.5])
     assert len(built) == len(rep.eps_values) == 3
@@ -323,6 +330,12 @@ def test_overflowing_report_terms_are_located_without_a_warning():
     p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + (1e10 - 1e10*t)^40", 1, [0.0], [1.0])
     with pytest.raises(tv.EvalError, match=r"^cell 2 at t=2\.0: non-finite value nan"):
         tv.noether_quantity(p, tv.linear_guess(p), tv.make_generator(1, tau="t", xi=["1"]))
+    # C = L_v = 1e308 * qs1 is finite, and its forward difference -1e308 - 1e308 is not
+    g = tv.integers(0, 3)
+    p = tv.make_problem(g, "1e308*qd1*qs1", 1, [0.0], [0.0])
+    q = tv.GridFunction(g, [[0.0], [1.0], [-1.0], [0.0]])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value -inf"):
+        tv.noether_quantity_fixed_time(p, q, tv.make_generator(1, xi=["1"]))
 
 
 @pytest.mark.parametrize("eps_list", [[0.1], [-0.1, 0.2, 0.5]])

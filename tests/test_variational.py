@@ -201,6 +201,11 @@ def test_overflowing_action_is_located_not_returned():
         tv.action(p, tv.linear_guess(p))
     with pytest.raises(tv.EvalError, match="non-finite value"):
         tv.solve_el(p)
+    # q2 - q1 = -2e308 overflows on cell 1; the difference quotient may not warn first
+    g = tv.integers(0, 2)
+    p = tv.make_problem(g, "qs1^2", 1, [0.0], [-1e308])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.action(p, tv.GridFunction(g, [[0.0], [1e308], [-1e308]]))
 
 
 def test_overflowing_cell_terms_are_located():
