@@ -68,11 +68,8 @@ def grid_cells(times: np.ndarray, values):
 
 
 def sample(trees, env: dict, cells: tuple) -> np.ndarray:
-    """The trees over ``env`` in one evaluation: a float array, cells + (len(trees),).
-
-    Equal subtrees of several trees are computed once; a lone tree keeps only the operands in use.
-    """
-    values = ex.evaluate(trees, env) if len(trees) > 1 else [ex.evaluate(trees[0], env)]
+    """The trees over ``env`` in one ``ex.evaluate`` call: a float array, cells + (len(trees),)."""
+    values = ex.evaluate(trees, env)
     return np.stack([np.broadcast_to(x, cells) for x in values], axis=-1, dtype=float)
 
 

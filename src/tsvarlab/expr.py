@@ -4,8 +4,7 @@ Concrete grammar (EBNF), whitespace insignificant::
 
     expr    = term { ("+" | "-") term } ;
     term    = factor { ("*" | "/") factor } ;
-    factor  = "-" factor | power ;
-    power   = atom [ "^" factor ] ;          (* right-associative *)
+    factor  = "-" factor | atom [ "^" factor ] ;   (* right-associative *)
     atom    = number | variable | function "(" expr ")" | "(" expr ")" ;
 
     function = "sin" | "cos" | "exp" | "ln" | "sqrt" | "abs" ;
@@ -114,130 +113,97 @@ Expression = Num | Var | Neg | BinOp | Call
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 _VAR_RE = re.compile(r"^(qs|qd|q)(\d+)$")
 
+_LEVELS = ("+-", "*/")  # binary operators, loosest first; each level is left-associative
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) of every token, then ("end", "", len(text) + 1)."""
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", col)
-        col = m.start(m.lastgroup) + 1
-        tokens.append((m.lastgroup, m.group(m.lastgroup), col))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind) + 1)
+        tokens.append((kind, m[kind], m.start(kind) + 1))
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, dim: int, allow: tuple[str, ...]):
-        self.tokens = _tokenize(text)
-        self.k = 0
-        self.dim = dim
-        self.allow = allow
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, col = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", col)
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, value, col = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", col)
-        return e
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, value, col = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                node = BinOp(value, node, self.term(), pos=col)
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, value, col = self.peek()
-            if kind == "op" and value in "*/":
-                self.next()
-                node = BinOp(value, node, self.factor(), pos=col)
-            else:
-                return node
-
-    def factor(self) -> Expression:
-        kind, value, col = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            return Neg(self.factor(), pos=col)
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        kind, value, col = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            return BinOp("^", base, self.factor(), pos=col)
-        return base
-
-    def atom(self) -> Expression:
-        kind, value, col = self.next()
-        if kind == "num":
-            return Num(float(value), pos=col)
-        if kind == "name":
-            if value in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg, pos=col)
-            return self.variable(value, col)
-        if kind == "op" and value == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(f"expected a number, variable, function or '(', got {value!r}", col)
-
-    def variable(self, name: str, col: int) -> Var:
-        if name in ("t", "eps"):
-            if name not in self.allow:
-                raise ParseError(f"variable {name!r} is not allowed in this context", col)
-            return Var(name, pos=col)
-        m = _VAR_RE.match(name)
-        if m is None:
-            raise ParseError(f"unknown identifier {name!r}", col)
-        kind, index = m.group(1), int(m.group(2))
-        if kind not in self.allow:
-            raise ParseError(f"variable {name!r} is not allowed in this context", col)
-        if index < 1 or index > self.dim:
-            raise ParseError(f"variable index {index} out of range 1..{self.dim} in {name!r}", col)
-        return Var(name, pos=col)
-
-
 def parse(text: str, dim: int, allow: tuple[str, ...] = VARIABLE_KINDS) -> Expression:
     """Parse a formula over the declared dimension; raises ParseError with a column."""
-    if not text or not text.strip():
+    if not text.strip():
         raise ParseError("empty expression", 1)
-    return _Parser(text, dim, allow).parse()
+    tokens = _tokenize(text)
+    k = 0
+
+    def take(ops=None):
+        """The next token, consumed if it is an operator in ``ops`` (any token when ops is None).
+
+        Otherwise None, except that a parenthesis asked for must come next.
+        """
+        nonlocal k
+        kind, value, col = token = tokens[k]
+        if ops is None or kind == "op" and value in ops:
+            k += 1
+            return token
+        if ops in ("(", ")"):
+            raise ParseError(f"expected {ops!r}", col)
+        return None
+
+    def binary(level=0):
+        """A left-associative chain of the operators _LEVELS[level] over the next level's."""
+        if level == len(_LEVELS):
+            return factor()
+        node = binary(level + 1)
+        while token := take(_LEVELS[level]):
+            node = BinOp(token[1], node, binary(level + 1), pos=token[2])
+        return node
+
+    def factor():
+        if token := take("-"):
+            return Neg(factor(), pos=token[2])
+        base = atom()
+        if token := take("^"):  # the exponent is a factor: right-associative, and t^-2 parses
+            return BinOp("^", base, factor(), pos=token[2])
+        return base
+
+    def atom():
+        kind, value, col = take()
+        if kind == "num":
+            return Num(float(value), pos=col)
+        if kind == "name" and value in FUNCTIONS:
+            take("(")
+            arg = binary()
+            take(")")
+            return Call(value, arg, pos=col)
+        if kind == "name":
+            return variable(value, col)
+        if (kind, value) == ("op", "("):
+            inner = binary()
+            take(")")
+            return inner
+        raise ParseError(f"expected a number, variable, function or '(', got {value!r}", col)
+
+    def variable(name: str, col: int) -> Var:
+        m = _VAR_RE.match(name)
+        if m is None and name not in ("t", "eps"):
+            raise ParseError(f"unknown identifier {name!r}", col)
+        if (m[1] if m else name) not in allow:
+            raise ParseError(f"variable {name!r} is not allowed in this context", col)
+        if m and not 1 <= int(m[2]) <= dim:
+            raise ParseError(f"variable index {int(m[2])} out of range 1..{dim} in {name!r}", col)
+        return Var(name, pos=col)
+
+    tree = binary()
+    kind, value, col = take()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {value!r}", col)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +325,17 @@ def _eval(node: Expression, env: dict, memo: dict | None):
     return value
 
 
-def _evaluate(trees, env: dict, memo: dict | None) -> list:
-    with np.errstate(all="ignore"):  # callers check and locate inf and nan
-        return [_eval(e, env, memo) for e in trees]
-
-
 def evaluate(e, env: dict):
     """IEEE-double value of a tree, or list of values of a list or tuple of trees.
 
-    A list evaluates equal subtrees once and keeps their values until the call ends.
+    Several trees evaluate their equal subtrees once and keep those values until
+    the call ends; a lone tree keeps only the operands in use.
     """
-    many = isinstance(e, (list, tuple))
-    return _evaluate(e, env, {}) if many else _evaluate((e,), env, None)[0]
+    trees = e if isinstance(e, (list, tuple)) else (e,)
+    memo = {} if len(trees) > 1 else None
+    with np.errstate(all="ignore"):  # callers check and locate inf and nan
+        values = [_eval(tree, env, memo) for tree in trees]
+    return values if trees is e else values[0]
 
 
 def diff_eval(e: Expression, env: dict, seed: dict):
@@ -379,7 +344,7 @@ def diff_eval(e: Expression, env: dict, seed: dict):
     Variables missing from ``seed`` carry tangent 0; array seeds give several directions.
     """
     terms = [(seed[name], d) for name in seed if (d := derivative(e, name)) != _ZERO]
-    value, *partials = _evaluate([e, *(d for _, d in terms)], env, {})
+    value, *partials = evaluate([e, *(d for _, d in terms)], env)
     with np.errstate(all="ignore"):
         return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
 

@@ -59,18 +59,22 @@ class ProblemFile:
     path: str = "<memory>"
 
 
-def _strip_comment(line: str) -> str:
-    if '"' not in line:
-        return line.partition("#")[0]
-    out = []
-    quoted = False
-    for ch in line:
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """text split at every ``sep`` outside double quotes."""
+    if '"' not in text:
+        return text.split(sep)
+    parts, start, quoted = [], 0, False
+    for i, ch in enumerate(text):
         if ch == '"':
             quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
+        elif ch == sep and not quoted:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
+
+
+def _strip_comment(line: str) -> str:
+    return _split_unquoted(line, "#")[0]
 
 
 def _parse_scalar(text: str, where: str):
@@ -98,19 +102,7 @@ def _parse_value(text: str, where: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        if '"' not in inner:
-            return [_parse_scalar(item, where) for item in inner.split(",")]
-        items = []
-        depth_quote = False
-        start = 0
-        for idx, ch in enumerate(inner):
-            if ch == '"':
-                depth_quote = not depth_quote
-            elif ch == "," and not depth_quote:
-                items.append(inner[start:idx])
-                start = idx + 1
-        items.append(inner[start:])
-        return [_parse_scalar(item, where) for item in items]
+        return [_parse_scalar(item, where) for item in _split_unquoted(inner, ",")]
     return _parse_scalar(text, where)
 
 

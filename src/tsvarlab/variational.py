@@ -150,7 +150,7 @@ def _traj_values(p: Problem, q: GridFunction) -> np.ndarray:
     vals = q.values
     if vals.ndim == 1:
         vals = vals[:, None]
-    if vals.shape != (len(p.grid), p.dim):
+    if vals.shape != (len(p.grid), p.dim) or not np.array_equal(q.grid.array, p.grid.array):
         raise ValueError("trajectory does not match the problem grid/dimension")
     return vals
 

@@ -92,6 +92,20 @@ def test_dimension_mismatch_exits_3(tmp_path):
     assert run(["solve", str(bad)]) == 3
 
 
+def test_too_deep_formula_exits_3(tmp_path, capsys):
+    deep = tmp_path / "deep.problem"
+    # a 1500-term sum parses, but its tree is walked once per level; 200 parentheses do not parse
+    for lagrangian in (" + ".join(["qd1^2"] * 1500), "(" * 200 + "qd1^2" + ")" * 200):
+        deep.write_text(
+            "[timescale]\nkind = integers\na = 0\nb = 4\n"
+            f'[problem]\ndim = 1\nlagrangian = "{lagrangian}"\nqa = [0]\nqb = [4]\n'
+        )
+        out = tmp_path / "deep.csv"
+        assert run(["solve", str(deep), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: formula nests too deeply to evaluate\n"
+        assert not out.exists()
+
+
 def test_check_el_clean_on_solved_extremal(tmp_path, capsys):
     out = tmp_path / "el.csv"
     assert run(["check", FREE, "el", "--out", str(out)]) == 0

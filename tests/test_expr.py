@@ -79,6 +79,55 @@ def test_empty_expression_rejected():
         tv.parse("   ", 1)
 
 
+@pytest.mark.parametrize(
+    "text, dim, allow, message, column",
+    [
+        ("", 1, None, "empty expression", 1),
+        (" \t ", 1, None, "empty expression", 1),
+        ("t +  $", 1, None, "unexpected character '$'", 6),
+        ("qé1", 1, None, "unexpected character 'é'", 2),
+        ("t t $", 1, None, "unexpected character '$'", 5),  # a bad character outranks syntax
+        ("sin(t", 1, None, "expected ')'", 6),
+        ("(t + 1", 1, None, "expected ')'", 7),
+        ("sin t", 1, None, "expected '('", 5),
+        ("t t", 1, None, "unexpected trailing input 't'", 3),
+        ("t + 1)", 1, None, "unexpected trailing input ')'", 6),
+        ("t + * 2", 1, None, "expected a number, variable, function or '(', got '*'", 5),
+        ("t +", 1, None, "expected a number, variable, function or '(', got ''", 4),
+        ("t + foo", 1, None, "unknown identifier 'foo'", 5),
+        ("t * eps", 1, ("t", "q"), "variable 'eps' is not allowed in this context", 5),
+        ("t * eps", 1, ("q", "qd"), "variable 't' is not allowed in this context", 1),
+        ("q1 + qs1", 1, ("t", "q"), "variable 'qs1' is not allowed in this context", 6),
+        ("q1 + qd1", 1, ("qs", "qd"), "variable 'q1' is not allowed in this context", 1),
+        ("q0", 1, None, "variable index 0 out of range 1..1 in 'q0'", 1),
+        ("1 + qs3", 2, None, "variable index 3 out of range 1..2 in 'qs3'", 5),
+    ],
+)
+def test_parse_error_message_and_column(text, dim, allow, message, column):
+    with pytest.raises(ParseError) as err:
+        tv.parse(text, dim) if allow is None else tv.parse(text, dim, allow=allow)
+    assert (err.value.message, err.value.column) == (message, column)
+    assert str(err.value) == f"{message} (column {column})"
+
+
+def _preorder_positions(e):
+    """(operator, function, name, value or "neg", column) of every node, root first."""
+    if isinstance(e, BinOp):
+        return [(e.op, e.pos), *_preorder_positions(e.left), *_preorder_positions(e.right)]
+    if isinstance(e, (Neg, Call)):
+        return [("neg" if isinstance(e, Neg) else e.fn, e.pos), *_preorder_positions(e.arg)]
+    return [(e.name if isinstance(e, Var) else e.value, e.pos)]
+
+
+def test_every_node_carries_its_column():
+    e = tv.parse("-t^2 + sin(qs1) * (qd1 - 2.5e0) / -eps", 1)
+    assert _preorder_positions(e) == [
+        ("+", 6), ("neg", 1), ("^", 3), ("t", 2), (2.0, 4),
+        ("/", 33), ("*", 17), ("sin", 8), ("qs1", 12),
+        ("-", 24), ("qd1", 20), (2.5, 26), ("neg", 35), ("eps", 36),
+    ]
+
+
 def test_eval_examples():
     assert tv.evaluate(tv.parse("t * qd1", 1), {"t": 3.0, "qd1": 2.0}) == 6.0
     assert tv.evaluate(tv.parse("exp(0)", 1), {}) == 1.0

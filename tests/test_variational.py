@@ -652,3 +652,19 @@ def test_trajectory_shape_validation():
     p = tv.make_problem(tv.integers(0, 3), "qd1^2", 1, [0.0], [3.0])
     with pytest.raises(ValueError, match="shape"):
         tv.as_trajectory(p, np.zeros((3, 1)))
+
+
+def test_trajectory_must_live_on_the_problem_grid():
+    # power2(0, 4) has as many points as integers(0, 4), but other times
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2", 1, [0.0], [4.0])
+    q = tv.GridFunction(tv.power2(0, 4), np.arange(5.0)[:, None])
+    gen = tv.make_generator(1, tau="0", xi=["1"])
+    assert len(q.grid) == len(p.grid)
+    for call in (
+        lambda: tv.action(p, q),
+        lambda: tv.el_residual(p, q),
+        lambda: tv.noether_quantity(p, q, gen),
+        lambda: tv.solve_el(p, guess=q),
+    ):
+        with pytest.raises(ValueError, match="^trajectory does not match the problem grid/dimension$"):
+            call()
