@@ -9,7 +9,10 @@ Concrete grammar (EBNF), whitespace insignificant::
 
     function = "sin" | "cos" | "exp" | "ln" | "sqrt" | "abs" ;
     variable = "t" | "eps" | ("q" | "qs" | "qd") index ;
-    number   = digits ["." digits] [("e"|"E") ["+"|"-"] digits] | "." digits ... ;
+    number   = digits ["." [digits]] [exponent] | "." digits [exponent] ;
+    exponent = ("e" | "E") ["+" | "-"] digits ;
+    index    = digits ;
+    digits   = digit { digit } ;   (* ASCII digits only: "0" | "1" | ... | "9" *)
 
 Variables: ``t`` is time, ``eps`` the transformation parameter, ``q<k>``
 state components, ``qs<k>`` forward-jumped state, ``qd<k>`` delta-derivative
@@ -58,7 +61,21 @@ class EvalError(ValueError):
 
 
 class _Node:
-    """Compares and hashes without the column; a node keeps its hash and derivatives."""
+    """Compares and hashes without the column; a node keeps its hash and derivatives.
+
+    ``variables`` is the frozenset of the variable names in the tree, joined
+    from the children's when the node is built, so no walk forms it.
+    """
+
+    def __post_init__(self):
+        if isinstance(self, Var):
+            names = frozenset((self.name,))
+        elif isinstance(self, BinOp):
+            left, right = self.left.variables, self.right.variables
+            names = left if right <= left else right if left <= right else left | right
+        else:
+            names = self.arg.variables if isinstance(self, (Neg, Call)) else frozenset()
+        object.__setattr__(self, "variables", names)
 
     @cached_property
     def _hash(self) -> int:
@@ -111,13 +128,14 @@ Expression = Num | Var | Neg | BinOp | Call
 # Tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[0-9]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<bad>\S))"
 )
 
-_VAR_RE = re.compile(r"^(qs|qd|q)(\d+)$")
+_VAR_RE = re.compile(r"^(qs|qd|q)([0-9]+)$")
 
 _LEVELS = ("+-", "*/")  # binary operators, loosest first; each level is left-associative
 
@@ -365,14 +383,15 @@ _ONE = Num(1.0)
 def derivative(e: Expression, name: str) -> Expression:
     """Exact derivative of e in ``name``, as a tree; a structural zero is literal 0.
 
-    The nodes that can fail (``/``, ``^``, ``ln`` and the slope of sqrt)
-    carry the column of the node they come from.  Nodes keep their
-    derivatives, so a tree is differentiated once per variable.
+    A tree without ``name`` gives 0 at once, without a walk.  The nodes
+    that can fail (``/``, ``^``, ``ln`` and the slope of sqrt) carry the
+    column of the node they come from.  Nodes keep their derivatives, so a
+    tree is differentiated once per variable.
     """
-    if isinstance(e, Num):
+    if name not in e.variables:
         return _ZERO
     if isinstance(e, Var):
-        return _ONE if e.name == name else _ZERO
+        return _ONE
     memo = e.__dict__.setdefault("_derivatives", {})
     if name not in memo:
         memo[name] = _derive(e, name)

@@ -220,12 +220,14 @@ def _cell_hessian(p: Problem, t, mu, y, v):
     itself, whose domain errors come first as in the other passes; the
     chain rule of y = q_right, v = (q_right - q_left) / mu maps them entry
     by entry, so one cell alone gives the same blocks as in a batch.
+    d2L/da db is built only where b occurs in dL/da.
     """
     n = p.dim
     names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
     tree = p.lagrangian.expression
-    second = {(i, j): ex.derivative(ex.derivative(tree, a), b)
-              for i, a in enumerate(names) for j, b in enumerate(names) if i <= j}
+    first = [ex.derivative(tree, a) for a in names]
+    second = {(i, j): ex.derivative(first[i], b) for i in range(2 * n)
+              for j, b in enumerate(names) if i <= j and b in first[i].variables}
     second = {ij: d for ij, d in second.items() if d != ex.Num(0.0)}
     values = p.lagrangian._sample([tree, *second.values()], t, y, v)
     h = np.zeros(np.shape(mu) + (2 * n, 2 * n))  # d2L / d names[i] d names[j], cells first
@@ -256,12 +258,14 @@ def _block_tridiag_solve(p: Problem, diag, upper, rhs):
     right of the diagonal (the lower ones are their transposes), ``rhs`` is
     (m, n).  Each stage eliminates the rows at even positions with one
     batched solve and recurses on the others: ceil(log2(m + 1)) solves in
-    all (Buzbee, Golub & Nielson 1970).  Cyclic reduction pivots on
-    diagonal blocks, which may be singular or nearly so in an invertible
-    indefinite system.  So when a pivot block is singular, or the solution's
-    normwise backward error exceeds ``_BACKWARD_TOL``, the system is solved
-    again by block Thomas elimination, which reports SingularJacobian at the
-    first interior point whose Schur complement is singular.
+    all (Buzbee, Golub & Nielson 1970); for n = 1 a solve is one
+    multiplication by the reciprocals of the pivots.  Cyclic reduction
+    pivots on diagonal blocks, which may be singular or nearly so in an
+    invertible indefinite system.  So when a pivot block is singular, or the
+    solution's normwise backward error exceeds ``_BACKWARD_TOL``, the system
+    is solved again by block Thomas elimination, which reports
+    SingularJacobian at the first interior point whose Schur complement is
+    singular.
     """
     lower = np.zeros_like(diag)
     lower[1:] = np.swapaxes(upper, 1, 2)
@@ -287,8 +291,12 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     """Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs (m, n, 1).
 
     lower[0] and upper[-1] are zero.  A singular pivot block raises LinAlgError.
+    1-by-1 blocks (n = 1) take _scalar_cyclic_reduction.
     """
     m, n = diag.shape[:2]
+    if n == 1:
+        x = _scalar_cyclic_reduction(lower.ravel(), diag.ravel(), upper.ravel(), rhs.ravel())
+        return x.reshape(rhs.shape)
     sol = np.linalg.solve(
         diag[0::2], np.concatenate([lower[0::2], upper[0::2], rhs[0::2]], axis=2)
     )
@@ -308,6 +316,38 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     x_near = np.concatenate([pad, x_odd, pad])
     x_even = y - a @ x_near[:-1] - b @ x_near[1:]
     x = np.empty_like(rhs)
+    x[0::2] = x_even[: (m + 1) // 2]
+    x[1::2] = x_odd
+    return x
+
+
+def _scalar_cyclic_reduction(lower, diag, upper, rhs):
+    """_cyclic_reduction of 1-by-1 blocks, on (m,) arrays, by elementwise arithmetic.
+
+    It rounds as the block route does, so x has the same bits.  OpenBLAS,
+    numpy's LAPACK on x86-64, solves a 1-by-1 system with several
+    right-hand sides by multiplying with the reciprocal of the pivot, which
+    a division would not match; and a 1-by-1 matmul adds its product to
+    +0.0, so a product of -0.0 comes out as +0.0.  A zero pivot raises
+    LinAlgError.
+    """
+    m = len(diag)
+    pivot = diag[0::2]
+    if not pivot.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    sol = np.stack([lower[0::2], upper[0::2], rhs[0::2]]) * (1.0 / pivot)  # rows a, b, y
+    if m == 1:
+        return sol[2]
+    if m % 2 == 0:  # the last odd row has no right neighbour: a zero one stands in
+        sol = np.concatenate([sol, np.zeros((3, 1))], axis=1)
+    left = lower[1::2] * sol[:, :-1] + 0.0  # lo a, lo b and lo y of the odd rows
+    right = upper[1::2] * sol[:, 1:] + 0.0  # up a, up b and up y
+    x_odd = _scalar_cyclic_reduction(
+        -left[0], diag[1::2] - left[1] - right[0], -right[1], rhs[1::2] - left[2] - right[2]
+    )
+    x_near = np.concatenate([[0.0], x_odd, [0.0]])
+    x_even = sol[2] - (sol[0] * x_near[:-1] + 0.0) - (sol[1] * x_near[1:] + 0.0)
+    x = np.empty(m)
     x[0::2] = x_even[: (m + 1) // 2]
     x[1::2] = x_odd
     return x

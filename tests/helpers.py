@@ -8,6 +8,7 @@ hand-rolled loops, and the recurrence oracles integrate closed forms.
 import numpy as np
 
 import tsvarlab as tv
+from tsvarlab.expr import _ONE, _ZERO, BinOp, Call, Neg, Num, Var, _op
 from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
 
@@ -259,3 +260,82 @@ def loop_sampled(a, b, h):
         i += 1
     pts.append(b)
     return tv.TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM)
+
+
+# ---------------------------------------------------------------------------
+# Full-work references for the Newton step: the block route of cyclic
+# reduction at every block size, and derivatives that walk every subtree.
+
+
+def block_cyclic_reduction(lower, diag, upper, rhs):
+    """Cyclic reduction by batched np.linalg.solve and matmul, for any block size n.
+
+    Same arguments as tsvarlab.variational._cyclic_reduction: rows
+    lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs (m, n, 1).
+    """
+    m, n = diag.shape[:2]
+    system = np.concatenate([lower[0::2], upper[0::2], rhs[0::2]], axis=2)
+    sol = np.linalg.solve(diag[0::2], system)
+    if m == 1:
+        return sol[..., 2 * n :]
+    if m % 2 == 0:
+        sol = np.concatenate([sol, np.zeros_like(sol[:1])])
+    a, b, y = sol[..., :n], sol[..., n : 2 * n], sol[..., 2 * n :]
+    lo, up = lower[1::2], upper[1::2]
+    x_odd = block_cyclic_reduction(
+        -lo @ a[:-1],
+        diag[1::2] - lo @ b[:-1] - up @ a[1:],
+        -up @ b[1:],
+        rhs[1::2] - lo @ y[:-1] - up @ y[1:],
+    )
+    pad = np.zeros_like(x_odd[:1])
+    x_near = np.concatenate([pad, x_odd, pad])
+    x_even = y - a @ x_near[:-1] - b @ x_near[1:]
+    x = np.empty_like(rhs)
+    x[0::2] = x_even[: (m + 1) // 2]
+    x[1::2] = x_odd
+    return x
+
+
+def solve_1x1_is_reciprocal_product(rng):
+    """Whether this build's 1-by-1 np.linalg.solve with three right-hand sides is b * (1/a).
+
+    OpenBLAS on x86-64 multiplies by the reciprocal of the pivot; another
+    LAPACK may divide, which rounds differently.
+    """
+    a = rng.uniform(-10, 10, size=(10_000, 1, 1))
+    b = rng.uniform(-10, 10, size=(10_000, 1, 3))
+    return np.linalg.solve(a, b).tobytes() == (b * (1.0 / a)).tobytes()
+
+
+def full_walk_derivative(e, name):
+    """expr.derivative without its shortcuts: every subtree is walked, and nothing is kept."""
+    if isinstance(e, Num):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == name else _ZERO
+    if isinstance(e, Neg):
+        return _op("-", _ZERO, full_walk_derivative(e.arg, name))
+    if isinstance(e, Call):
+        u, du = e.arg, full_walk_derivative(e.arg, name)
+        if du == _ZERO or e.fn == "sign":
+            return _ZERO
+        if e.fn in ("ln", "ln base"):
+            return _op("/", du, u, e.pos)
+        if e.fn in ("sqrt", "nonzero sqrt"):
+            return _op("/", du, _op("*", Num(2.0), Call("nonzero sqrt", u, pos=e.pos)), e.pos)
+        slope = {"sin": Call("cos", u), "cos": Neg(Call("sin", u)), "abs": Call("sign", u)}
+        return _op("*", slope.get(e.fn, e), du)
+    assert isinstance(e, BinOp)
+    a, b = e.left, e.right
+    da, db = full_walk_derivative(a, name), full_walk_derivative(b, name)
+    if e.op in "+-":
+        return _op(e.op, da, db)
+    if e.op == "*":
+        return _op("+", _op("*", a, db), _op("*", da, b))
+    if e.op == "/":
+        return _op("/", _op("-", da, _op("*", e, db)), b, e.pos)
+    if db == _ZERO:
+        return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE), e.pos)), da)
+    log_term = _op("*", db, Call("ln base", a, pos=e.pos))
+    return _op("*", e, _op("+", _op("*", b, _op("/", da, a, e.pos)), log_term))

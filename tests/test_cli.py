@@ -106,6 +106,26 @@ def test_too_deep_formula_exits_3(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_sum_of_240_terms_solves(tmp_path):
+    # the tree walks recurse once per level, so this is near the limit of a
+    # command run at the top of a stack: a derivative in a variable that a
+    # subtree lacks stops there and must not move it
+    lagrangian = " + ".join(["qd1^2"] * 240)
+    problem = tmp_path / "long.problem"
+    problem.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        f'[problem]\ndim = 1\nlagrangian = "{lagrangian}"\nqa = [0]\nqb = [4]\n'
+    )
+    out = tmp_path / "long.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsvarlab", "solve", str(problem), "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text() == "t,q_1,qd_1\n0,0,1\n1,1,1\n2,2,1\n3,3,1\n4,4,\n"
+
+
 def test_check_el_clean_on_solved_extremal(tmp_path, capsys):
     out = tmp_path / "el.csv"
     assert run(["check", FREE, "el", "--out", str(out)]) == 0

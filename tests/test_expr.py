@@ -65,6 +65,11 @@ def test_unexpected_character():
     assert err.value.column == 5
 
 
+def test_any_unicode_whitespace_separates_tokens():
+    # digits are ASCII only, but a no-break space is whitespace like a blank
+    assert tv.parse("t\xa0+ 1", 1) == tv.parse("t + 1", 1)
+
+
 def test_context_restrictions():
     tv.parse("t + q1", 1, allow=("t", "q"))
     with pytest.raises(ParseError, match="not allowed"):
@@ -101,6 +106,9 @@ def test_empty_expression_rejected():
         ("q1 + qd1", 1, ("qs", "qd"), "variable 'q1' is not allowed in this context", 1),
         ("q0", 1, None, "variable index 0 out of range 1..1 in 'q0'", 1),
         ("1 + qs3", 2, None, "variable index 3 out of range 1..2 in 'qs3'", 5),
+        # numbers and indices take ASCII digits only, not every Unicode decimal digit
+        ("\u0663 + t", 1, None, "unexpected character '\u0663'", 1),
+        ("q\u0661", 1, None, "unexpected character '\u0661'", 2),
     ],
 )
 def test_parse_error_message_and_column(text, dim, allow, message, column):

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
-from tsvarlab.expr import FUNCTIONS, BinOp, Call, EvalError, Neg, derivative
+from tsvarlab import variational as va
+from tsvarlab.expr import FUNCTIONS, BinOp, Call, EvalError, Neg, Num, Var, derivative, render
+
+from helpers import full_walk_derivative
 
 # Hypothesis caches what it reads from source files in its home directory;
 # with database=None as well, a run writes nothing into the checkout
@@ -130,3 +133,68 @@ def test_second_derivatives_match_central_differences_of_first(text, point, firs
     scale = max(1.0, abs(exact), abs(fine))
     assume(abs(coarse - fine) <= 1e-8 * scale)
     assert abs(exact - fine) <= 1e-6 * scale
+
+
+def _columns(e):
+    """(node type, column) of every node, root first: what == and render do not compare."""
+    if isinstance(e, BinOp):
+        children = [e.left, e.right]
+    else:
+        children = [e.arg] if isinstance(e, (Neg, Call)) else []
+    return [(type(e).__name__, e.pos)] + [c for child in children for c in _columns(child)]
+
+
+def _same_tree(got, want):
+    # render prints repr of every number, so it tells -0.0 from 0.0
+    assert got == want and render(got) == render(want) and _columns(got) == _columns(want)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(
+    st.recursive(_leaves, _extend_with_tree_exponents, max_leaves=8),
+    st.sampled_from((*NAMES, "qs2")),
+    st.sampled_from((*NAMES, "qs2")),
+)
+def test_derivative_equals_the_full_walk(text, first, second):
+    # qs2 occurs in no tree: a derivative in it is 0 without a walk
+    tree = tv.parse(text, 2)
+    first_tree = derivative(tree, first)
+    _same_tree(first_tree, full_walk_derivative(tree, first))
+    _same_tree(derivative(first_tree, second),
+               full_walk_derivative(full_walk_derivative(tree, first), second))
+
+
+def test_variables_are_those_of_the_tree():
+    tree = tv.parse("qd1^2/2 + 0.3 * cos(qs1 - qs2) - (-sin(t))", 2)
+    assert tree.variables == {"qd1", "qs1", "qs2", "t"}
+    assert tree.left.right.variables == {"qs1", "qs2"}
+    assert Num(1.0).variables == frozenset() and Var("eps").variables == {"eps"}
+    assert derivative(tree, "qd2") is derivative(tree, "eps") == Num(0.0)
+
+
+def test_chain_hessian_builds_the_17_nonzero_second_derivatives(monkeypatch):
+    # the benchmark's dim-6 pendulum chain: 78 pairs (i <= j) of 12 names, 17 nonzero
+    n = 6
+    text = (" + ".join(f"qd{k}^2/2" for k in range(1, n + 1)) + " + "
+            + " + ".join(f"0.{k}*cos(qs{k} - qs{k + 1})" for k in range(1, n)) + " + cos(qs1)")
+    p = tv.make_problem(tv.uniform(0, 1, 0.25), text, n, np.zeros(n), np.ones(n))
+    names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
+    tree = p.lagrangian.expression
+    want = {}
+    for i, a in enumerate(names):
+        for j, b in enumerate(names[i:], start=i):
+            d = full_walk_derivative(full_walk_derivative(tree, a), b)
+            if d != Num(0.0):
+                want[i, j] = d
+    pairs = {(i, i) for i in range(n)} | {(i, i + 1) for i in range(n - 1)}
+    assert set(want) == pairs | {(i, i) for i in range(n, 2 * n)}
+    sampled = []
+    sample = va.Lagrangian._sample
+    monkeypatch.setattr(va.Lagrangian, "_sample",
+                        lambda self, trees, *a: sampled.append(trees) or sample(self, trees, *a))
+    t, mu, _, y, v = va.grid_cells(p.grid.array, va.linear_guess(p).values)
+    va._cell_hessian(p, t, mu, y, v)
+    assert len(sampled) == 1 and sampled[0][0] is tree
+    assert len(sampled[0]) == 1 + 17
+    for got, d in zip(sampled[0][1:], want.values()):
+        _same_tree(got, d)

@@ -15,12 +15,14 @@ from tsvarlab.variational import (
 )
 
 from helpers import (
+    block_cyclic_reduction,
     brute_action,
     fd_action_gradient,
     random_grid,
     random_quadratic_lagrangian_text,
     random_smooth_lagrangian_text,
     recurrence_oracle_power2,
+    solve_1x1_is_reciprocal_product,
 )
 
 PAPERLIKE_L = "qs1^2 / t + t * qd1^2"
@@ -586,6 +588,72 @@ def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
     assert len(calls) <= math.ceil(math.log2(m)) + 1
+
+
+def _scalar_system(rng, m):
+    """Random dim-1 system as _cyclic_reduction takes it: lower, diag, upper, rhs of (m, 1, *).
+
+    Pivots have both signs and scales from 1e-5 to 1e5; about a third of
+    the couplings and of the right-hand sides are zero, some of them -0.0.
+    """
+    diag = rng.choice([-1, 1], size=m) * rng.uniform(1, 3, size=m) * 10.0 ** rng.integers(-5, 6, m)
+    upper = rng.uniform(-1, 1, size=m) * (rng.random(m) < 0.7)
+    rhs = rng.uniform(-10, 10, size=m) * (rng.random(m) < 0.7)
+    upper[rng.random(m) < 0.1] = -0.0
+    rhs[rng.random(m) < 0.1] = -0.0
+    upper[-1] = 0.0
+    lower = np.concatenate([[0.0], upper[:-1]])
+    return (lower.reshape(m, 1, 1), diag.reshape(m, 1, 1), upper.reshape(m, 1, 1),
+            rhs.reshape(m, 1, 1))
+
+
+def test_scalar_cyclic_reduction_matches_the_block_route():
+    rng = np.random.default_rng(46)
+    bitwise = solve_1x1_is_reciprocal_product(rng)
+    sizes = [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 100, 101, 1023, 1024, 1025, 2998, 2999, 3999]
+    for m in sizes * 3 + [int(k) for k in rng.integers(1, 3000, size=40)]:
+        lower, diag, upper, rhs = _scalar_system(rng, m)
+        if m > 1 and rng.random() < 0.2:  # no coupling at all
+            lower[:], upper[:] = 0.0, rng.choice([0.0, -0.0], size=(m, 1, 1))
+            upper[-1] = 0.0
+        with np.errstate(all="ignore"):
+            x = va._cyclic_reduction(lower, diag, upper, rhs)
+            ref = block_cyclic_reduction(lower, diag, upper, rhs)
+        assert x.shape == ref.shape == (m, 1, 1)
+        if bitwise:  # the same bits, the sign of every zero included
+            assert x.tobytes() == ref.tobytes(), m
+        else:
+            assert np.allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref))), m
+
+
+def test_scalar_cyclic_reduction_raises_on_a_zero_pivot_at_an_even_position():
+    # row and column 2 of the interior Hessian are zero: the matrix is singular there
+    diag = np.array([2.0, 3.0, 0.0, 3.0, 2.0, 4.0]).reshape(6, 1, 1)
+    upper = np.array([1.0, 0.0, 0.0, 1.0, 1.0]).reshape(5, 1, 1)
+    lower = np.concatenate([np.zeros((1, 1, 1)), upper])
+    rhs = np.ones((6, 1, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        va._cyclic_reduction(lower, diag, np.concatenate([upper, np.zeros((1, 1, 1))]), rhs)
+    with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
+        _block_tridiag_solve(_interior_problem(6), diag, upper, rhs[..., 0])
+
+
+def test_dim_1_newton_steps_call_no_lapack_solve_unless_they_fall_back(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    p = tv.make_problem(tv.uniform(0, 2, 0.01), "qd1^2 / 2 + cos(qs1)", 1, [0.0], [1.0])
+    assert tv.solve_el(p).iterations >= 2
+    assert calls == []
+    # a zero pivot in an indefinite Hessian: cyclic reduction fails, Thomas elimination solves
+    p = tv.make_problem(tv.integers(0, 5), "qd1^2/2 - t*qs1^2/2", 1, [1.0], [1.0])
+    assert tv.solve_el(p).iterations == 1
+    assert calls and all(shape == (1, 1) for shape in calls)
 
 
 def test_solve_reports_the_action_of_its_trajectory():
