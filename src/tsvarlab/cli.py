@@ -293,9 +293,6 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError) as exc:  # ProblemFileError, ParseError and EvalError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:  # parsing, hashing, evaluation and derivatives recurse per tree level
-        print("error: formula nests too deeply to evaluate", file=sys.stderr)
-        return EXIT_INPUT
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

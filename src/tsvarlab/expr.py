@@ -22,14 +22,20 @@ Derivatives are exact: :func:`derivative` differentiates a tree into another
 tree, never by finite differences.  Variable values may be arrays over cells,
 so one call evaluates a tree, or several sharing their equal subtrees, on
 every cell.
+
+Nothing here recurses, so memory, not the call stack, bounds a formula:
+:func:`parse` is one loop over the tokens (Dijkstra's shunting yard), the
+walks keep their own stacks, and trees compare and hash by the shape id
+each node gets when it is built.  Shapes are shared, nodes never: each node
+keeps the column of the formula it was read from.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,64 +67,69 @@ class EvalError(ValueError):
 
 
 class _Node:
-    """Compares and hashes without the column; a node keeps its hash and derivatives.
+    """Compares and hashes by shape id, without the column; a node keeps its derivatives.
 
     ``variables`` is the frozenset of the variable names in the tree, joined
-    from the children's when the node is built, so no walk forms it.
+    from the operands' when the node is built, so no walk forms it.
     """
 
+    # shape (class, label, operand shape ids) -> id() of its first tuple, kept alive here
+    _shapes: dict[tuple, int] = {}
+
     def __post_init__(self):
-        if isinstance(self, Var):
-            names = frozenset((self.name,))
-        elif isinstance(self, BinOp):
+        if isinstance(self, BinOp):
             left, right = self.left.variables, self.right.variables
             names = left if right <= left else right if left <= right else left | right
+            shape = (BinOp, self.op, self.left._shape, self.right._shape)
+        elif isinstance(self, Neg):
+            names, shape = self.arg.variables, (Neg, self.arg._shape)
+        elif isinstance(self, Call):
+            names, shape = self.arg.variables, (Call, self.fn, self.arg._shape)
+        elif isinstance(self, Var):
+            names, shape = frozenset((self.name,)), (Var, self.name)
         else:
-            names = self.arg.variables if isinstance(self, (Neg, Call)) else frozenset()
+            names, shape = frozenset(), (Num, self.value)
         object.__setattr__(self, "variables", names)
+        object.__setattr__(self, "_shape", _Node._shapes.setdefault(shape, id(shape)))
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((type(self), *(getattr(self, f.name) for f in fields(self) if f.compare)))
+    def __eq__(self, other):
+        return self._shape == other._shape if isinstance(other, _Node) else NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return self._shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Num(_Node):
     value: float
-    pos: int = field(default=0, compare=False)
+    pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(_Node):
     name: str
-    pos: int = field(default=0, compare=False)
+    pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(_Node):
     arg: "Expression"
-    pos: int = field(default=0, compare=False)
-    __hash__ = _Node.__hash__  # kept: a dataclass would hash the whole subtree
+    pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
-    pos: int = field(default=0, compare=False)
-    __hash__ = _Node.__hash__
+    pos: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Call(_Node):
     fn: str
     arg: "Expression"
-    pos: int = field(default=0, compare=False)
-    __hash__ = _Node.__hash__
+    pos: int = 0
 
 
 Expression = Num | Var | Neg | BinOp | Call
@@ -137,7 +148,8 @@ _TOKEN_RE = re.compile(
 
 _VAR_RE = re.compile(r"^(qs|qd|q)([0-9]+)$")
 
-_LEVELS = ("+-", "*/")  # binary operators, loosest first; each level is left-associative
+# unary minus ("neg") binds between * and ^: -t^2 is -(t^2) and -t*2 is (-t)*2
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -153,59 +165,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str, dim: int, allow: tuple[str, ...] = VARIABLE_KINDS) -> Expression:
-    """Parse a formula over the declared dimension; raises ParseError with a column."""
+    """Parse a formula over the declared dimension; raises ParseError with a column.
+
+    An operator waits on ``pending`` until a ")" or an operator that binds
+    less tightly (or as tightly, except after "^") applies it.
+    """
     if not text.strip():
         raise ParseError("empty expression", 1)
-    tokens = _tokenize(text)
-    k = 0
+    operands, pending = [], []  # pending: (binding, operator, column); "(" and functions at 0
 
-    def take(ops=None):
-        """The next token, consumed if it is an operator in ``ops`` (any token when ops is None).
-
-        Otherwise None, except that a parenthesis asked for must come next.
-        """
-        nonlocal k
-        kind, value, col = token = tokens[k]
-        if ops is None or kind == "op" and value in ops:
-            k += 1
-            return token
-        if ops in ("(", ")"):
-            raise ParseError(f"expected {ops!r}", col)
-        return None
-
-    def binary(level=0):
-        """A left-associative chain of the operators _LEVELS[level] over the next level's."""
-        if level == len(_LEVELS):
-            return factor()
-        node = binary(level + 1)
-        while token := take(_LEVELS[level]):
-            node = BinOp(token[1], node, binary(level + 1), pos=token[2])
-        return node
-
-    def factor():
-        if token := take("-"):
-            return Neg(factor(), pos=token[2])
-        base = atom()
-        if token := take("^"):  # the exponent is a factor: right-associative, and t^-2 parses
-            return BinOp("^", base, factor(), pos=token[2])
-        return base
-
-    def atom():
-        kind, value, col = take()
-        if kind == "num":
-            return Num(float(value), pos=col)
-        if kind == "name" and value in FUNCTIONS:
-            take("(")
-            arg = binary()
-            take(")")
-            return Call(value, arg, pos=col)
-        if kind == "name":
-            return variable(value, col)
-        if (kind, value) == ("op", "("):
-            inner = binary()
-            take(")")
-            return inner
-        raise ParseError(f"expected a number, variable, function or '(', got {value!r}", col)
+    def apply():
+        _, op, col = pending.pop()
+        if op == "neg":
+            operands[-1] = Neg(operands[-1], pos=col)
+        else:
+            operands[-2:] = [BinOp(op, *operands[-2:], pos=col)]
 
     def variable(name: str, col: int) -> Var:
         m = _VAR_RE.match(name)
@@ -217,11 +191,44 @@ def parse(text: str, dim: int, allow: tuple[str, ...] = VARIABLE_KINDS) -> Expre
             raise ParseError(f"variable index {int(m[2])} out of range 1..{dim} in {name!r}", col)
         return Var(name, pos=col)
 
-    tree = binary()
-    kind, value, col = take()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", col)
-    return tree
+    tokens = iter(_tokenize(text))
+    operand_next = True
+    for kind, value, col in tokens:
+        if operand_next:
+            if kind == "op" and value in "-(":
+                pending.append((_BINDING["neg"], "neg", col) if value == "-" else (0, "(", col))
+            elif kind == "name" and value in FUNCTIONS:
+                _, paren, paren_col = next(tokens)
+                if paren != "(":
+                    raise ParseError("expected '('", paren_col)
+                pending.append((0, value, col))
+            elif kind == "num" and not math.isfinite(float(value)):
+                raise ParseError(f"number out of range {value!r}", col)
+            elif kind in ("num", "name"):
+                operand = Num(float(value), pos=col) if kind == "num" else variable(value, col)
+                operands.append(operand)
+                operand_next = False
+            else:
+                raise ParseError(
+                    f"expected a number, variable, function or '(', got {value!r}", col)
+        elif kind == "op" and value in _BINDING:
+            binding = _BINDING[value]
+            while pending and pending[-1][0] >= binding + (value == "^"):
+                apply()
+            pending.append((binding, value, col))
+            operand_next = True
+        else:
+            while pending and pending[-1][0]:
+                apply()
+            if not pending:
+                if kind == "end":
+                    return operands[0]
+                raise ParseError(f"unexpected trailing input {value!r}", col)
+            if (kind, value) != ("op", ")"):
+                raise ParseError("expected ')'", col)
+            _, opened, opened_col = pending.pop()
+            if opened != "(":
+                operands[-1] = Call(opened, operands[-1], pos=opened_col)
 
 
 # ---------------------------------------------------------------------------
@@ -311,43 +318,54 @@ _SHOWN_AS = {"nonzero sqrt": "sqrt(...)", "ln base": "'^'"}
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _power}
 
 
-def _eval(node: Expression, env: dict, memo: dict | None):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}", node.pos) from None
-    value = memo.get(node) if memo is not None else None
-    if value is not None:
-        return value
-    if isinstance(node, Neg):
-        value = -_eval(node.arg, env, memo)
-    elif isinstance(node, Call):
-        arg = _eval(node.arg, env, memo)
-        try:
-            value = _FN_TABLE[node.fn](arg)
-        except EvalError as exc:
-            shown = _SHOWN_AS.get(node.fn, f"{node.fn}(...)")
-            raise EvalError(f"{exc.message} in {shown}", node.pos, exc.cell) from None
-    else:
-        left = _eval(node.left, env, memo)
-        right = _eval(node.right, env, memo)
-        try:
-            value = _OPS[node.op](left, right)
-        except EvalError as exc:
-            raise EvalError(f"{exc.message} in {node.op!r}", node.pos, exc.cell) from None
-    if memo is not None:
-        memo[node] = value
-    return value
+def _eval(tree: Expression, env: dict, memo: dict | None):
+    """Value of tree; ``values`` holds only the operands in use, and memo the shared nodes'.
+
+    Entering a node pushes it, None and its operands, rightmost first, as in substitute.
+    """
+    values, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Num:
+            values.append(node.value)
+        elif kind is Var:
+            try:
+                values.append(env[node.name])
+            except KeyError:
+                raise EvalError(f"unbound variable {node.name!r}", node.pos) from None
+        elif node is None:
+            node = todo.pop()
+            try:
+                if type(node) is BinOp:
+                    right = values.pop()
+                    values[-1] = _OPS[node.op](values[-1], right)
+                elif type(node) is Call:
+                    values[-1] = _FN_TABLE[node.fn](values[-1])
+                else:
+                    values[-1] = -values[-1]
+            except EvalError as exc:
+                shown = (_SHOWN_AS.get(node.fn, f"{node.fn}(...)") if type(node) is Call
+                         else repr(node.op))
+                raise EvalError(f"{exc.message} in {shown}", node.pos, exc.cell) from None
+            if memo is not None:
+                memo[node] = values[-1]
+        elif memo is not None and (value := memo.get(node)) is not None:
+            values.append(value)
+        elif kind is BinOp:
+            todo += (node, None, node.right, node.left)
+        else:
+            todo += (node, None, node.arg)
+    return values[0]
 
 
 def evaluate(e, env: dict):
     """IEEE-double value of a tree, or list of values of a list or tuple of trees.
 
-    Several trees evaluate their equal subtrees once and keep those values until
-    the call ends; a lone tree keeps only the operands in use.
+    Each tree is walked left to right, operands before their node, so the
+    first failing node is the leftmost innermost one.  Several trees
+    evaluate their equal subtrees once and keep those values until the call
+    ends; a lone tree keeps only the operands in use.
     """
     trees = e if isinstance(e, (list, tuple)) else (e,)
     memo = {} if len(trees) > 1 else None
@@ -369,11 +387,22 @@ def diff_eval(e: Expression, env: dict, seed: dict):
 
 def substitute(e: Expression, trees: dict) -> Expression:
     """e with every variable named in ``trees`` replaced by its tree."""
-    if isinstance(e, Var):
-        return trees.get(e.name, e)
-    if isinstance(e, BinOp):
-        return replace(e, left=substitute(e.left, trees), right=substitute(e.right, trees))
-    return replace(e, arg=substitute(e.arg, trees)) if isinstance(e, (Neg, Call)) else e
+    done, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            if isinstance(node, BinOp):
+                done[-2:] = [replace(node, left=done[-2], right=done[-1])]
+            else:
+                done[-1] = replace(node, arg=done[-1])
+        elif isinstance(node, BinOp):
+            todo += (node, None, node.right, node.left)
+        elif isinstance(node, (Neg, Call)):
+            todo += (node, None, node.arg)
+        else:
+            done.append(trees.get(node.name, node) if isinstance(node, Var) else node)
+    return done[0]
 
 
 _ZERO = Num(0.0)
@@ -386,16 +415,26 @@ def derivative(e: Expression, name: str) -> Expression:
     A tree without ``name`` gives 0 at once, without a walk.  The nodes
     that can fail (``/``, ``^``, ``ln`` and the slope of sqrt) carry the
     column of the node they come from.  Nodes keep their derivatives, so a
-    tree is differentiated once per variable.
+    tree is differentiated once per variable: a kept derivative is returned
+    at once, and otherwise one walk visits only the nodes that contain
+    ``name`` and keep no derivative in it, each after its operands.
     """
     if name not in e.variables:
         return _ZERO
     if isinstance(e, Var):
         return _ONE
-    memo = e.__dict__.setdefault("_derivatives", {})
-    if name not in memo:
-        memo[name] = _derive(e, name)
-    return memo[name]
+    kept = e.__dict__.setdefault("_derivatives", {})
+    todo = [] if name in kept else [e]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+            node._derivatives[name] = _derive(node, name)
+        elif (name in node.variables and not isinstance(node, Var)
+              and name not in node.__dict__.setdefault("_derivatives", {})):
+            operands = (node.right, node.left) if isinstance(node, BinOp) else (node.arg,)
+            todo += (node, None, *operands)
+    return kept[name]
 
 
 def _derive(e: Expression, name: str) -> Expression:
@@ -444,13 +483,21 @@ def _op(op: str, a: Expression, b: Expression, pos: int = 0) -> Expression:
 # Rendering
 
 def render(e: Expression) -> str:
-    """Fully parenthesized concrete syntax; reparsing yields an identical tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{render(e.arg)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({render(e.arg)})"
-    return f"({render(e.left)} {e.op} {render(e.right)})"
+    """Fully parenthesized concrete syntax.
+
+    A parsed tree reparses to an equal tree with the same render.  A derived
+    tree may not: it folds numbers, and the Num(-0.5) that it writes as
+    -0.5 reads back as Neg(Num(0.5)).
+    """
+    text, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            text.append(node)
+        elif isinstance(node, (Num, Var)):
+            text.append(repr(node.value) if isinstance(node, Num) else node.name)
+        elif isinstance(node, BinOp):
+            todo += (")", node.right, f" {node.op} ", node.left, "(")
+        else:
+            todo += (")", node.arg, "(-" if isinstance(node, Neg) else f"{node.fn}(")
+    return "".join(text)

@@ -5,10 +5,15 @@ used to check: finite differences use plain arithmetic, action sums are
 hand-rolled loops, and the recurrence oracles integrate closed forms.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import tsvarlab as tv
-from tsvarlab.expr import _ONE, _ZERO, BinOp, Call, Neg, Num, Var, _op
+from tsvarlab.expr import (
+    _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
+    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _op, _tokenize,
+)
 from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
 
@@ -339,3 +344,140 @@ def full_walk_derivative(e, name):
         return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE), e.pos)), da)
     log_term = _op("*", db, Call("ln base", a, pos=e.pos))
     return _op("*", e, _op("+", _op("*", b, _op("/", da, a, e.pos)), log_term))
+
+
+# ---------------------------------------------------------------------------
+# The recursive formula reader and tree walks that tsvarlab.expr replaced by
+# loops over explicit stacks: the reference for trees, columns, errors and
+# values.  Each recurses once per tree level, so only small trees fit.
+
+_LEVELS = ("+-", "*/")  # binary operators, loosest first; each level is left-associative
+
+
+def recursive_parse(text, dim, allow=VARIABLE_KINDS):
+    """expr.parse by recursive descent: one function per grammar rule."""
+    if not text.strip():
+        raise ParseError("empty expression", 1)
+    tokens = _tokenize(text)
+    k = 0
+
+    def take(ops=None):
+        nonlocal k
+        kind, value, col = token = tokens[k]
+        if ops is None or kind == "op" and value in ops:
+            k += 1
+            return token
+        if ops in ("(", ")"):
+            raise ParseError(f"expected {ops!r}", col)
+        return None
+
+    def binary(level=0):
+        if level == len(_LEVELS):
+            return factor()
+        node = binary(level + 1)
+        while token := take(_LEVELS[level]):
+            node = BinOp(token[1], node, binary(level + 1), pos=token[2])
+        return node
+
+    def factor():
+        if token := take("-"):
+            return Neg(factor(), pos=token[2])
+        base = atom()
+        if token := take("^"):
+            return BinOp("^", base, factor(), pos=token[2])
+        return base
+
+    def atom():
+        kind, value, col = take()
+        if kind == "num":
+            return Num(float(value), pos=col)
+        if kind == "name" and value in FUNCTIONS:
+            take("(")
+            arg = binary()
+            take(")")
+            return Call(value, arg, pos=col)
+        if kind == "name":
+            return variable(value, col)
+        if (kind, value) == ("op", "("):
+            inner = binary()
+            take(")")
+            return inner
+        raise ParseError(f"expected a number, variable, function or '(', got {value!r}", col)
+
+    def variable(name, col):
+        m = _VAR_RE.match(name)
+        if m is None and name not in ("t", "eps"):
+            raise ParseError(f"unknown identifier {name!r}", col)
+        if (m[1] if m else name) not in allow:
+            raise ParseError(f"variable {name!r} is not allowed in this context", col)
+        if m and not 1 <= int(m[2]) <= dim:
+            raise ParseError(f"variable index {int(m[2])} out of range 1..{dim} in {name!r}", col)
+        return Var(name, pos=col)
+
+    tree = binary()
+    kind, value, col = take()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {value!r}", col)
+    return tree
+
+
+def recursive_render(e):
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{recursive_render(e.arg)})"
+    if isinstance(e, Call):
+        return f"{e.fn}({recursive_render(e.arg)})"
+    return f"({recursive_render(e.left)} {e.op} {recursive_render(e.right)})"
+
+
+def recursive_substitute(e, trees):
+    if isinstance(e, Var):
+        return trees.get(e.name, e)
+    if isinstance(e, BinOp):
+        left, right = recursive_substitute(e.left, trees), recursive_substitute(e.right, trees)
+        return replace(e, left=left, right=right)
+    return replace(e, arg=recursive_substitute(e.arg, trees)) if isinstance(e, (Neg, Call)) else e
+
+
+def recursive_evaluate(e, env):
+    """expr.evaluate by recursion: a list of trees shares the values of equal subtrees."""
+    trees = e if isinstance(e, (list, tuple)) else (e,)
+    memo = {} if len(trees) > 1 else None
+    with np.errstate(all="ignore"):
+        values = [_recursive_eval(tree, env, memo) for tree in trees]
+    return values if trees is e else values[0]
+
+
+def _recursive_eval(node, env, memo):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name!r}", node.pos) from None
+    value = memo.get(node) if memo is not None else None
+    if value is not None:
+        return value
+    if isinstance(node, Neg):
+        value = -_recursive_eval(node.arg, env, memo)
+    elif isinstance(node, Call):
+        arg = _recursive_eval(node.arg, env, memo)
+        try:
+            value = _FN_TABLE[node.fn](arg)
+        except EvalError as exc:
+            shown = _SHOWN_AS.get(node.fn, f"{node.fn}(...)")
+            raise EvalError(f"{exc.message} in {shown}", node.pos, exc.cell) from None
+    else:
+        left = _recursive_eval(node.left, env, memo)
+        right = _recursive_eval(node.right, env, memo)
+        try:
+            value = _OPS[node.op](left, right)
+        except EvalError as exc:
+            raise EvalError(f"{exc.message} in {node.op!r}", node.pos, exc.cell) from None
+    if memo is not None:
+        memo[node] = value
+    return value

@@ -92,18 +92,40 @@ def test_dimension_mismatch_exits_3(tmp_path):
     assert run(["solve", str(bad)]) == 3
 
 
-def test_too_deep_formula_exits_3(tmp_path, capsys):
-    deep = tmp_path / "deep.problem"
-    # a 1500-term sum parses, but its tree is walked once per level; 200 parentheses do not parse
+def _solve_under_recursion_limit_100(tmp_path, lagrangian):
+    """`tsvarlab solve` of L on integers(0, 4), q from 0 to 4, in a fresh process.
+
+    The process lowers Python's recursion limit to 100 after importing the package.
+    """
+    problem = tmp_path / "long.problem"
+    problem.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        f'[problem]\ndim = 1\nlagrangian = "{lagrangian}"\nqa = [0]\nqb = [4]\n'
+    )
+    out = tmp_path / "long.csv"
+    argv = ["solve", str(problem), "--out", str(out)]
+    code = ("import sys, tsvarlab.cli; sys.setrecursionlimit(100); "
+            f"sys.exit(tsvarlab.cli.main({argv}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return proc, out
+
+
+def test_deep_formulas_solve(tmp_path):
+    # no walk recurses: a 1500-term sum and 200 nested parentheses used to
+    # exceed Python's recursion limit, and now solve under a limit of 100
     for lagrangian in (" + ".join(["qd1^2"] * 1500), "(" * 200 + "qd1^2" + ")" * 200):
-        deep.write_text(
-            "[timescale]\nkind = integers\na = 0\nb = 4\n"
-            f'[problem]\ndim = 1\nlagrangian = "{lagrangian}"\nqa = [0]\nqb = [4]\n'
-        )
-        out = tmp_path / "deep.csv"
-        assert run(["solve", str(deep), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: formula nests too deeply to evaluate\n"
-        assert not out.exists()
+        proc, out = _solve_under_recursion_limit_100(tmp_path, lagrangian)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_text() == "t,q_1,qd_1\n0,0,1\n1,1,1\n2,2,1\n3,3,1\n4,4,\n"
+
+
+def test_sum_of_ten_thousand_terms_solves(tmp_path):
+    lagrangian = " + ".join(["qd1^2"] * 10_000)
+    proc, out = _solve_under_recursion_limit_100(tmp_path, lagrangian)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "action=40000 gradient_norm=0 iterations=0\n"
+    assert out.read_text() == "t,q_1,qd_1\n0,0,1\n1,1,1\n2,2,1\n3,3,1\n4,4,\n"
 
 
 def test_sum_of_240_terms_solves(tmp_path):

@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tsvarlab as tv
-from tsvarlab.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Var
+from tsvarlab.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Var, derivative
 
 
 def test_parse_collects_expected_variables():
@@ -109,6 +115,9 @@ def test_empty_expression_rejected():
         # numbers and indices take ASCII digits only, not every Unicode decimal digit
         ("\u0663 + t", 1, None, "unexpected character '\u0663'", 1),
         ("q\u0661", 1, None, "unexpected character '\u0661'", 2),
+        # a literal that overflows to inf would render as a name, "inf"
+        ("t + 1e400 * t", 1, None, "number out of range '1e400'", 5),
+        ("1e400 $", 1, None, "unexpected character '$'", 7),
     ],
 )
 def test_parse_error_message_and_column(text, dim, allow, message, column):
@@ -287,9 +296,13 @@ def test_render_parse_idempotence():
 
 
 def test_render_of_handwritten_cases():
-    for text in ("-t^2", "qs1^2 / t + t * qd1^2", "abs(t) + sqrt(exp(t))", "1 - -t"):
+    for text in ("-t^2", "qs1^2 / t + t * qd1^2", "abs(t) + sqrt(exp(t))", "1 - -t", "1e-400 * t"):
         e = tv.parse(text, 1)
         assert tv.parse(tv.render(e), 1) == e
+    # a derived tree folds numbers: its Num(-0.5) reads back as Neg(Num(0.5))
+    d = derivative(tv.parse("t^0.5", 1), "t")
+    assert tv.render(d) == "(0.5 * (t ^ -0.5))"
+    assert tv.parse(tv.render(d), 1) != d
 
 
 def test_ast_equality_ignores_position():
@@ -299,3 +312,67 @@ def test_ast_equality_ignores_position():
     assert isinstance(a, BinOp) and isinstance(a.right, Num)
     assert isinstance(tv.parse("abs(t)", 1), Call)
     assert isinstance(tv.parse("t", 1), Var)
+
+
+def test_columns_stay_with_their_own_formula():
+    # equal formulas share a shape id, never a node: each reports its own column,
+    # alone or beside another tree, however often its shape was evaluated before
+    env = {"qs1": np.array([1.0, -1.0])}
+    for text, column in (("ln(qs1)", 1), ("   ln(qs1)", 4)):
+        tree = tv.parse(text, 1)
+        for trees in (tree, [tv.parse("qs1 + 1", 1), tree], [tree, tv.parse("qs1 * 2", 1)]):
+            with pytest.raises(EvalError) as err:
+                tv.evaluate(trees, env)
+            assert (err.value.message, err.value.column, err.value.cell) == (
+                "ln of non-positive value -1.0 in ln(...)", column, 1)
+
+
+def test_formulas_of_any_depth_under_a_recursion_limit_of_100():
+    # no function in expr recurses, so a formula's size is bounded by memory alone
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import tsvarlab as tv
+        from tsvarlab.expr import Var, derivative, substitute
+        sys.setrecursionlimit(100)
+        text = " + ".join(["qd1^2"] * 10_000)
+        a, b = tv.parse(text, 1), tv.parse(text, 1)
+        assert a is not b and a == b and hash(a) == hash(b) and a != tv.parse(text + " + t", 1)
+        text = tv.render(a)
+        assert tv.parse(text, 1) == a and tv.render(tv.parse(text, 1)) == text
+        x = np.array([1.0, 2.0])
+        assert np.array_equal(tv.evaluate(a, {"qd1": x}), 10_000 * x * x)
+        assert np.array_equal(tv.evaluate(derivative(a, "qd1"), {"qd1": x}), 20_000 * x)
+        value, slope = tv.evaluate([substitute(a, {"qd1": Var("t")}), derivative(a, "qd1")],
+                                   {"t": x, "qd1": x})
+        assert np.array_equal(value, 10_000 * x * x) and np.array_equal(slope, 20_000 * x)
+        assert tv.parse("(" * 1000 + "t" + ")" * 1000, 1) == Var("t")
+        assert tv.evaluate(tv.parse("-" * 10_001 + "t", 1), {"t": 2.0}) == -2.0
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_shape_ids_stay_unique_while_threads_build_trees():
+    # every thread shares the shape table: equal ids must mean equal shapes
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    trees = [[] for _ in range(4)]
+    try:
+        threads = [threading.Thread(target=lambda k=k: trees[k].extend(
+            tv.parse(f"t * {1000 * k + i} + qs1^{i}", 1) for i in range(300))) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    shapes, nodes = {}, [tree for part in trees for tree in part]
+    while nodes:  # every node of every tree: one rendering per shape id
+        node = nodes.pop()
+        shapes.setdefault(hash(node), set()).add(tv.render(node))
+        nodes += [getattr(node, name) for name in ("left", "right", "arg") if hasattr(node, name)]
+    assert all(len(texts) == 1 for texts in shapes.values())
+    assert len({hash(tree) for part in trees for tree in part}) == 1200

@@ -10,9 +10,14 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
 from tsvarlab import variational as va
-from tsvarlab.expr import FUNCTIONS, BinOp, Call, EvalError, Neg, Num, Var, derivative, render
+from tsvarlab.expr import (
+    FUNCTIONS, BinOp, Call, EvalError, Neg, Num, ParseError, Var, derivative, render, substitute,
+)
 
-from helpers import full_walk_derivative
+from helpers import (
+    full_walk_derivative, recursive_evaluate, recursive_parse, recursive_render,
+    recursive_substitute,
+)
 
 # Hypothesis caches what it reads from source files in its home directory;
 # with database=None as well, a run writes nothing into the checkout
@@ -198,3 +203,84 @@ def test_chain_hessian_builds_the_17_nonzero_second_derivatives(monkeypatch):
     assert len(sampled[0]) == 1 + 17
     for got, d in zip(sampled[0][1:], want.values()):
         _same_tree(got, d)
+
+
+# ---------------------------------------------------------------------------
+# The stack-based reader and walks against the recursive ones in helpers.py
+
+
+def _extend_syntax(children):
+    # beside the parenthesized forms: bare chains such as -a*b^--c^d-e, which
+    # precedence and associativity decide, and nested parentheses
+    signs, ops = st.sampled_from(["", "-", "--", "---"]), st.sampled_from("+-*/^^")
+    return _extend_with_tree_exponents(children) | st.one_of(
+        st.lists(st.tuples(signs, children, ops), min_size=2, max_size=5).map(
+            lambda parts: "".join(sign + child + op for sign, child, op in parts)[:-1]
+        ),
+        st.tuples(st.integers(1, 3), children).map(lambda a: "(" * a[0] + a[1] + ")" * a[0]),
+    )
+
+
+SYNTAX = st.recursive(_leaves | st.just("eps"), _extend_syntax, max_leaves=8)
+_PIECES = ["t", "qs1", "qd1", "qs2", "q1", "q0", "eps", "foo", *FUNCTIONS,
+           "2", "0.5", ".5e1", "3.", "(", ")", "+", "-", "*", "/", "^", "$", ""]
+
+
+@st.composite
+def _mutated(draw):
+    """A grammar formula with a few characters replaced by a piece."""
+    text = draw(SYNTAX)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 3)))
+    return text[:i] + draw(st.sampled_from(_PIECES)) + text[j:]
+
+
+TOKEN_SOUP = st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(["", " "])),
+                      max_size=12).map(lambda parts: "".join(a + b for a, b in parts))
+ALLOW = st.sampled_from([("t", "eps", "q", "qs", "qd"), ("t", "q"), ("qs", "qd", "t")])
+
+
+def _read(reader, text, allow):
+    try:
+        return reader(text, 2, allow)
+    except ParseError as exc:
+        return exc.message, exc.column
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(st.one_of(SYNTAX, _mutated(), TOKEN_SOUP), ALLOW)
+def test_parse_matches_the_recursive_reader(text, allow):
+    got, want = _read(tv.parse, text, allow), _read(recursive_parse, text, allow)
+    if isinstance(want, tuple):
+        assert got == want  # the same message at the same column
+        return
+    _same_tree(got, want)
+    assert render(got) == recursive_render(got)
+    assert tv.parse(render(got), 2, allow) == got
+
+
+def _evaluated(evaluate, trees, env):
+    try:
+        return evaluate(trees, env)
+    except EvalError as exc:
+        return exc.message, exc.column, exc.cell
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(SYNTAX, st.lists(st.tuples(VALUES, VALUES, VALUES), min_size=1, max_size=4),
+       st.sampled_from([(), ("t",), ("qd1",)]), st.sampled_from(NAMES))
+def test_walks_match_the_recursive_walks(text, points, unbound, name):
+    tree = tv.parse(text, 2)
+    slots = {"qs1": tv.parse("qd1 - 2 * t", 2), "t": Var("eps", pos=7)}
+    _same_tree(substitute(tree, slots), recursive_substitute(tree, slots))
+    slope = derivative(tree, name)
+    assert render(slope) == recursive_render(slope)
+    env = {n: np.array(column) for n, column in zip(NAMES, zip(*points)) if n not in unbound}
+    env["eps"] = np.full(len(points), 0.25)
+    # a list of one tree keeps no memo, as a lone tree does; a longer one shares subtrees
+    for trees in ([tree], [tree, slope, tv.parse("t + qs1", 2), tree]):
+        got, want = _evaluated(tv.evaluate, trees, env), _evaluated(recursive_evaluate, trees, env)
+        if isinstance(want, tuple):
+            assert got == want  # message, column and cell
+        else:
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))

@@ -626,6 +626,21 @@ def test_scalar_cyclic_reduction_matches_the_block_route():
             assert np.allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref))), m
 
 
+def test_block_matvec_multiplies_1x1_blocks_elementwise():
+    # the backward-error residual's products: for n = 1 the same as a 1x1 matmul
+    # up to the sign of a zero, which abs removes; for n >= 2 the matmul itself
+    rng = np.random.default_rng(47)
+    for m in (1, 2, 17, 3999):
+        _, diag, upper, rhs = _scalar_system(rng, m)
+        x = rhs[..., 0] * rng.choice([1.0, -1.0, 0.0, -0.0], size=(m, 1))
+        for blocks in (diag, upper):
+            got, want = va._block_matvec(blocks, x), (blocks @ x[..., None])[..., 0]
+            assert np.abs(got).tobytes() == np.abs(want).tobytes()
+    for n in (2, 3, 6):
+        blocks, x = rng.uniform(-1, 1, size=(50, n, n)), rng.uniform(-1, 1, size=(50, n))
+        assert va._block_matvec(blocks, x).tobytes() == (blocks @ x[..., None])[..., 0].tobytes()
+
+
 def test_scalar_cyclic_reduction_raises_on_a_zero_pivot_at_an_even_position():
     # row and column 2 of the interior Hessian are zero: the matrix is singular there
     diag = np.array([2.0, 3.0, 0.0, 3.0, 2.0, 4.0]).reshape(6, 1, 1)
