@@ -8,14 +8,14 @@ repeated runs on the same platform are bit-stable.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -50,9 +50,24 @@ class _UsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+USAGE = """\
+tsvarlab solve <file> [--out PATH] [--guess CSV] [--quiet]
+tsvarlab check <file> el|invariance|conservation
+                [--out PATH] [--tol X] [--eps LIST] [--report-only] [--quiet]
+tsvarlab sweep <file> --h-list LIST [--out PATH] [--quiet]"""
+
+_REQUIRED = object()  # the default of an option that must be given
+# command -> (its positionals, its options with their defaults). A flag has the
+# default False and takes no value; a float default makes the value a float.
+_COMMANDS = {
+    "solve": (("file",), {"--out": None, "--guess": None, "--quiet": False}),
+    "check": (("file", "which"), {"--out": None, "--tol": 1e-8, "--eps": "-0.5,-0.1,0.1,0.5",
+                                  "--report-only": False, "--quiet": False}),
+    "sweep": (("file",), {"--h-list": _REQUIRED, "--out": None, "--quiet": False}),
+}
+_WHICH = ("el", "invariance", "conservation")
+_HELP = {"-h": False, "--help": False}  # flags of every command
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: a value, not an option
 
 
 def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[bytes]:
@@ -252,39 +267,110 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-@functools.cache  # one parser per process; parsing leaves it unchanged
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="tsvarlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(token: str, options: dict):
+    """(name, value, token) of the option that ``token`` names, or None for a positional.
 
-    p_solve = sub.add_parser("solve", help="solve the boundary-value problem")
-    p_solve.add_argument("file")
-    p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--guess", default=None, help="trajectory CSV used as initial guess")
-    p_solve.add_argument("--quiet", action="store_true")
+    The name is None for an unknown option. The value is the text after '=' (or,
+    for -h, after its two characters), else None. An option's full name, or the
+    start of one name alone, names it. '', '-', a token with a space and a
+    negative number are positionals.
+    """
+    if not token.startswith("-") or token == "-":
+        return None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        matches = [name] if name in options else [o for o in options if o.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None, token
+    elif token[:2] in options:
+        return token[:2], token[2:] or None, token
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None, token
 
-    p_check = sub.add_parser("check", help="evaluate a residual report along the extremal")
-    p_check.add_argument("file")
-    p_check.add_argument("which", choices=("el", "invariance", "conservation"))
-    p_check.add_argument("--out", default=None)
-    p_check.add_argument("--tol", type=float, default=1e-8)
-    p_check.add_argument("--eps", default="-0.5,-0.1,0.1,0.5")
-    p_check.add_argument("--report-only", action="store_true")
-    p_check.add_argument("--quiet", action="store_true")
 
-    p_sweep = sub.add_parser("sweep", help="refinement study over sampling steps")
-    p_sweep.add_argument("file")
-    p_sweep.add_argument("--h-list", required=True, help="comma-separated decreasing steps")
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--quiet", action="store_true")
+def _read_args(argv=None):
+    """The ``args`` of the command in ``argv`` (``sys.argv[1:]`` when None), or None
+    when argv asks for help; raises _UsageError for an argv that is not a command.
 
-    return parser
+    Options may stand before, between or after the positionals, as ``--opt v`` or
+    ``--opt=v``; the last of a repeated option counts. ``--`` makes every later
+    token a positional. An option before ``--`` that is -h or --help asks for
+    help wherever it stands.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    names, defaults = _COMMANDS.get(command, ((), {}))
+    options = {**defaults, **_HELP}
+    items = []  # a str for a positional, None for '--', a tuple for an option
+    tokens = iter(argv[1:] if command in _COMMANDS else argv)
+    for token in tokens:
+        if token == "--":
+            items += [None, *tokens]
+        else:
+            option = _option(token, options)
+            items.append(token if option is None else option)
+    if any(type(item) is tuple and item[0] in _HELP and item[1] is None for item in items):
+        return None
+    if command not in _COMMANDS:
+        raise _UsageError(f"expected a command, one of {', '.join(_COMMANDS)}; got {command!r}"
+                          if argv else f"expected a command, one of {', '.join(_COMMANDS)}")
+
+    values = dict(defaults)
+    given = {}  # positional name -> token
+    after_positional = False
+    k = 0
+    while k < len(items):
+        item = items[k]
+        k += 1
+        if item is None:  # '--' must lead to a positional or follow one
+            if k == len(items) and not after_positional:
+                raise _UsageError("unrecognized argument: --")
+            continue
+        after_positional = type(item) is str
+        if after_positional:
+            if len(given) == len(names):
+                raise _UsageError(f"unrecognized argument: {item}")
+            name = names[len(given)]
+            if name == "which" and item not in _WHICH:
+                raise _UsageError(f"argument which: invalid choice: {item!r} "
+                                  f"(choose from {', '.join(_WHICH)})")
+            given[name] = item
+            continue
+        name, value, token = item
+        if name is None:
+            raise _UsageError(f"unrecognized argument: {token}")
+        default = options[name]
+        if default is False:
+            if value is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if k == len(items) or type(items[k]) is not str:
+                raise _UsageError(f"argument {name}: expected one argument")
+            value = items[k]
+            k += 1
+        if type(default) is float:
+            try:
+                value = float(value)
+            except ValueError:
+                raise _UsageError(f"argument {name}: invalid float value: {value!r}") from None
+        values[name] = value
+    missing = names[len(given):] + tuple(o for o, v in values.items() if v is _REQUIRED)
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **given,
+                           **{o[2:].replace("-", "_"): v for o, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read_args(argv)
+        if args is None:
+            print(USAGE)
+            return EXIT_OK
         if args.command == "solve":
             return cmd_solve(args)
         if args.command == "check":

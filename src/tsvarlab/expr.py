@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -98,26 +98,42 @@ class _Node:
     def __hash__(self) -> int:
         return self._shape
 
+    def __repr__(self) -> str:
+        """The dataclass-generated text, built over an explicit stack, so depth is not bounded."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__qualname__}("]
+            for k, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                pieces += [f"{', ' if k else ''}{f.name}=",
+                           value if isinstance(value, _Node) else repr(value)]
+            stack += reversed(pieces + [")"])
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(_Node):
     value: float
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
     name: str
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
     arg: "Expression"
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
@@ -125,7 +141,7 @@ class BinOp(_Node):
     pos: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
     fn: str
     arg: "Expression"

@@ -102,7 +102,11 @@ def _parse_value(text: str, where: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_scalar(item, where) for item in _split_unquoted(inner, ",")]
+        parts = _split_unquoted(inner, ",")
+        try:  # a list of numbers in one pass; strings, bare words and errors item by item
+            return [float(part) for part in parts]
+        except ValueError:
+            return [_parse_scalar(part, where) for part in parts]
     return _parse_scalar(text, where)
 
 

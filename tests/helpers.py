@@ -5,14 +5,21 @@ used to check: finite differences use plain arithmetic, action sums are
 hand-rolled loops, and the recurrence oracles integrate closed forms.
 """
 
+import argparse
+import contextlib
+import dataclasses
+import functools
+import io
+import re
 from dataclasses import replace
 
 import numpy as np
 
 import tsvarlab as tv
+from tsvarlab.cli import _UsageError
 from tsvarlab.expr import (
     _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
-    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _op, _tokenize,
+    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _op, _tokenize,
 )
 from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
@@ -481,3 +488,85 @@ def _recursive_eval(node, env, memo):
     if memo is not None:
         memo[node] = value
     return value
+
+
+@functools.cache
+def _plain_dataclass(cls):
+    return dataclasses.make_dataclass(cls.__qualname__, [f.name for f in dataclasses.fields(cls)])
+
+
+def dataclass_repr(e):
+    """repr(e) as @dataclass generates it: the repr of a copy of the tree made of
+    plain dataclasses with the same names and fields."""
+    def copy(value):
+        if not isinstance(value, _Node):
+            return value
+        fields = dataclasses.fields(value)
+        return _plain_dataclass(type(value))(*(copy(getattr(value, f.name)) for f in fields))
+    return repr(copy(e))
+
+
+# The argparse parser that tsvarlab.cli replaced by one option table: the
+# reference for which argv a command accepts, with which values, and which it
+# rejects.
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+@functools.cache  # parsing leaves it unchanged
+def _argparse_parser():
+    parser = _ArgumentParser(prog="tsvarlab")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_solve = sub.add_parser("solve", help="solve the boundary-value problem")
+    p_solve.add_argument("file")
+    p_solve.add_argument("--out", default=None)
+    p_solve.add_argument("--guess", default=None, help="trajectory CSV used as initial guess")
+    p_solve.add_argument("--quiet", action="store_true")
+
+    p_check = sub.add_parser("check", help="evaluate a residual report along the extremal")
+    p_check.add_argument("file")
+    p_check.add_argument("which", choices=("el", "invariance", "conservation"))
+    p_check.add_argument("--out", default=None)
+    p_check.add_argument("--tol", type=float, default=1e-8)
+    p_check.add_argument("--eps", default="-0.5,-0.1,0.1,0.5")
+    p_check.add_argument("--report-only", action="store_true")
+    p_check.add_argument("--quiet", action="store_true")
+
+    p_sweep = sub.add_parser("sweep", help="refinement study over sampling steps")
+    p_sweep.add_argument("file")
+    p_sweep.add_argument("--h-list", required=True, help="comma-separated decreasing steps")
+    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--quiet", action="store_true")
+
+    # the negative-number pattern of argparse up to Python 3.12, which the CLI
+    # keeps whatever the running Python's argparse uses
+    for p in (parser, p_solve, p_check, p_sweep):
+        p._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
+    return parser
+
+
+def argparse_read_args(argv):
+    """The argparse namespace of argv, or None when argparse prints help.
+
+    A usage error raises tsvarlab.cli._UsageError, as cli._read_args does.
+    """
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            args = _argparse_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code != 0:
+                raise
+            return None
+    # argparse of Python 3.11 drops a '--' that is the value of an option or of
+    # `which` and leaves [] (`check FILE -- --` then ran the conservation check);
+    # the value is '--', which --tol and `which` reject
+    for name, value in vars(args).items():
+        if value == []:
+            if name in ("tol", "which"):
+                raise _UsageError(f"argument {name}: invalid value '--'")
+            setattr(args, name, "--")
+    return args

@@ -2,13 +2,19 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
-from tsvarlab.cli import _format_rows, main
+from tsvarlab.cli import (
+    USAGE, _format_rows, _option, _read_args, _UsageError, entrypoint, main,
+)
 from tsvarlab.problemfile import (
     build_generator,
     build_grid,
@@ -16,6 +22,12 @@ from tsvarlab.problemfile import (
     load_problem_file,
     solver_options,
 )
+
+from helpers import argparse_read_args
+
+# Hypothesis caches what it reads from source files in its home directory;
+# with database=None as well, a run writes nothing into the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "tsvarlab-hypothesis")
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FREE = str(SCENARIOS / "free_particle.problem")
@@ -329,6 +341,211 @@ def test_module_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "action=4" in proc.stdout
+    assert out.exists()
+
+
+def _outcome(read, argv):
+    try:
+        args = read(argv)
+    except _UsageError:
+        return "usage error"
+    # repr keeps the type of a value and lets nan equal nan
+    return "help" if args is None else {name: repr(v) for name, v in vars(args).items()}
+
+
+def _assert_read_as_argparse_did(argv):
+    ours, theirs = _outcome(_read_args, argv), _outcome(argparse_read_args, argv)
+    # -h or --help (or a prefix) asks for help wherever it stands before '--',
+    # also after a token that argparse rejected first
+    options = argv[:argv.index("--")] if "--" in argv else argv
+    asks_help = any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in options)
+    assert ours == theirs or (ours, theirs, asks_help) == ("help", "usage error", True), argv
+
+
+PARITY_CORPUS = [
+    # options before, between and after the positionals
+    ["solve", "--quiet", "f"],
+    ["check", "--tol", "1", "f", "--quiet", "el", "--out", "o"],
+    ["check", "f", "el", "--report-only", "--eps", "0.1"],
+    ["sweep", "--h-list", "0.1,0.05", "f"],
+    # --opt=v, an empty value, a repeated option
+    ["solve", "f", "--out=o", "--guess=g.csv"],
+    ["solve", "f", "--out="],
+    ["solve", "f", "--out", "a", "--out=b"],
+    ["check", "f", "el", "--tol=1", "--tol", "2", "--out=a=b"],
+    # unique and ambiguous prefixes
+    ["solve", "f", "--qu"],
+    ["check", "f", "el", "--rep", "--t=3", "--e", "1"],
+    ["sweep", "f", "--h-l", "0.1"],
+    ["sweep", "f", "--h", "0.1"],
+    ["solve", "f", "--=x"],
+    # negative numbers are values; other tokens that start with '-' are options
+    ["check", "f", "el", "--tol", "-1"],
+    ["check", "f", "el", "--eps", "-0.5"],
+    ["check", "f", "el", "--eps", "-.5"],
+    ["solve", "-5"],
+    ["check", "f", "el", "--tol", "-1e-8"],
+    ["check", "f", "el", "--eps", "-0.5,0.1"],
+    ["check", "f", "el", "--eps=-0.5,0.1"],
+    ["solve", "f", "--out", "--quiet"],
+    ["solve", "f", "--out"],
+    ["solve", "-x"],
+    ["solve", "-a b"],
+    ["solve", "f", "--out", "-"],
+    ["solve", ""],
+    # -- makes every later token a positional
+    ["solve", "--", "-f"],
+    ["solve", "--", "--"],
+    ["solve", "f", "--"],
+    ["solve", "f", "--quiet", "--"],
+    ["solve", "f", "--out", "x", "--"],
+    ["solve", "--out", "--", "x"],
+    ["solve", "--out", "x", "--", "f"],
+    ["check", "f", "--quiet", "--", "el"],
+    ["check", "f", "el", "--", "x"],
+    ["check", "f", "--", "--"],
+    ["solve", "f", "--out=--"],
+    ["check", "f", "el", "--tol=--"],
+    # a flag takes no value
+    ["solve", "f", "--quiet=1"],
+    ["solve", "f", "--quiet="],
+    ["check", "f", "el", "--report-only=yes"],
+    # which, the required --h-list, the float --tol
+    ["check", "f", "bogus"],
+    ["check", "f", "-5"],
+    ["check", "f"],
+    ["sweep", "f"],
+    ["sweep", "f", "--h-list="],
+    ["check", "f", "el", "--tol=abc"],
+    ["check", "f", "el", "--tol", "nan"],
+    # the command
+    [],
+    ["frobnicate"],
+    ["--quiet", "solve", "f"],
+    ["-5"],
+    ["solve"],
+    ["solve", "f", "g"],
+    # help
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["solve", "f", "-h"],
+    ["check", "--help"],
+    ["sweep", "--he", "x"],
+    ["solve", "--", "-h"],
+    ["solve", "--help=1"],
+    ["solve", "-hx"],
+    ["solve", "-hx y"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_CORPUS, ids=repr)
+def test_reader_matches_argparse_on_the_parity_rules(argv):
+    _assert_read_as_argparse_did(argv)
+
+
+def test_an_exact_option_name_wins_over_a_longer_one():
+    # as in argparse; no option of the CLI begins another, so only a table shows it
+    options = {"--out": None, "--output": None}
+    assert _option("--out", options) == ("--out", None, "--out")
+    assert _option("--out=x", options) == ("--out", "x", "--out=x")
+    with pytest.raises(_UsageError, match="ambiguous option: --ou could match --out, --output"):
+        _option("--ou", options)
+
+
+_OPTIONS = ["--out", "--guess", "--quiet", "--tol", "--eps", "--report-only", "--h-list", "--help"]
+_PREFIXES = sorted({option[:k] for option in _OPTIONS for k in range(3, len(option))})
+_VALUES = ["f", "el", "invariance", "conservation", "0.1,0.05", "1e-3", "abc", "", "-5", "-1e-8",
+           "-0.5", "-.5", "-0.5,0.1", "-", "--", "a b", "-a b", "--bogus", "-x", "nan"]
+_names = st.sampled_from(_OPTIONS) | st.sampled_from(_PREFIXES + ["-h"])
+_values = st.sampled_from(_VALUES)
+_phrases = st.one_of(
+    _values.map(lambda value: [value]),
+    _names.map(lambda name: [name]),
+    st.tuples(_names, _values).map(list),
+    st.tuples(_names, _values).map("=".join).map(lambda token: [token]),
+    st.just(["--"]),
+)
+_ACCEPTED = {"solve": ["f"], "check": ["f", "el"], "sweep": ["f", "--h-list", "0.1"]}
+_ACCEPTED_PHRASES = {
+    "solve": [["--quiet"], ["--qu"], ["--out", "o"], ["--out="], ["--guess=-5"], ["--gu", "-.5"]],
+    "check": [["--quiet"], ["--report-only"], ["--rep"], ["--tol", "-1"], ["--tol=1e-3"],
+              ["--t", "nan"], ["--eps", "-0.5"], ["--eps=-0.5,0.1"], ["--out", "a b"]],
+    "sweep": [["--quiet"], ["--q"], ["--out", "o"], ["--h-list", "-5"], ["--h-l=0.1,0.05"]],
+}
+
+
+def _argv(command):
+    """Phrases put among the tokens of an accepted argv of the command, or among each other."""
+    # three in four phrases are accepted ones
+    phrase = st.tuples(st.integers(0, 3), st.sampled_from(_ACCEPTED_PHRASES[command]), _phrases)
+    phrase = phrase.map(lambda drawn: drawn[2] if drawn[0] == 0 else drawn[1])
+    return st.tuples(st.booleans(), st.lists(st.tuples(st.integers(0, 6), phrase), max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.sampled_from(sorted(_ACCEPTED)).flatmap(lambda c: st.tuples(st.just(c), _argv(c))))
+def test_reader_matches_argparse_on_generated_argv(drawn):
+    command, (accepted, phrases) = drawn
+    tokens = list(_ACCEPTED[command]) if accepted else []
+    for at, phrase in phrases:
+        tokens[at:at] = phrase
+    _assert_read_as_argparse_did([command] + tokens)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "expected a command"),
+        (["frobnicate"], "'frobnicate'"),
+        (["solve"], "file"),
+        (["solve", FREE, "extra"], "extra"),
+        (["solve", FREE, "--bogus"], "--bogus"),
+        (["sweep", FREE, "--h", "0.1"], "--h could match"),
+        (["sweep", FREE], "--h-list"),
+        (["solve", FREE, "--guess"], "--guess"),
+        (["solve", FREE, "--quiet=1"], "--quiet"),
+        (["check", FREE, "el", "--tol", "-1e-8"], "--tol"),
+        (["check", FREE, "el", "--tol=abc"], "'abc'"),
+        (["check", FREE, "everything"], "'everything'"),
+        (["solve", FREE, "--quiet", "--"], "--"),
+    ],
+)
+def test_usage_error_names_the_token(tmp_path, capsys, argv, named):
+    out = tmp_path / "out.csv"
+    assert run(argv[:1] + ["--out", str(out)] + argv[1:] if argv else argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and named in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["solve", FREE, "-h"], ["sweep", "--he"],
+                                  ["check", FREE, "nonsense", "--help"], ["frobnicate", "-h"]])
+def test_help_prints_the_usage_and_exits_0(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr() == (USAGE + "\n", "")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_main_reads_sys_argv_when_given_none(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "fp.csv"
+    monkeypatch.setattr(sys, "argv", ["tsvarlab", "solve", FREE, "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_:
+        entrypoint()
+    assert exit_.value.code == 0
+    assert "action=4" in capsys.readouterr().out and out.exists()
+
+
+def test_command_imports_neither_argparse_nor_gettext_nor_locale(tmp_path):
+    # argparse's first message lookup imports gettext and locale: about 4 ms a process
+    out = tmp_path / "fp.csv"
+    argv = ["solve", FREE, "--out", str(out), "--quiet"]
+    code = ("import sys, tsvarlab.cli; code = tsvarlab.cli.main(%r); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))); "
+            "sys.exit(code)" % argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     assert out.exists()
 
 

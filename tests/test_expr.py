@@ -13,6 +13,8 @@ import pytest
 import tsvarlab as tv
 from tsvarlab.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Var, derivative
 
+from helpers import dataclass_repr
+
 
 def test_parse_collects_expected_variables():
     e = tv.parse("qs1^2 / t + t * qd1^2", 1)
@@ -348,6 +350,7 @@ def test_formulas_of_any_depth_under_a_recursion_limit_of_100():
         assert np.array_equal(value, 10_000 * x * x) and np.array_equal(slope, 20_000 * x)
         assert tv.parse("(" * 1000 + "t" + ")" * 1000, 1) == Var("t")
         assert tv.evaluate(tv.parse("-" * 10_001 + "t", 1), {"t": 2.0}) == -2.0
+        assert repr(a).count("Var(name='qd1'") == 10_000
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
@@ -376,3 +379,18 @@ def test_shape_ids_stay_unique_while_threads_build_trees():
         nodes += [getattr(node, name) for name in ("left", "right", "arg") if hasattr(node, name)]
     assert all(len(texts) == 1 for texts in shapes.values())
     assert len({hash(tree) for part in trees for tree in part}) == 1200
+
+
+@pytest.mark.parametrize("text", ["t", "-qd1^2 / 2 + 3 * cos(qs1) - t", "exp(-(t - 1.5e-3))"])
+def test_repr_is_the_dataclass_text(text):
+    tree = tv.parse(text, 1)
+    assert repr(tree) == dataclass_repr(tree)
+    assert repr(derivative(tree, "qs1")) == dataclass_repr(derivative(tree, "qs1"))
+
+
+def test_repr_of_a_deep_tree_returns():
+    # a failing assertion or a debugger shows deep trees too
+    text = repr(tv.parse(" + ".join(["t"] * 2000), 1))
+    assert text.startswith("BinOp(op='+', left=BinOp(op='+', ")
+    assert text.count("Var(name='t'") == 2000
+    assert text.endswith(f"right=Var(name='t', pos={1 + 4 * 1999}), pos={3 + 4 * 1998})")

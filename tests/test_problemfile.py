@@ -228,3 +228,35 @@ def test_quoted_list_keeps_hash_and_comma_inside_strings():
         '[symmetry]\nxi = ["q1 # x, y", ","]  # trailing, comment\n'
     )
     assert pf.symmetry["xi"] == ["q1 # x, y", ","]
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ("1, 2.5, -3e2", [1.0, 2.5, -300.0]),
+        (" 1 ,\t2 ", [1.0, 2.0]),
+        ("1_000, inf", [1000.0, float("inf")]),
+        ('1, "a"', [1.0, "a"]),
+        ("1, word, 2", [1.0, "word", 2.0]),
+        ('"x, y", 3', ["x, y", 3.0]),
+    ],
+)
+def test_list_items_read_as_each_item_alone(body, expected):
+    # numbers in one pass; a list that is not all numbers is read item by item
+    assert _parse_value(f"[{body}]", "k") == expected
+    assert expected == [_parse_value(item, "k") for item in _split_list_by_character(body)]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1, , 2", "k: empty value"),
+        ('1, "a', "k: unterminated string"),
+        ("1, 2 3", "k: cannot parse value '2 3'"),
+        ("1.5, a+b", "k: cannot parse value 'a+b'"),
+    ],
+)
+def test_list_item_errors_name_the_item(body, message):
+    with pytest.raises(ProblemFileError) as exc:
+        _parse_value(f"[{body}]", "k")
+    assert str(exc.value) == message
