@@ -184,9 +184,6 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     if alpha.values.ndim != 1 or f.values.ndim != 1:
         raise ValueError("pushforward expects scalar grid functions")
     avals = alpha.values
-    if not np.all(np.diff(avals) > 0):
-        raise ValueError("alpha must be strictly increasing on the grid")
-
     image = TimeScaleGrid(avals, intent=alpha.grid.intent)
     transported = GridFunction(image, f.values)
 

@@ -35,6 +35,7 @@ from .problemfile import (
     build_problem,
     load_problem_file,
     solver_options,
+    timescale_kind,
 )
 from .variational import SolverError, el_residual, solve_el
 
@@ -150,6 +151,9 @@ def _read_guess_csv(path: Path, problem):
                 raise ProblemFileError(
                     f"guess file row {k + 1}, column {name}: cannot parse {row[c]!r}"
                 ) from None
+            if not math.isfinite(table[k, j]):
+                raise ProblemFileError(
+                    f"guess file row {k + 1}, column {name}: non-finite value {row[c]!r}")
     if not np.array_equal(table[:, 0], problem.grid.array):
         raise ProblemFileError("guess file times do not match the problem grid")
     return GridFunction(problem.grid, table[:, 1:])
@@ -228,11 +232,7 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     pf = load_problem_file(args.file)
-    kind = pf.timescale.get("kind")
-    if kind not in ("uniform", "sampled"):
-        raise ProblemFileError(
-            f"timescale.kind: sweep needs a uniform or sampled kind, got {kind!r}"
-        )
+    timescale_kind(pf, swept=True)
     generator = build_generator(pf)
     if generator is None:
         raise ProblemFileError("sweep requires a [symmetry] section for the residual")

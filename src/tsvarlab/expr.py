@@ -25,9 +25,9 @@ every cell.
 
 Nothing here recurses, so memory, not the call stack, bounds a formula:
 :func:`parse` is one loop over the tokens (Dijkstra's shunting yard), the
-walks keep their own stacks, and trees compare and hash by the shape id
-each node gets when it is built.  Shapes are shared, nodes never: each node
-keeps the column of the formula it was read from.
+walks keep their own stacks, and trees compare over a stack of node pairs.
+Nodes are never shared: each keeps the column of the formula it was read
+from, and nothing here keeps a node once its trees are gone.
 """
 
 from __future__ import annotations
@@ -67,36 +67,52 @@ class EvalError(ValueError):
 
 
 class _Node:
-    """Compares and hashes by shape id, without the column; a node keeps its derivatives.
+    """Equal and hashed by structure, without the column; a node keeps its derivatives.
 
-    ``variables`` is the frozenset of the variable names in the tree, joined
-    from the operands' when the node is built, so no walk forms it.
+    ``variables`` (the frozenset of the variable names in the tree) and ``_hash``
+    are joined from the operands' when the node is built, so no walk forms them.
     """
-
-    # shape (class, label, operand shape ids) -> id() of its first tuple, kept alive here
-    _shapes: dict[tuple, int] = {}
 
     def __post_init__(self):
         if isinstance(self, BinOp):
             left, right = self.left.variables, self.right.variables
             names = left if right <= left else right if left <= right else left | right
-            shape = (BinOp, self.op, self.left._shape, self.right._shape)
+            key = (BinOp, self.op, self.left._hash, self.right._hash)
         elif isinstance(self, Neg):
-            names, shape = self.arg.variables, (Neg, self.arg._shape)
+            names, key = self.arg.variables, (Neg, self.arg._hash)
         elif isinstance(self, Call):
-            names, shape = self.arg.variables, (Call, self.fn, self.arg._shape)
+            names, key = self.arg.variables, (Call, self.fn, self.arg._hash)
         elif isinstance(self, Var):
-            names, shape = frozenset((self.name,)), (Var, self.name)
+            names, key = frozenset((self.name,)), (Var, self.name)
         else:
-            names, shape = frozenset(), (Num, self.value)
+            names, key = frozenset(), (Num, self.value)
         object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "_shape", _Node._shapes.setdefault(shape, id(shape)))
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
-        return self._shape == other._shape if isinstance(other, _Node) else NotImplemented
+        """Same class, label and operands node by node, over a stack of node pairs."""
+        if not isinstance(other, _Node):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            if a._hash != b._hash or kind is not type(b):
+                return False
+            if kind is BinOp:
+                if a.op != b.op:
+                    return False
+                pairs += ((a.right, b.right), (a.left, b.left))
+            elif kind is Neg or kind is Call and a.fn == b.fn:
+                pairs.append((a.arg, b.arg))
+            elif kind is Call or (a.value != b.value if kind is Num else a.name != b.name):
+                return False
+        return True
 
     def __hash__(self) -> int:
-        return self._shape
+        return self._hash
 
     def __repr__(self) -> str:
         """The dataclass-generated text, built over an explicit stack, so depth is not bounded."""
@@ -388,17 +404,6 @@ def evaluate(e, env: dict):
     with np.errstate(all="ignore"):  # callers check and locate inf and nan
         values = [_eval(tree, env, memo) for tree in trees]
     return values if trees is e else values[0]
-
-
-def diff_eval(e: Expression, env: dict, seed: dict):
-    """Value and exact directional derivative, sum of seed[name] * derivative(e, name).
-
-    Variables missing from ``seed`` carry tangent 0; array seeds give several directions.
-    """
-    terms = [(seed[name], d) for name in seed if (d := derivative(e, name)) != _ZERO]
-    value, *partials = evaluate([e, *(d for _, d in terms)], env)
-    with np.errstate(all="ignore"):
-        return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
 
 
 def substitute(e: Expression, trees: dict) -> Expression:

@@ -242,8 +242,11 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     def cells(eps: float) -> np.ndarray:
         """L along the transformed states at fixed time, or mu * L on the image grid."""
         mapped = over_cells(t, partial(gen._sample, maps, eps=eps), vals, what="point")
-        if dt is not None and not np.all(np.diff(mapped[:, 0]) > 0):
-            raise ValueError(f"transformed times are not strictly increasing at eps={eps!r}")
+        if dt is not None and not np.all(rising := np.diff(mapped[:, 0]) > 0):
+            i = int(np.argmin(rising)) + 1  # the first image not above the one before
+            raise ValueError(f"point {i} at t={float(t[i])!r}: transformed times are not strictly "
+                             f"increasing at eps={eps!r} ({float(mapped[i - 1, 0])!r} followed "
+                             f"by {float(mapped[i, 0])!r})")
         # the image of the grid map is itself a time scale; its jump operator
         # is index-aligned with the original, so transported cells line up
         t_e, mu_e, _, y, v = grid_cells(t if dt is None else mapped[:, 0], mapped[:, -p.dim :])

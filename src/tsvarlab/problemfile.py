@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .noether import SymmetryGenerator, make_generator
-from .timescale import TimeScaleGrid, make_timescale
+from .timescale import KINDS, TimeScaleGrid, make_timescale
 from .variational import Problem, make_problem
 
 
@@ -40,14 +40,6 @@ class ProblemFileError(ValueError):
 
 
 _SECTIONS = {"timescale", "problem", "symmetry", "solver"}
-
-_TIMESCALE_KEYS = {
-    "integers": ("a", "b"),
-    "uniform": ("a", "b", "h"),
-    "power2": ("n0", "n1"),
-    "explicit": ("points",),
-    "sampled": ("a", "b", "h"),
-}
 
 
 @dataclass
@@ -205,14 +197,23 @@ def _as_text_list(value, where: str, count: int) -> list[str]:
     return value
 
 
+def timescale_kind(pf: ProblemFile, swept: bool = False) -> str:
+    """The kind of pf's time scale, one of timescale.KINDS; a swept kind needs a step h."""
+    kind = _as_text(_need(pf.timescale, "timescale", "kind"), "timescale.kind")
+    if kind not in KINDS:
+        raise ProblemFileError(
+            f"timescale.kind: unknown kind {kind!r}; expected one of {sorted(KINDS)}"
+        )
+    if swept and "h" not in KINDS[kind][1]:
+        stepped = " or ".join(k for k, (_, keys) in KINDS.items() if "h" in keys)
+        raise ProblemFileError(f"timescale.kind: sweep needs a {stepped} kind, got {kind!r}")
+    return kind
+
+
 def build_grid(pf: ProblemFile, h_override: float | None = None) -> TimeScaleGrid:
     sec = pf.timescale
-    kind = _as_text(_need(sec, "timescale", "kind"), "timescale.kind")
-    if kind not in _TIMESCALE_KEYS:
-        raise ProblemFileError(
-            f"timescale.kind: unknown kind {kind!r}; expected one of {sorted(_TIMESCALE_KEYS)}"
-        )
-    allowed = _TIMESCALE_KEYS[kind]
+    kind = timescale_kind(pf, swept=h_override is not None)
+    allowed = KINDS[kind][1]
     for key in sec:
         if key != "kind" and key not in allowed:
             raise ProblemFileError(f"timescale.{key}: unknown key for kind {kind!r}")
@@ -224,8 +225,6 @@ def build_grid(pf: ProblemFile, h_override: float | None = None) -> TimeScaleGri
         else:
             params[key] = _as_number(value, f"timescale.{key}")
     if h_override is not None:
-        if "h" not in allowed:
-            raise ProblemFileError(f"timescale.kind: kind {kind!r} has no sampling step to sweep")
         params["h"] = h_override
     try:
         return make_timescale(kind, **params)

@@ -138,6 +138,7 @@ def power2(n0: int, n1: int) -> TimeScaleGrid:
 
 def explicit(points) -> TimeScaleGrid:
     """Grid from an explicit strictly increasing list of times."""
+    _check_size("explicit(points)", len(points))
     pts = np.array(points, dtype=float)
     if len(pts) < 2:
         raise ValueError("explicit grid needs at least 2 points")
@@ -163,22 +164,23 @@ def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
     return TimeScaleGrid(np.concatenate(([a], inner, [b])), intent=SAMPLED_CONTINUUM)
 
 
-_CONSTRUCTORS = {
-    "integers": integers,
-    "uniform": uniform,
-    "power2": power2,
-    "explicit": explicit,
-    "sampled": sampled,
+# kind -> (its constructor, the constructor's parameters)
+KINDS = {
+    "integers": (integers, ("a", "b")),
+    "uniform": (uniform, ("a", "b", "h")),
+    "power2": (power2, ("n0", "n1")),
+    "explicit": (explicit, ("points",)),
+    "sampled": (sampled, ("a", "b", "h")),
 }
 
 
 def make_timescale(kind: str, **params) -> TimeScaleGrid:
     """Dispatching constructor: kind is one of integers | uniform | power2 | explicit | sampled."""
     try:
-        ctor = _CONSTRUCTORS[kind]
+        ctor = KINDS[kind][0]
     except KeyError:
         raise ValueError(
-            f"unknown time scale kind {kind!r}; expected one of {sorted(_CONSTRUCTORS)}"
+            f"unknown time scale kind {kind!r}; expected one of {sorted(KINDS)}"
         ) from None
     return ctor(**params)
 

@@ -52,14 +52,13 @@ class Lagrangian:
 
     dim: int
     expression: ex.Expression
-    source: str
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "Lagrangian":
         if dim < 1:
             raise ValueError("Lagrangian dimension must be >= 1")
         tree = ex.parse(text, dim, allow=("t", "qs", "qd"))
-        return cls(dim, tree, text)
+        return cls(dim, tree)
 
     def _sample(self, trees, t, y, v, **extra) -> np.ndarray:
         """The trees, over t, y and v (and ``extra`` variables), one per entry of the last axis."""
@@ -87,10 +86,6 @@ class Lagrangian:
             block, stacked = stacked[..., : len(group)], stacked[..., len(group) :]
             out.append(block[..., 0][()] if kind == "t" else block)
         return tuple(out)
-
-    def partials(self, t, y, v):
-        _, d1, d2, d3 = self.value_and_partials(t, y, v)
-        return d1, d2, d3
 
 
 @dataclass(frozen=True)

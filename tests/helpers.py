@@ -19,7 +19,7 @@ import tsvarlab as tv
 from tsvarlab.cli import _UsageError
 from tsvarlab.expr import (
     _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
-    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _op, _tokenize,
+    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _op, _tokenize, derivative,
 )
 from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
@@ -320,6 +320,18 @@ def solve_1x1_is_reciprocal_product(rng):
     return np.linalg.solve(a, b).tobytes() == (b * (1.0 / a)).tobytes()
 
 
+def diff_eval(e, env, seed):
+    """Value and exact directional derivative, sum of seed[name] * derivative(e, name),
+    from derivative trees and one evaluate call.
+
+    Variables missing from ``seed`` carry tangent 0; array seeds give several directions.
+    """
+    terms = [(seed[name], d) for name in seed if (d := derivative(e, name)) != _ZERO]
+    value, *partials = tv.evaluate([e, *(d for _, d in terms)], env)
+    with np.errstate(all="ignore"):
+        return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
+
+
 def full_walk_derivative(e, name):
     """expr.derivative without its shortcuts: every subtree is walked, and nothing is kept."""
     if isinstance(e, Num):
@@ -426,6 +438,18 @@ def recursive_parse(text, dim, allow=VARIABLE_KINDS):
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", col)
     return tree
+
+
+def structure(e):
+    """The tree as nested tuples of class name, label and operands, without columns:
+    the shape that == compares and hash follows."""
+    if isinstance(e, BinOp):
+        return "BinOp", e.op, structure(e.left), structure(e.right)
+    if isinstance(e, Call):
+        return "Call", e.fn, structure(e.arg)
+    if isinstance(e, Neg):
+        return "Neg", structure(e.arg)
+    return type(e).__name__, e.value if isinstance(e, Num) else e.name
 
 
 def recursive_render(e):

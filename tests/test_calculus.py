@@ -224,7 +224,7 @@ def test_pushforward_rejects_decreasing_alpha():
     g = tv.integers(0, 3)
     alpha = tv.GridFunction(g, np.array([0.0, 2.0, 1.5, 3.0]))
     f = tv.GridFunction(g, np.zeros(4))
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=r"strictly increasing \(got 2\.0 followed by 1\.5\)$"):
         tv.pushforward(alpha, f)
 
 

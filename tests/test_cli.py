@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
+from tsvarlab import timescale as ts
 from tsvarlab.cli import (
     USAGE, _format_rows, _option, _read_args, _UsageError, entrypoint, main,
 )
 from tsvarlab.problemfile import (
+    ProblemFileError,
     build_generator,
     build_grid,
     build_problem,
@@ -74,6 +76,17 @@ def test_solve_rejects_mismatched_guess(tmp_path):
     out = tmp_path / "fp.csv"
     assert run(["solve", FREE, "--out", str(out), "--quiet"]) == 0
     assert run(["solve", GRAVITY, "--out", str(tmp_path / "x.csv"), "--guess", str(out)]) == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_solve_rejects_non_finite_guess_value(tmp_path, capsys, value):
+    guess = tmp_path / "guess.csv"
+    out = tmp_path / "fp.csv"
+    guess.write_text(f"t,q_1\n0,0\n1,{value}\n2,2\n3,3\n4,4\n")
+    assert run(["solve", FREE, "--out", str(out), "--guess", str(guess)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: guess file row 2, column q_1: non-finite value '{value}'\n")
+    assert not out.exists()
 
 
 def test_solve_rejects_short_guess_row(tmp_path, capsys):
@@ -262,6 +275,22 @@ def test_check_requires_symmetry_section(tmp_path):
     assert run(["check", str(bare), "el", "--out", str(tmp_path / "el.csv"), "--quiet"]) == 0
 
 
+def test_non_increasing_time_map_names_its_point(tmp_path, capsys):
+    # t - eps*t^2 at eps = 0.5 maps 0, 1, 2, 3, 4 to 0, 0.5, 0, -1.5, -4
+    folded = tmp_path / "folded.problem"
+    folded.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2 / 2"\nqa = [0]\nqb = [1]\n'
+        '[symmetry]\ntau = "-t^2"\nxi = ["0"]\ntbar = "t - eps*t^2"\nqbar = ["q1"]\n'
+    )
+    out = tmp_path / "i.csv"
+    assert run(["check", str(folded), "invariance", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: point 2 at t=2.0: transformed times are not strictly increasing at eps=0.5"
+        " (0.5 followed by 0.0)\n")
+    assert not out.exists()
+
+
 def test_check_non_monotone_eps_exits_3(tmp_path):
     shifty = tmp_path / "shifty.problem"
     shifty.write_text(
@@ -299,8 +328,19 @@ def test_sweep_single_h_has_empty_order(tmp_path):
     assert len(rows) == 1 and rows[0][3] == ""
 
 
-def test_sweep_rejects_non_sampled_kind(tmp_path):
+def test_sweep_rejects_non_sampled_kind(tmp_path, capsys):
+    message = "timescale.kind: sweep needs a uniform or sampled kind, got 'power2'"
     assert run(["sweep", DOUBLING, "--h-list", "0.1,0.01", "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the kind is checked before the [symmetry] section and the --h-list
+    bare = tmp_path / "bare.problem"
+    bare.write_text(Path(DOUBLING).read_text().split("[symmetry]")[0])
+    assert run(["sweep", str(bare), "--h-list", "0.01,0.1", "--out", str(tmp_path / "s.csv")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ProblemFileError) as err:
+        build_grid(load_problem_file(DOUBLING), h_override=0.1)
+    assert str(err.value) == message
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sweep_rejects_increasing_h_list(tmp_path):
@@ -613,6 +653,19 @@ def test_oversized_grid_exits_3(tmp_path, capsys, timescale, message):
     )
     assert run(["solve", str(problem), "--out", str(tmp_path / "big.csv")]) == 3
     assert capsys.readouterr().err.startswith(f"error: timescale: {message}")
+
+
+def test_oversized_explicit_list_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ts, "MAX_POINTS", 5)
+    problem = tmp_path / "big.problem"
+    problem.write_text(
+        "[timescale]\nkind = explicit\npoints = [0, 1, 2, 3, 4, 5]\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1]\n'
+    )
+    assert run(["solve", str(problem), "--out", str(tmp_path / "big.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "error: timescale: explicit(points) would have 6 points; the limit is 5\n")
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_sweep_step_goes_through_the_grid_size_limit(tmp_path, capsys):

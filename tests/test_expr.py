@@ -13,7 +13,7 @@ import pytest
 import tsvarlab as tv
 from tsvarlab.expr import BinOp, Call, EvalError, Neg, Num, ParseError, Var, derivative
 
-from helpers import dataclass_repr
+from helpers import dataclass_repr, diff_eval, structure
 
 
 def test_parse_collects_expected_variables():
@@ -182,7 +182,7 @@ def test_overflow_reported_as_eval_error():
 def test_integer_power_at_negative_base():
     e = tv.parse("t^2 + t^3", 1)
     assert tv.evaluate(e, {"t": -2.0}) == -4.0
-    v, d = tv.diff_eval(e, {"t": -2.0}, {"t": 1.0})
+    v, d = diff_eval(e, {"t": -2.0}, {"t": 1.0})
     assert d == 2 * (-2.0) + 3 * 4.0  # 2t + 3t^2
 
 
@@ -218,10 +218,18 @@ def test_one_tree_is_evaluated_without_keeping_its_interior_values():
     assert np.array_equal(tv.evaluate([e, e], env)[1], values[0])
 
 
+def test_a_derivative_is_evaluated_one_way():
+    # derivative builds the tree and evaluate evaluates it; no second surface
+    assert not hasattr(tv.expr, "diff_eval") and "diff_eval" not in tv.__all__
+    lagrangian = tv.Lagrangian.from_text("qd1^2", 1)
+    assert not hasattr(lagrangian, "partials") and not hasattr(lagrangian, "source")
+    assert tv.evaluate(derivative(lagrangian.expression, "qd1"), {"qd1": 3.0}) == 6.0
+
+
 def test_diff_eval_examples():
-    v, d = tv.diff_eval(tv.parse("qd1^2", 1), {"qd1": 3.0}, {"qd1": 1.0})
+    v, d = diff_eval(tv.parse("qd1^2", 1), {"qd1": 3.0}, {"qd1": 1.0})
     assert (v, d) == (9.0, 6.0)
-    v, d = tv.diff_eval(tv.parse("sin(t)", 1), {"t": 0.0}, {"t": 1.0})
+    v, d = diff_eval(tv.parse("sin(t)", 1), {"t": 0.0}, {"t": 1.0})
     assert (v, d) == (0.0, 1.0)
 
 
@@ -230,17 +238,17 @@ def test_sqrt_slope_is_needed_only_along_the_seed():
     # a seed without t needs no derivative in t
     e = tv.parse("sqrt(t) + qs1^2", 1)
     env = {"t": 0.0, "qs1": 3.0}
-    assert tv.diff_eval(e, env, {"qs1": 1.0}) == (9.0, 6.0)
+    assert diff_eval(e, env, {"qs1": 1.0}) == (9.0, 6.0)
     with pytest.raises(EvalError, match=r"^sqrt derivative undefined at 0 in sqrt\(\.\.\.\)"):
-        tv.diff_eval(e, env, {"t": 1.0, "qs1": 1.0})
+        diff_eval(e, env, {"t": 1.0, "qs1": 1.0})
 
 
 def test_diff_eval_seed_linearity():
     e = tv.parse("t * qs1 + exp(qd1) * sin(t)", 1)
     env = {"t": 0.7, "qs1": -1.2, "qd1": 0.4}
-    _, da = tv.diff_eval(e, env, {"t": 1.0})
-    _, db = tv.diff_eval(e, env, {"qs1": 1.0, "qd1": -2.0})
-    _, dmix = tv.diff_eval(e, env, {"t": 3.0, "qs1": 2.0, "qd1": -4.0})
+    _, da = diff_eval(e, env, {"t": 1.0})
+    _, db = diff_eval(e, env, {"qs1": 1.0, "qd1": -2.0})
+    _, dmix = diff_eval(e, env, {"t": 3.0, "qs1": 2.0, "qd1": -4.0})
     assert dmix == pytest.approx(3 * da + 2 * db, rel=1e-13)
 
 
@@ -270,7 +278,7 @@ def test_directional_derivative_matches_finite_differences():
     for _ in range(100):
         e, env = _random_expression_and_env(rng)
         seed = {name: float(rng.uniform(-1, 1)) for name in env}
-        v, d = tv.diff_eval(e, env, seed)
+        v, d = diff_eval(e, env, seed)
         env_plus = {n: x + step * seed[n] for n, x in env.items()}
         env_minus = {n: x - step * seed[n] for n, x in env.items()}
         fd = (tv.evaluate(e, env_plus) - tv.evaluate(e, env_minus)) / (2 * step)
@@ -281,7 +289,7 @@ def test_directional_derivative_matches_finite_differences():
 def test_product_and_chain_rule_in_duals():
     e = tv.parse("sin(t^2) * exp(qs1 * t)", 1)
     env = {"t": 0.8, "qs1": -0.3}
-    _, d = tv.diff_eval(e, env, {"t": 1.0})
+    _, d = diff_eval(e, env, {"t": 1.0})
     t, y = env["t"], env["qs1"]
     exact = 2 * t * math.cos(t * t) * math.exp(y * t) + math.sin(t * t) * y * math.exp(y * t)
     assert d == pytest.approx(exact, rel=1e-14)
@@ -310,14 +318,15 @@ def test_render_of_handwritten_cases():
 def test_ast_equality_ignores_position():
     a = tv.parse("t +   1", 1)
     b = tv.parse("t + 1", 1)
-    assert a == b
+    assert a == b and hash(a) == hash(b) and tv.parse("t+1", 1) == a
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
     assert isinstance(a, BinOp) and isinstance(a.right, Num)
     assert isinstance(tv.parse("abs(t)", 1), Call)
     assert isinstance(tv.parse("t", 1), Var)
 
 
 def test_columns_stay_with_their_own_formula():
-    # equal formulas share a shape id, never a node: each reports its own column,
+    # equal formulas share no node: each reports its own column,
     # alone or beside another tree, however often its shape was evaluated before
     env = {"qs1": np.array([1.0, -1.0])}
     for text, column in (("ln(qs1)", 1), ("   ln(qs1)", 4)):
@@ -358,7 +367,8 @@ def test_formulas_of_any_depth_under_a_recursion_limit_of_100():
 
 
 def test_shape_ids_stay_unique_while_threads_build_trees():
-    # every thread shares the shape table: equal ids must mean equal shapes
+    # trees built on four threads at once, with subtrees of equal shape on
+    # every thread: equal exactly when their shapes are equal
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     trees = [[] for _ in range(4)]
@@ -372,13 +382,46 @@ def test_shape_ids_stay_unique_while_threads_build_trees():
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(interval)
-    shapes, nodes = {}, [tree for part in trees for tree in part]
-    while nodes:  # every node of every tree: one rendering per shape id
+    groups, shapes, nodes = {}, set(), [tree for part in trees for tree in part]
+    while nodes:  # every node of every tree: one group of equal nodes per shape
         node = nodes.pop()
-        shapes.setdefault(hash(node), set()).add(tv.render(node))
+        groups.setdefault(node, set()).add(structure(node))
+        shapes.add(structure(node))
         nodes += [getattr(node, name) for name in ("left", "right", "arg") if hasattr(node, name)]
-    assert all(len(texts) == 1 for texts in shapes.values())
-    assert len({hash(tree) for part in trees for tree in part}) == 1200
+    assert all(len(group) == 1 for group in groups.values())
+    assert len(groups) == len(shapes) > 1200
+
+
+def test_trees_with_equal_stored_hashes_still_compare_by_structure():
+    a, b = tv.parse("t * 2 + qs1", 1), tv.parse("t * 3 + qs1", 1)
+    for x, y in ((a, b), (a.left, b.left), (a.left.right, b.left.right)):
+        object.__setattr__(y, "_hash", x._hash)
+    assert hash(a) == hash(b) and a != b and b != a
+    assert a.left.left == b.left.left and a.right == b.right
+    for x, y in [(Num(1.0), Var("t")), (Var("t"), Var("eps")), (Num(1.0), Num(2.0)),
+                 (Neg(Var("t")), Call("abs", Var("t"))), (Call("sin", Var("t")), Call("cos", Var("t")))]:
+        object.__setattr__(y, "_hash", x._hash)
+        assert x != y and y != x
+
+
+def test_no_shape_outlives_its_trees():
+    # nothing in expr keeps a node, or a table of shapes, once its trees are gone
+    script = textwrap.dedent("""
+        import tracemalloc
+        import tsvarlab as tv
+        from tsvarlab.expr import derivative
+        derivative(tv.parse("qd1^2/2 + 0.5 * cos(qs1)", 1), "qs1")
+        tracemalloc.start()
+        for k in range(10_000):
+            e = tv.parse(f"qd1^2/2 + {k} * cos(qs1)", 1)
+            derivative(e, "qs1")
+        del e
+        retained = tracemalloc.get_traced_memory()[0]
+        assert retained < 100_000, retained
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("text", ["t", "-qd1^2 / 2 + 3 * cos(qs1) - t", "exp(-(t - 1.5e-3))"])

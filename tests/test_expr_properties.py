@@ -15,8 +15,8 @@ from tsvarlab.expr import (
 )
 
 from helpers import (
-    full_walk_derivative, recursive_evaluate, recursive_parse, recursive_render,
-    recursive_substitute,
+    diff_eval, full_walk_derivative, recursive_evaluate, recursive_parse, recursive_render,
+    recursive_substitute, structure,
 )
 
 # Hypothesis caches what it reads from source files in its home directory;
@@ -69,9 +69,9 @@ def test_diff_eval_matches_central_differences_and_batches(text, points, seed_va
     e = tv.parse(text, 1)
     seed = dict(zip(NAMES, seed_values))
     envs = [dict(zip(NAMES, point)) for point in points]
-    pointwise = [_outcome(lambda env=env: tv.diff_eval(e, env, seed)) for env in envs]
+    pointwise = [_outcome(lambda env=env: diff_eval(e, env, seed)) for env in envs]
     batch = {name: np.array([env[name] for env in envs]) for name in NAMES}
-    batched = _outcome(lambda: tv.diff_eval(e, batch, seed))
+    batched = _outcome(lambda: diff_eval(e, batch, seed))
     failed = [r for r in pointwise if isinstance(r, str)]
     if failed:
         # the batch fails on some point, with a message the points also give
@@ -167,6 +167,22 @@ def test_derivative_equals_the_full_walk(text, first, second):
     _same_tree(first_tree, full_walk_derivative(tree, first))
     _same_tree(derivative(first_tree, second),
                full_walk_derivative(full_walk_derivative(tree, first), second))
+
+
+# few leaves of few values: equal trees are common, and so are equal subtrees
+SMALL = st.recursive(st.sampled_from(["t", "qs1", "0", "1", "2"]), _extend, max_leaves=4)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(SMALL, SMALL, st.sampled_from(NAMES))
+def test_equality_and_hash_follow_the_structure(a_text, b_text, name):
+    a, b = tv.parse(a_text, 1), tv.parse(b_text, 1)
+    trees = [a, b, tv.parse(render(b), 1), derivative(a, name), derivative(b, name),
+             full_walk_derivative(b, name), derivative(derivative(a, name), "t")]
+    for x in trees:
+        for y in trees:
+            assert (x == y) == (structure(x) == structure(y)), (render(x), render(y))
+            assert x != y or hash(x) == hash(y)
 
 
 def test_variables_are_those_of_the_tree():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from tsvarlab.problemfile import (
     parse_problem_text,
     solver_options,
 )
+from tsvarlab.timescale import KINDS
 
 GOOD = """
 # a comment
@@ -105,6 +108,14 @@ def test_wrong_key_for_kind():
     bad = GOOD.replace("n0 = 0", "a = 0")
     with pytest.raises(ProblemFileError, match="timescale.a: unknown key"):
         build_grid(parse_problem_text(bad))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_each_kind_takes_the_parameters_of_its_constructor(kind):
+    ctor, keys = KINDS[kind]
+    assert keys == tuple(inspect.signature(ctor).parameters)
+    with pytest.raises(ProblemFileError, match=rf"^timescale\.{keys[0]}: missing required key$"):
+        build_grid(parse_problem_text(f"[timescale]\nkind = {kind}\n[problem]\n"))
 
 
 def test_family_requires_both_maps():

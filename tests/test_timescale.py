@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tsvarlab as tv
+from tsvarlab import timescale as ts
 from tsvarlab.timescale import EXACT_DISCRETE, SAMPLED_CONTINUUM
 
 import helpers
@@ -203,6 +204,15 @@ def test_grid_from_an_array_stores_python_floats():
 def test_oversized_grids_are_rejected_before_they_are_built(ctor, args, message):
     with pytest.raises(ValueError, match=message + r"; the limit is 10000000$"):
         ctor(*args)
+
+
+def test_explicit_checks_the_size_before_the_copy(monkeypatch):
+    # a small limit: the check, not a 10^7-point list, is what is tested
+    monkeypatch.setattr(ts, "MAX_POINTS", 5)
+    message = r"^explicit\(points\) would have 6 points; the limit is 5$"
+    with pytest.raises(ValueError, match=message):
+        tv.explicit(np.arange(6.0))
+    assert len(tv.explicit(np.arange(5.0))) == 5
 
 
 def test_power2_rejects_exponents_that_overflow():
