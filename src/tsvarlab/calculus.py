@@ -60,7 +60,7 @@ def grid_cells(times: np.ndarray, values):
     overflows is left inf or nan, unwarned, for the located pass to name.
     """
     values = np.asarray(values)
-    mu = np.diff(times)
+    mu = times[1:] - times[:-1]  # the bits of np.diff, without its wrapper's cost
     left, right = values[:-1], values[1:]
     with np.errstate(all="ignore"):
         delta = (right - left) / _on_cell_axis(mu, values)
@@ -68,9 +68,15 @@ def grid_cells(times: np.ndarray, values):
 
 
 def sample(trees, env: dict, cells: tuple) -> np.ndarray:
-    """The trees over ``env`` in one ``ex.evaluate`` call: a float array, cells + (len(trees),)."""
-    values = ex.evaluate(trees, env)
-    return np.stack([np.broadcast_to(x, cells) for x in values], axis=-1, dtype=float)
+    """The trees over ``env`` in one ``ex.evaluate`` call: a float array, cells + (len(trees),).
+
+    A value constant over the cells (a number, or a variable such as t at one
+    point) is broadcast into its column.
+    """
+    out = np.empty(cells + (len(trees),))
+    for k, x in enumerate(ex.evaluate(trees, env)):
+        out[..., k] = x
+    return out
 
 
 def over_cells(times, fn, *per_cell_args, what: str = "cell"):
@@ -121,7 +127,7 @@ def integral(times, mu: np.ndarray, values: np.ndarray):
     """
     with np.errstate(all="ignore"):
         terms = _on_cell_axis(mu, values) * values
-        sums = np.cumsum(np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]), axis=0)
+        sums = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms]).cumsum(axis=0)
     finite_cells(times, sums[1:])
     return sums[-1]
 

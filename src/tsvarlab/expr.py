@@ -268,9 +268,12 @@ def parse(text: str, dim: int, allow: tuple[str, ...] = VARIABLE_KINDS) -> Expre
 
 
 def _guard(x, bad, message: str) -> None:
-    """Raises EvalError at the first cell where bad(x), for _eval to locate; {} takes its value."""
+    """Raises EvalError at the first cell where bad(x), for _eval to locate; {} takes its value.
+
+    bad of a Python float, a number in the formula, is a bool, which has no any().
+    """
     mask = bad(x)
-    if np.any(mask):
+    if mask if type(mask) is bool else mask.any():
         cell = int(np.argmax(mask))
         raise EvalError(message.format(float(np.ravel(x)[cell])), 0, cell)
 
@@ -307,9 +310,13 @@ def _power(base, expo):
     (t over cells at several integer times, say) takes exp(p ln x) and
     requires a strictly positive base.
     """
-    pe = np.ravel(expo)
-    if pe.size and np.all(pe == pe[0]) and float(pe[0]).is_integer():
-        k = int(pe[0])
+    if type(expo) is float:  # a number in the formula: one value, no array to scan
+        k = int(expo) if expo.is_integer() else None
+    else:
+        pe = np.ravel(expo)
+        same = pe.size and (pe == pe[0]).all() and float(pe[0]).is_integer()
+        k = int(pe[0]) if same else None
+    if k is not None:
         if k < 0:
             _guard(base, lambda v: v == 0.0, "0 raised to a negative power")
             return _div(1.0, _ipow(base, -k))
@@ -463,7 +470,7 @@ def _derive(e: Expression, name: str) -> Expression:
         return _op("-", _ZERO, derivative(e.arg, name))
     if isinstance(e, Call):
         u, du = e.arg, derivative(e.arg, name)
-        if du == _ZERO or e.fn == "sign":
+        if _is_num(du, 0.0) or e.fn == "sign":
             return _ZERO
         if e.fn in ("ln", "ln base"):
             return _op("/", du, u, e.pos)
@@ -479,23 +486,28 @@ def _derive(e: Expression, name: str) -> Expression:
         return _op("+", _op("*", a, db), _op("*", da, b))
     if e.op == "/":  # (da - (a/b) db) / b divides only by what e divides by
         return _op("/", _op("-", da, _op("*", e, db)), b, e.pos)
-    if db == _ZERO:  # b a^(b-1) da, by the same exponent rule as e
+    if _is_num(db, 0.0):  # b a^(b-1) da, by the same exponent rule as e
         return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE), e.pos)), da)
     log_term = _op("*", db, Call("ln base", a, pos=e.pos))  # a^b (b da/a + db ln a)
     return _op("*", e, _op("+", _op("*", b, _op("/", da, a, e.pos)), log_term))
+
+
+def _is_num(e: Expression, value: float) -> bool:
+    """e == Num(value) without a walk: Num(-0.0) is 0 as well."""
+    return type(e) is Num and e.value == value
 
 
 def _op(op: str, a: Expression, b: Expression, pos: int = 0) -> Expression:
     """BinOp(op, a, b) with the identities of 0 and 1 folded and + - * of numbers computed."""
     if op in "+-*" and isinstance(a, Num) and isinstance(b, Num):
         return Num(_OPS[op](a.value, b.value))
-    if b == _ZERO and op in "+-*^":
+    if _is_num(b, 0.0) and op in "+-*^":
         return {"+": a, "-": a, "*": _ZERO, "^": _ONE}[op]
-    if a == _ZERO and op in "+-*/":
+    if _is_num(a, 0.0) and op in "+-*/":
         return {"+": b, "-": Neg(b), "*": _ZERO, "/": _ZERO}[op]
-    if b == _ONE and op in "*/^":
+    if _is_num(b, 1.0) and op in "*/^":
         return a
-    if a == _ONE and op == "*":
+    if _is_num(a, 1.0) and op == "*":
         return b
     return BinOp(op, a, b, pos=pos)
 

@@ -59,7 +59,7 @@ class SymmetryGenerator:
             env[f"q{k + 1}"] = qvec[..., k]
         if eps is not None:
             env["eps"] = eps
-        return sample(trees, env, np.broadcast_shapes(np.shape(t), qvec.shape[:-1]))
+        return sample(trees, env, np.broadcast(t, env["q1"]).shape)
 
     def tau_at(self, t, qvec):
         return self._sample((self.tau,), t, qvec)[..., 0][()]

@@ -67,7 +67,7 @@ class Lagrangian:
         for k in range(self.dim):
             env[f"qs{k + 1}"] = y[..., k]
             env[f"qd{k + 1}"] = v[..., k]
-        return sample(trees, env, np.broadcast_shapes(np.shape(t), y.shape[:-1], v.shape[:-1]))
+        return sample(trees, env, np.broadcast(t, env["qs1"], env["qd1"]).shape)
 
     def value(self, t, y, v):
         return self._sample([self.expression], t, y, v)[..., 0][()]
@@ -212,10 +212,11 @@ def _cell_hessian(p: Problem, t, mu, y, v):
 
     Each block is (n, n) for one cell and (c, n, n) on c cells.  The nonzero
     second derivatives of L in (y, v) are evaluated in one pass with L
-    itself, whose domain errors come first as in the other passes; the
-    chain rule of y = q_right, v = (q_right - q_left) / mu maps them entry
-    by entry, so one cell alone gives the same blocks as in a batch.
-    d2L/da db is built only where b occurs in dL/da.
+    itself, whose domain errors come first as in the other passes, and fill
+    the n-by-n blocks of d2L in (y, y), (v, y) and (v, v), with no 2n-by-2n
+    array; the chain rule of y = q_right, v = (q_right - q_left) / mu maps
+    them entry by entry, so one cell alone gives the same blocks as in a
+    batch.  d2L/da db is built only where b occurs in dL/da.
     """
     n = p.dim
     names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
@@ -223,15 +224,20 @@ def _cell_hessian(p: Problem, t, mu, y, v):
     first = [ex.derivative(tree, a) for a in names]
     second = {(i, j): ex.derivative(first[i], b) for i in range(2 * n)
               for j, b in enumerate(names) if i <= j and b in first[i].variables}
-    second = {ij: d for ij, d in second.items() if d != ex.Num(0.0)}
+    second = {ij: d for ij, d in second.items() if not ex._is_num(d, 0.0)}
     values = p.lagrangian._sample([tree, *second.values()], t, y, v)
-    h = np.zeros(np.shape(mu) + (2 * n, 2 * n))  # d2L / d names[i] d names[j], cells first
+    # d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j at [..., i, j], cells first
+    h_yy, h_vy, h_vv = (np.zeros(np.shape(mu) + (n, n)) for _ in range(3))
     for k, (i, j) in enumerate(second, start=1):
-        h[..., i, j] = h[..., j, i] = values[..., k]
+        if j < n:
+            h_yy[..., i, j] = h_yy[..., j, i] = values[..., k]
+        elif i < n:
+            h_vy[..., j - n, i] = values[..., k]
+        else:
+            h_vv[..., i - n, j - n] = h_vv[..., j - n, i - n] = values[..., k]
     mu = np.reshape(mu, np.shape(mu) + (1, 1))
-    h_yy, h_yv, h_vy, h_vv = h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:]
     left = h_vv / mu
-    return left, -(h_vy + left), mu * h_yy + (h_yv + h_vy) + left
+    return left, -(h_vy + left), mu * h_yy + (np.swapaxes(h_vy, -1, -2) + h_vy) + left
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):
@@ -262,9 +268,9 @@ def _block_tridiag_solve(p: Problem, diag, upper, rhs):
     SingularJacobian at the first interior point whose Schur complement is
     singular.
     """
-    lower = np.zeros_like(diag)
-    lower[1:] = np.swapaxes(upper, 1, 2)
-    padded = np.concatenate([upper, np.zeros_like(diag[:1])])
+    lower, padded = np.zeros(diag.shape), np.zeros(diag.shape)
+    lower[1:] = upper.swapaxes(1, 2)
+    padded[:-1] = upper
     with np.errstate(all="ignore"):
         try:
             x = _cyclic_reduction(lower, diag, padded, rhs[..., None])[..., 0]
@@ -273,11 +279,11 @@ def _block_tridiag_solve(p: Problem, diag, upper, rhs):
         residual = rhs - _block_matvec(diag, x)
         residual[:-1] -= _block_matvec(upper, x[1:])
         residual[1:] -= _block_matvec(lower[1:], x[:-1])
-        row_sums = np.abs(diag).sum(axis=2)
-        row_sums[:-1] += np.abs(upper).sum(axis=2)
-        row_sums[1:] += np.abs(upper).sum(axis=1)
-        scale = np.max(row_sums) * np.max(np.abs(x)) + np.max(np.abs(rhs))
-        if np.isfinite(scale) and np.max(np.abs(residual)) <= _BACKWARD_TOL * scale:
+        row_sums, abs_upper = np.abs(diag).sum(axis=2), np.abs(upper)
+        row_sums[:-1] += abs_upper.sum(axis=2)
+        row_sums[1:] += abs_upper.sum(axis=1)
+        scale = row_sums.max() * np.abs(x).max() + np.abs(rhs).max()
+        if np.isfinite(scale) and np.abs(residual).max() <= _BACKWARD_TOL * scale:
             return x
     return _block_thomas(p, diag, upper, rhs)
 
@@ -340,22 +346,23 @@ def _scalar_cyclic_reduction(lower, diag, upper, rhs):
     pivot = diag[0::2]
     if not pivot.all():
         raise np.linalg.LinAlgError("Singular matrix")
-    sol = np.stack([lower[0::2], upper[0::2], rhs[0::2]]) * (1.0 / pivot)  # rows a, b, y
+    k = len(pivot)
+    # rows a, b and y of the even rows; for an even m the last odd row has no right
+    # neighbour, and a zero column stands in
+    sol = np.zeros((3, m // 2 + 1))
+    sol[0, :k], sol[1, :k], sol[2, :k] = lower[0::2], upper[0::2], rhs[0::2]
+    sol[:, :k] *= 1.0 / pivot
     if m == 1:
         return sol[2]
-    if m % 2 == 0:  # the last odd row has no right neighbour: a zero one stands in
-        sol = np.concatenate([sol, np.zeros((3, 1))], axis=1)
     left = lower[1::2] * sol[:, :-1] + 0.0  # lo a, lo b and lo y of the odd rows
     right = upper[1::2] * sol[:, 1:] + 0.0  # up a, up b and up y
-    x_odd = _scalar_cyclic_reduction(
+    x = np.zeros(m + 2)  # x[i + 1] is row i's unknown, between two zero neighbours
+    x[2 : m + 1 : 2] = _scalar_cyclic_reduction(
         -left[0], diag[1::2] - left[1] - right[0], -right[1], rhs[1::2] - left[2] - right[2]
     )
-    x_near = np.concatenate([[0.0], x_odd, [0.0]])
-    x_even = sol[2] - (sol[0] * x_near[:-1] + 0.0) - (sol[1] * x_near[1:] + 0.0)
-    x = np.empty(m)
-    x[0::2] = x_even[: (m + 1) // 2]
-    x[1::2] = x_odd
-    return x
+    a, b, y = sol[:, :k]
+    x[1 : 2 * k : 2] = y - (a * x[0 : 2 * k : 2] + 0.0) - (b * x[2 : 2 * k + 1 : 2] + 0.0)
+    return x[1:-1]
 
 
 def _block_thomas(p: Problem, diag, upper, rhs):

@@ -19,7 +19,7 @@ import tsvarlab as tv
 from tsvarlab.cli import _UsageError
 from tsvarlab.expr import (
     _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
-    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _op, _tokenize, derivative,
+    BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _tokenize, derivative,
 )
 from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
 
@@ -276,7 +276,8 @@ def loop_sampled(a, b, h):
 
 # ---------------------------------------------------------------------------
 # Full-work references for the Newton step: the block route of cyclic
-# reduction at every block size, and derivatives that walk every subtree.
+# reduction at every block size, the dense cell Hessian, sampling by
+# np.stack, and derivatives that walk every subtree.
 
 
 def block_cyclic_reduction(lower, diag, upper, rhs):
@@ -309,6 +310,31 @@ def block_cyclic_reduction(lower, diag, upper, rhs):
     return x
 
 
+def dense_cell_hessian(p, t, mu, y, v):
+    """variational._cell_hessian through a dense (c, 2n, 2n) array of d2L in (y, v), as it was."""
+    n = p.dim
+    names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
+    tree = p.lagrangian.expression
+    first = [derivative(tree, a) for a in names]
+    second = {(i, j): derivative(first[i], b) for i in range(2 * n)
+              for j, b in enumerate(names) if i <= j and b in first[i].variables}
+    second = {ij: d for ij, d in second.items() if d != Num(0.0)}
+    values = p.lagrangian._sample([tree, *second.values()], t, y, v)
+    h = np.zeros(np.shape(mu) + (2 * n, 2 * n))
+    for k, (i, j) in enumerate(second, start=1):
+        h[..., i, j] = h[..., j, i] = values[..., k]
+    mu = np.reshape(mu, np.shape(mu) + (1, 1))
+    h_yy, h_yv, h_vy, h_vv = h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:]
+    left = h_vv / mu
+    return left, -(h_vy + left), mu * h_yy + (h_yv + h_vy) + left
+
+
+def stack_sample(trees, env, cells):
+    """calculus.sample as it was: np.stack over np.broadcast_to views of the values."""
+    values = tv.evaluate(trees, env)
+    return np.stack([np.broadcast_to(x, cells) for x in values], axis=-1, dtype=float)
+
+
 def solve_1x1_is_reciprocal_product(rng):
     """Whether this build's 1-by-1 np.linalg.solve with three right-hand sides is b * (1/a).
 
@@ -332,37 +358,53 @@ def diff_eval(e, env, seed):
         return value, sum((s * d for (s, _), d in zip(terms, partials)), 0.0)
 
 
+def eq_op(op, a, b, pos=0):
+    """expr._op as it was: 0 and 1 are recognised by the structural ==, which walks the tree."""
+    if op in "+-*" and isinstance(a, Num) and isinstance(b, Num):
+        return Num(_OPS[op](a.value, b.value))
+    if b == _ZERO and op in "+-*^":
+        return {"+": a, "-": a, "*": _ZERO, "^": _ONE}[op]
+    if a == _ZERO and op in "+-*/":
+        return {"+": b, "-": Neg(b), "*": _ZERO, "/": _ZERO}[op]
+    if b == _ONE and op in "*/^":
+        return a
+    if a == _ONE and op == "*":
+        return b
+    return BinOp(op, a, b, pos=pos)
+
+
 def full_walk_derivative(e, name):
-    """expr.derivative without its shortcuts: every subtree is walked, and nothing is kept."""
+    """expr.derivative without its shortcuts: every subtree is walked, nothing is kept, and
+    0 and 1 are recognised by == (eq_op)."""
     if isinstance(e, Num):
         return _ZERO
     if isinstance(e, Var):
         return _ONE if e.name == name else _ZERO
     if isinstance(e, Neg):
-        return _op("-", _ZERO, full_walk_derivative(e.arg, name))
+        return eq_op("-", _ZERO, full_walk_derivative(e.arg, name))
     if isinstance(e, Call):
         u, du = e.arg, full_walk_derivative(e.arg, name)
         if du == _ZERO or e.fn == "sign":
             return _ZERO
         if e.fn in ("ln", "ln base"):
-            return _op("/", du, u, e.pos)
+            return eq_op("/", du, u, e.pos)
         if e.fn in ("sqrt", "nonzero sqrt"):
-            return _op("/", du, _op("*", Num(2.0), Call("nonzero sqrt", u, pos=e.pos)), e.pos)
+            return eq_op("/", du, eq_op("*", Num(2.0), Call("nonzero sqrt", u, pos=e.pos)), e.pos)
         slope = {"sin": Call("cos", u), "cos": Neg(Call("sin", u)), "abs": Call("sign", u)}
-        return _op("*", slope.get(e.fn, e), du)
+        return eq_op("*", slope.get(e.fn, e), du)
     assert isinstance(e, BinOp)
     a, b = e.left, e.right
     da, db = full_walk_derivative(a, name), full_walk_derivative(b, name)
     if e.op in "+-":
-        return _op(e.op, da, db)
+        return eq_op(e.op, da, db)
     if e.op == "*":
-        return _op("+", _op("*", a, db), _op("*", da, b))
+        return eq_op("+", eq_op("*", a, db), eq_op("*", da, b))
     if e.op == "/":
-        return _op("/", _op("-", da, _op("*", e, db)), b, e.pos)
+        return eq_op("/", eq_op("-", da, eq_op("*", e, db)), b, e.pos)
     if db == _ZERO:
-        return _op("*", _op("*", b, _op("^", a, _op("-", b, _ONE), e.pos)), da)
-    log_term = _op("*", db, Call("ln base", a, pos=e.pos))
-    return _op("*", e, _op("+", _op("*", b, _op("/", da, a, e.pos)), log_term))
+        return eq_op("*", eq_op("*", b, eq_op("^", a, eq_op("-", b, _ONE), e.pos)), da)
+    log_term = eq_op("*", db, Call("ln base", a, pos=e.pos))
+    return eq_op("*", e, eq_op("+", eq_op("*", b, eq_op("/", da, a, e.pos)), log_term))
 
 
 # ---------------------------------------------------------------------------

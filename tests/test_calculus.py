@@ -5,7 +5,7 @@ import pytest
 
 import tsvarlab as tv
 
-from helpers import random_grid, random_smooth_lagrangian_text, random_values
+from helpers import random_grid, random_smooth_lagrangian_text, random_values, stack_sample
 
 
 def _gf(grid, fn):
@@ -234,3 +234,31 @@ def test_grid_function_validation():
         tv.GridFunction(g, np.zeros(3))
     with pytest.raises(ValueError, match="finite"):
         tv.GridFunction(g, np.array([0.0, np.nan, 1.0, 2.0]))
+
+
+def test_sample_fills_what_np_stack_did():
+    # calculus.sample writes each tree's value into a preallocated column; the old
+    # route stacked np.broadcast_to views.  Same shape, dtype, layout and bits.
+    from tsvarlab.calculus import sample
+
+    rng = np.random.default_rng(5)
+    trees = [tv.parse(text, 2) for text in ("t", "2", "-0.0 * t", "qs1 * qd2", "qs1 - qs1", "-t")]
+    c = 7
+    envs = [
+        ({"t": rng.uniform(-2, 2, c), "qs1": rng.uniform(-2, 2, c),
+          "qd2": rng.choice([-0.0, 0.0, 1.5], c)}, (c,)),
+        ({"t": 0.5, "qs1": np.float64(-0.0), "qd2": 3.0}, ()),  # one point: cells == ()
+        ({"t": 3, "qs1": np.array(2.0), "qd2": 4}, ()),  # ints, as a library call may pass
+        ({"t": 2, "qs1": rng.uniform(-2, 2, c), "qd2": np.ones(c)}, (c,)),
+    ]
+    for env, cells in envs:
+        got, want = sample(trees, env, cells), stack_sample(trees, env, cells)
+        assert got.shape == want.shape == cells + (len(trees),)
+        assert got.dtype == want.dtype == np.float64
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.flags.writeable and want.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    lval, l_t, l_y, l_v = tv.Lagrangian.from_text("t * qd1^2 + qs1", 1).value_and_partials(
+        2, [1.0], [3.0])  # an int time at one point, through the library
+    assert (lval, l_t, l_y.tolist(), l_v.tolist()) == (19.0, 9.0, [1.0], [12.0])
+    assert type(lval) is type(l_t) is np.float64

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -191,6 +192,53 @@ def test_fractional_power_requires_positive_base():
     assert tv.evaluate(e, {"t": 4.0}) == pytest.approx(2.0, rel=1e-15)
     with pytest.raises(EvalError, match="positive base"):
         tv.evaluate(e, {"t": -4.0})
+
+
+def _outcome(run):
+    """Value bits and zero signs, or the EvalError's message, column and cell."""
+    try:
+        value = np.asarray(run(), dtype=float)
+    except EvalError as exc:
+        return exc.message, exc.column, exc.cell
+    return value.tobytes(), np.signbit(value).tolist()
+
+
+@pytest.mark.parametrize("literal, number, base", [
+    ("qs1^2", 2.0, [-1.5, -0.0, 0.0, 3.0]),
+    ("qs1^3", 3.0, [-1.5, -0.0, 0.0, 3.0]),
+    ("qs1^0", 0.0, [-1.5, -0.0, 0.0, 3.0]),
+    ("qs1^(-2)", -2.0, [-1.5, 0.5, 2.0, 3.0]),
+    ("qs1^0.5", 0.5, [1.5, 0.5, 2.0, 3.0]),
+    ("(qs1 - qs1)^(-2)", -2.0, [-1.5, 0.5, 2.0, 3.0]),  # 0 to a negative power on every cell
+    ("qs1^0.5", 0.5, [1.5, 4.0, -1.0, -2.0]),  # a negative base from cell 2 on
+    ("qs1/(0)", 0.0, [-1.5, -0.0, 0.0, 3.0]),
+    ("qs1/(2)", 2.0, [-1.5, -0.0, 0.0, 3.0]),
+])
+def test_a_number_operand_takes_the_path_of_an_array_of_it(literal, number, base):
+    # a number in a formula reaches _power and _guard as a Python float, which skips
+    # np.ravel, np.all and np.any; the same number bound to eps as a float, a 0-d
+    # array or a constant (c,) array must give the same values, signs and errors
+    from tsvarlab.calculus import over_cells
+
+    base, times = np.array(base), np.arange(len(base)) * 0.25
+    tree = tv.parse(literal, 1)
+    variable = tv.parse(re.sub(r"[-0-9.()]+$", "(eps)", literal), 1)  # the same columns
+
+    def cells(value, q=base):
+        return np.broadcast_to(value, q.shape)
+
+    want = _outcome(lambda: cells(tv.evaluate(tree, {"qs1": base})))
+    located = _outcome(lambda: over_cells(
+        times, lambda t, q: cells(tv.evaluate(tree, {"qs1": q}), q), base))
+    for eps in (number, np.array(number), np.full(len(base), number)):
+        env = {"qs1": base, "eps": eps}
+        assert _outcome(lambda: cells(tv.evaluate(variable, env))) == want, eps
+        per_cell = (eps,) if np.ndim(eps) else ()  # a (c,) eps is cut with the cells
+        assert _outcome(lambda: over_cells(times, lambda t, q, *e: cells(
+            tv.evaluate(variable, {"qs1": q, "eps": (*e, eps)[0]}), q), base, *per_cell)
+        ) == located, eps
+    if isinstance(want[0], str):
+        assert located[0] == f"cell {want[2]} at t={float(times[want[2]])!r}: {want[0]}"
 
 
 def test_one_tree_is_evaluated_without_keeping_its_interior_values():

@@ -11,11 +11,12 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import tsvarlab as tv
 from tsvarlab import variational as va
 from tsvarlab.expr import (
-    FUNCTIONS, BinOp, Call, EvalError, Neg, Num, ParseError, Var, derivative, render, substitute,
+    FUNCTIONS, BinOp, Call, EvalError, Neg, Num, ParseError, Var, _op, derivative, render,
+    substitute,
 )
 
 from helpers import (
-    diff_eval, full_walk_derivative, recursive_evaluate, recursive_parse, recursive_render,
+    diff_eval, eq_op, full_walk_derivative, recursive_evaluate, recursive_parse, recursive_render,
     recursive_substitute, structure,
 )
 
@@ -183,6 +184,32 @@ def test_equality_and_hash_follow_the_structure(a_text, b_text, name):
         for y in trees:
             assert (x == y) == (structure(x) == structure(y)), (render(x), render(y))
             assert x != y or hash(x) == hash(y)
+
+
+# numbers that are 0 or 1 by ==, Num(-0.0) among them, and some that are not, at any column
+_FOLDABLE = st.builds(Num, st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]), st.integers(0, 9))
+OPERANDS = _FOLDABLE | SMALL.map(lambda text: tv.parse(text, 1))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from("+-*/^"), OPERANDS, OPERANDS)
+def test_zero_and_one_are_folded_as_structural_equality_decides(op, a, b):
+    # _op tests type and value where it once walked == against Num(0.0) and Num(1.0)
+    _same_tree(_op(op, a, b, 7), eq_op(op, a, b, 7))
+
+
+def test_chain_and_pendulum_derivatives_equal_those_of_the_equality_rule():
+    # the benchmark's Lagrangians: every first and second derivative, by ==, render and column
+    chain = (" + ".join(f"qd{k}^2/2" for k in range(1, 7)) + " + "
+             + " + ".join(f"0.{k}*cos(qs{k} - qs{k + 1})" for k in range(1, 6)) + " + cos(qs1)")
+    for text, dim in ((chain, 6), ("qd1^2/2 + cos(qs1)", 1)):
+        tree = tv.parse(text, dim)
+        names = ["t"] + [f"{kind}{k}" for kind in ("qs", "qd") for k in range(1, dim + 1)]
+        for a in names:
+            first = full_walk_derivative(tree, a)
+            _same_tree(derivative(tree, a), first)
+            for b in names:
+                _same_tree(derivative(derivative(tree, a), b), full_walk_derivative(first, b))
 
 
 def test_variables_are_those_of_the_tree():

@@ -17,6 +17,7 @@ from tsvarlab.variational import (
 from helpers import (
     block_cyclic_reduction,
     brute_action,
+    dense_cell_hessian,
     fd_action_gradient,
     random_grid,
     random_quadratic_lagrangian_text,
@@ -193,6 +194,30 @@ def test_batched_cells_equal_pointwise_calls():
         blocks = [_cell_hessian(p, t[i], mu[i], y[i], v[i]) for i in range(len(t))]
         for batched, pointwise in zip(_cell_hessian(p, t, mu, y, v), zip(*blocks), strict=True):
             assert np.array_equal(batched, np.array(pointwise))
+
+
+def test_cell_hessian_blocks_equal_the_dense_route():
+    # the three n-by-n blocks filled from the nonzero second derivatives give the bits
+    # of the dense (c, 2n, 2n) route, the sign of every zero included
+    rng = np.random.default_rng(31)
+    cases = [(random_smooth_lagrangian_text(rng, int(d)), int(d)) for d in rng.integers(1, 4, 15)]
+    cases += [
+        ("qd1^2/2 + cos(qs1)", 1),
+        ("qs1 * qd2 - qd1 * qs2 + abs(qd1) + qs2^2 * qd2^2", 2),
+        ("qs1^2 / t + t * qd1^2", 1),
+        ("qd1 * qd2 * qd3 - qs3", 3),
+        ("2", 1),
+    ]
+    for text, dim in cases:
+        g = random_grid(rng, max_points=10)
+        p = tv.make_problem(g, text, dim, np.zeros(dim), np.zeros(dim))
+        vals = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(len(g), dim))
+        t, mu, _, y, v = va.grid_cells(g.array, vals)
+        for cell in (slice(None), 0, -1):
+            got = _cell_hessian(p, t[cell], mu[cell], y[cell], v[cell])
+            want = dense_cell_hessian(p, t[cell], mu[cell], y[cell], v[cell])
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (text, cell)
 
 
 def test_overflowing_action_is_located_not_returned():
