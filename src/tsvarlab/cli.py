@@ -92,18 +92,25 @@ def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[b
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[bytes]) -> None:
-    """Writes the header line and then each block of rows, atomically (temp file + rename)."""
+    """Writes the header line and then each block of rows, atomically (temp file + rename).
+
+    An OSError (a missing directory, ``path`` a directory) is a usage error that names ``path``.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for block in rows:
                 fh.write(block)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            reason = exc.strerror or exc
+            raise _UsageError(f"cannot write output file {str(path)!r}: {reason}") from None
         raise
 
 
@@ -126,6 +133,8 @@ def _read_guess_csv(path: Path, problem):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ProblemFileError(f"cannot read guess file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"cannot read guess file {str(path)!r}: {exc}") from None
     if not lines:
         raise ProblemFileError("guess file is empty")
     header = lines[0].split(",")

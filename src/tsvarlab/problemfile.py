@@ -149,6 +149,8 @@ def load_problem_file(path) -> ProblemFile:
             text = fh.read()
     except OSError as exc:
         raise ProblemFileError(f"cannot read problem file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"cannot read problem file {str(path)!r}: {exc}") from None
     return parse_problem_text(text, path=str(path))
 
 
@@ -222,6 +224,8 @@ def build_grid(pf: ProblemFile, h_override: float | None = None) -> TimeScaleGri
         value = _need(sec, "timescale", key)
         if key == "points":
             params[key] = _as_number_list(value, "timescale.points")
+        elif kind in ("integers", "power2"):  # whole bounds: the constructors truncate a fraction
+            params[key] = float(_as_int(value, f"timescale.{key}"))  # as floats in their messages
         else:
             params[key] = _as_number(value, f"timescale.{key}")
     if h_override is not None:

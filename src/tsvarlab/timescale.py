@@ -112,13 +112,15 @@ def integers(a: int, b: int) -> TimeScaleGrid:
 
 
 def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
-    """Equally spaced points a, a+h, ..., b; (b - a) must be a multiple of h."""
+    """Equally spaced points a, a+h, ..., b; b > a, and (b - a) must be a multiple of h."""
     if not h > 0:
         raise ValueError("uniform step h must be positive")
     span = float(b) - float(a)
     _check_size("uniform(a, b, h)", abs(span) / h + 1)
+    if span <= 0:
+        raise ValueError("uniform(a, b, h) needs b > a")
     n = round(span / h)
-    if n < 1 or abs(n * h - span) > 1e-9 * max(abs(span), h):
+    if n < 1 or abs(n * h - span) > 1e-9 * max(span, h):
         raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")
     pts = float(a) + float(h) * np.arange(n + 1.0)
     pts[-1] = float(b)

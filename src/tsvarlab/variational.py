@@ -252,21 +252,21 @@ def _interior_hessian(p: Problem, vals: np.ndarray):
 _BACKWARD_TOL = 1e-13
 
 
-def _block_tridiag_solve(p: Problem, diag, upper, rhs):
+def _block_tridiag_solve(times, diag, upper, rhs):
     """Solves the symmetric block tridiagonal system by block cyclic reduction.
 
     ``diag`` holds the m diagonal n-by-n blocks, ``upper`` the m - 1 blocks
     right of the diagonal (the lower ones are their transposes), ``rhs`` is
-    (m, n).  Each stage eliminates the rows at even positions with one
-    batched solve and recurses on the others: ceil(log2(m + 1)) solves in
-    all (Buzbee, Golub & Nielson 1970); for n = 1 a solve is one
+    (m, n), and ``times`` gives each row's time, for the report of a
+    singular system.  Each stage eliminates the rows at even positions with
+    one batched solve and recurses on the others: ceil(log2(m + 1)) solves
+    in all (Buzbee, Golub & Nielson 1970); for n = 1 a solve is one
     multiplication by the reciprocals of the pivots.  Cyclic reduction
     pivots on diagonal blocks, which may be singular or nearly so in an
     invertible indefinite system.  So when a pivot block is singular, or the
     solution's normwise backward error exceeds ``_BACKWARD_TOL``, the system
     is solved again by block Thomas elimination, which reports
-    SingularJacobian at the first interior point whose Schur complement is
-    singular.
+    SingularJacobian at the first row whose Schur complement is singular.
     """
     lower, padded = np.zeros(diag.shape), np.zeros(diag.shape)
     lower[1:] = upper.swapaxes(1, 2)
@@ -274,18 +274,19 @@ def _block_tridiag_solve(p: Problem, diag, upper, rhs):
     with np.errstate(all="ignore"):
         try:
             x = _cyclic_reduction(lower, diag, padded, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # a singular pivot block: no finite x
-            x = np.full_like(rhs, np.nan)
-        residual = rhs - _block_matvec(diag, x)
-        residual[:-1] -= _block_matvec(upper, x[1:])
-        residual[1:] -= _block_matvec(lower[1:], x[:-1])
-        row_sums, abs_upper = np.abs(diag).sum(axis=2), np.abs(upper)
-        row_sums[:-1] += abs_upper.sum(axis=2)
-        row_sums[1:] += abs_upper.sum(axis=1)
-        scale = row_sums.max() * np.abs(x).max() + np.abs(rhs).max()
-        if np.isfinite(scale) and np.abs(residual).max() <= _BACKWARD_TOL * scale:
-            return x
-    return _block_thomas(p, diag, upper, rhs)
+        except np.linalg.LinAlgError:  # a singular pivot block
+            pass
+        else:
+            residual = rhs - _block_matvec(diag, x)
+            residual[:-1] -= _block_matvec(upper, x[1:])
+            residual[1:] -= _block_matvec(lower[1:], x[:-1])
+            row_sums, abs_upper = np.abs(diag).sum(axis=2), np.abs(upper)
+            row_sums[:-1] += abs_upper.sum(axis=2)
+            row_sums[1:] += abs_upper.sum(axis=1)
+            scale = row_sums.max() * np.abs(x).max() + np.abs(rhs).max()
+            if np.isfinite(scale) and np.abs(residual).max() <= _BACKWARD_TOL * scale:
+                return x
+    return _block_thomas(times, diag, upper, rhs)
 
 
 def _block_matvec(blocks, x):
@@ -365,29 +366,21 @@ def _scalar_cyclic_reduction(lower, diag, upper, rhs):
     return x[1:-1]
 
 
-def _block_thomas(p: Problem, diag, upper, rhs):
-    """Thomas elimination on n-by-n blocks; singular pivots are reported."""
-    m = diag.shape[0]
-    dhat = diag.copy()
-    rhat = rhs.copy()
-    interior_times = p.grid.array[1:-1]
-    for j in range(1, m):
-        try:
-            w = np.linalg.solve(dhat[j - 1].T, upper[j - 1]).T
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(j - 1, interior_times[j - 1]) from None
-        dhat[j] = dhat[j] - w @ upper[j - 1]
-        rhat[j] = rhat[j] - w @ rhat[j - 1]
-    x = np.empty_like(rhat)
+def _block_thomas(times, diag, upper, rhs):
+    """Thomas elimination on n-by-n blocks; a singular pivot is reported with its row's time."""
+    m = len(diag)
+    dhat, rhat, x = diag.copy(), rhs.copy(), np.empty_like(rhs)
     try:
-        x[m - 1] = np.linalg.solve(dhat[m - 1], rhat[m - 1])
+        for row in range(m - 1):
+            w = np.linalg.solve(dhat[row].T, upper[row]).T
+            dhat[row + 1] -= w @ upper[row]
+            rhat[row + 1] -= w @ rhat[row]
+        row = m - 1
+        x[row] = np.linalg.solve(dhat[row], rhat[row])
+        for row in range(m - 2, -1, -1):
+            x[row] = np.linalg.solve(dhat[row], rhat[row] - upper[row] @ x[row + 1])
     except np.linalg.LinAlgError:
-        raise SingularJacobian(m - 1, interior_times[m - 1]) from None
-    for j in range(m - 2, -1, -1):
-        try:
-            x[j] = np.linalg.solve(dhat[j], rhat[j] - upper[j] @ x[j + 1])
-        except np.linalg.LinAlgError:
-            raise SingularJacobian(j, interior_times[j]) from None
+        raise SingularJacobian(row, times[row]) from None
     return x
 
 
@@ -400,9 +393,10 @@ def solve_el(
 ) -> SolveResult:
     """Newton iteration for an extremal of the discrete action.
 
-    Convergence when the gradient max-norm drops below tol * (1 + |action|);
-    backtracking halves the step up to 30 times on non-decrease of the
-    gradient norm.  Boundary values are held bit-exactly; the result is a
+    Convergence when the gradient max-norm drops below tol * (1 + |action|).
+    A step is accepted at the first of the scales 1, 1/2, ..., 2**-30 whose
+    trial lowers the gradient max-norm; a trial whose cell pass fails counts
+    as no decrease.  Boundary values are held bit-exactly; the result is a
     stationary point, not necessarily a minimizer.
     """
     if len(p.grid) < 3:
@@ -410,43 +404,25 @@ def solve_el(
     vals = _traj_values(p, guess if guess is not None else linear_guess(p)).copy()
     vals[0] = p.qa
     vals[-1] = p.qb
-
-    def evaluate(candidate):
-        act, g = _action_and_gradient(p, candidate)
-        return act, g, float(np.max(np.abs(g)))
-
-    act, g, gnorm = evaluate(vals)
+    act, g = _action_and_gradient(p, vals)
     for it in range(max_iter + 1):
+        gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol * (1.0 + abs(act)):
             return SolveResult(GridFunction(p.grid, vals), it, gnorm, act)
         if it == max_iter:
-            raise NonConvergence(
-                f"no convergence after {max_iter} iterations "
-                f"(gradient max-norm {gnorm:.3e})",
-                gnorm,
-                it,
-            )
-        diag, upper = _interior_hessian(p, vals)
-        step = _block_tridiag_solve(p, diag, upper, -g)
-        accepted = False
-        scale = 1.0
-        for _ in range(31):
+            raise NonConvergence(f"no convergence after {max_iter} iterations "
+                                 f"(gradient max-norm {gnorm:.3e})", gnorm, it)
+        step = _block_tridiag_solve(p.grid.array[1:-1], *_interior_hessian(p, vals), -g)
+        for halvings in range(31):
             trial = vals.copy()
-            trial[1:-1] += scale * step
+            trial[1:-1] += 0.5**halvings * step
             try:
-                act_trial, g_trial, gnorm_trial = evaluate(trial)
+                act_trial, g_trial = _action_and_gradient(p, trial)
             except ex.EvalError:
-                gnorm_trial = np.inf
-            if gnorm_trial < gnorm:
-                vals, act, g, gnorm = trial, act_trial, g_trial, gnorm_trial
-                accepted = True
+                continue
+            if (np.abs(g_trial) < gnorm).all():  # its max-norm is lower
                 break
-            scale *= 0.5
-        if not accepted:
-            raise NonConvergence(
-                f"line search failed at iteration {it + 1} "
-                f"(gradient max-norm {gnorm:.3e})",
-                gnorm,
-                it + 1,
-            )
-    raise AssertionError("unreachable")
+        else:
+            raise NonConvergence(f"line search failed at iteration {it + 1} "
+                                 f"(gradient max-norm {gnorm:.3e})", gnorm, it + 1)
+        vals, act, g = trial, act_trial, g_trial

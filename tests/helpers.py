@@ -230,8 +230,10 @@ def loop_uniform(a, b, h):
         raise ValueError("uniform step h must be positive")
     span = float(b) - float(a)
     _check_size("uniform(a, b, h)", abs(span) / h + 1)
+    if span <= 0:
+        raise ValueError("uniform(a, b, h) needs b > a")
     n = round(span / h)
-    if n < 1 or abs(n * h - span) > 1e-9 * max(abs(span), h):
+    if n < 1 or abs(n * h - span) > 1e-9 * max(span, h):
         raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")
     pts = [float(a) + i * float(h) for i in range(n)]
     pts.append(float(b))

@@ -655,6 +655,46 @@ def test_oversized_grid_exits_3(tmp_path, capsys, timescale, message):
     assert capsys.readouterr().err.startswith(f"error: timescale: {message}")
 
 
+@pytest.mark.parametrize("timescale, message", [
+    ("kind = integers\na = 0.5\nb = 4", "timescale.a: expected an integer, got 0.5"),
+    ("kind = integers\na = 0\nb = 4.5", "timescale.b: expected an integer, got 4.5"),
+    ("kind = power2\nn0 = 0.5\nn1 = 4", "timescale.n0: expected an integer, got 0.5"),
+])
+def test_fractional_integer_bound_exits_3(tmp_path, capsys, timescale, message):
+    # the grid constructors would truncate it: integers(0.5, 4) starts at 0
+    problem = tmp_path / "frac.problem"
+    problem.write_text(
+        f"[timescale]\n{timescale}\n"
+        '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0]\nqb = [1]\n'
+    )
+    out = tmp_path / "frac.csv"
+    assert run(["solve", str(problem), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_unwritable_output_or_undecodable_input_exits_3_naming_the_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.problem"
+    latin1.write_bytes(Path(FREE).read_bytes().replace(b"# ", b"# \xff", 1))
+    guess = tmp_path / "guess.csv"
+    guess.write_bytes(b"t,q_1\n\xff\n")
+    missing, taken, out = tmp_path / "missing" / "fp.csv", tmp_path / "taken", tmp_path / "fp.csv"
+    taken.mkdir()
+    for argv, message in [
+        (["solve", FREE, "--out", str(missing)],
+         f"cannot write output file '{missing}': No such file or directory\n"),
+        (["solve", FREE, "--out", str(taken)], f"cannot write output file '{taken}': Is a directory\n"),
+        (["solve", str(latin1), "--out", str(out)], f"cannot read problem file '{latin1}': 'utf-8' codec"),
+        (["solve", FREE, "--guess", str(guess), "--out", str(out)],
+         f"cannot read guess file '{guess}': 'utf-8' codec"),
+    ]:
+        before = sorted(tmp_path.rglob("*"))
+        assert run(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
+        assert sorted(tmp_path.rglob("*")) == before  # no CSV and no *.tmp left behind
+
+
 def test_oversized_explicit_list_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ts, "MAX_POINTS", 5)
     problem = tmp_path / "big.problem"

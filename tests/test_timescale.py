@@ -44,6 +44,14 @@ def test_nonpositive_step_rejected():
             ctor(0, 1, float("nan"))
 
 
+def test_empty_or_reversed_window_rejected():
+    # the same words in both stepped constructors, not a complaint about a multiple of h
+    for ctor in (tv.uniform, tv.sampled):
+        for a, b, h in ((1, 0, 0.5), (0, 0, 0.1), (3, -7, 0.25)):
+            with pytest.raises(ValueError, match=rf"^{ctor.__name__}\(a, b, h\) needs b > a$"):
+                ctor(a, b, h)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown time scale kind"):
         tv.make_timescale("cantor", a=0, b=1)

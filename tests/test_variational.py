@@ -525,8 +525,9 @@ def _thomas(diag, upper, rhs):
     return x
 
 
-def _interior_problem(m):
-    return tv.make_problem(tv.integers(0, m + 1), "qd1^2", 1, [0.0], [0.0])
+def _interior_times(m):
+    """The times of the m interior points of integers(0, m + 1)."""
+    return np.arange(1.0, m + 1)
 
 
 def test_cyclic_reduction_matches_dense_solve():
@@ -540,7 +541,7 @@ def test_cyclic_reduction_matches_dense_solve():
                 for n in range(1, 5) for m in range(1, 17)]
     for m, (diag, upper, rhs) in systems:
         n = diag.shape[1]
-        x = _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+        x = _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
         if m * n <= 1100:  # dense matrices of at most about 10 MB
             ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(m, n)
         else:
@@ -559,7 +560,7 @@ def test_block_solve_error_is_bounded_by_the_condition_number():
             diag, upper = sym + np.swapaxes(sym, 1, 2), rng.uniform(-1, 1, size=(m - 1, n, n))
             rhs = rng.uniform(-10, 10, size=(m, n))
             dense = _dense(diag, upper)
-            x = _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+            x = _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
             ref = np.linalg.solve(dense, rhs.ravel()).reshape(m, n)
             bound = 1e-12 * np.linalg.cond(dense) * np.max(np.abs(ref))
             assert np.max(np.abs(x - ref)) <= bound, (n, m)
@@ -572,7 +573,7 @@ def test_solve_el_with_a_zero_pivot_in_an_indefinite_hessian():
     diag, upper = va._interior_hessian(p, vals)
     assert np.array_equal(diag[:, 0, 0], [2.0, 1.0, 0.0, -1.0])
     rhs = -tv.stationarity_gradient(p, tv.linear_guess(p))
-    x = _block_tridiag_solve(p, diag, upper, rhs)
+    x = _block_tridiag_solve(p.grid.array[1:-1], diag, upper, rhs)
     ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(4, 1)
     assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
     res = tv.solve_el(p)
@@ -590,13 +591,13 @@ def test_singular_system_reports_first_singular_schur_complement():
             if k < 8:
                 upper[k] = 0.0
         with pytest.raises(SingularJacobian, match=r"interior point 4 \(t=5\.0\)$") as err:
-            _block_tridiag_solve(_interior_problem(9), diag, upper, rhs)
+            _block_tridiag_solve(_interior_times(9), diag, upper, rhs)
         assert err.value.block_index == 4 and type(err.value.time) is float
     # nonsingular diagonal blocks, singular matrix: Schur complements 1, 1, 0
     diag = np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1)
     upper = np.ones((2, 1, 1))
     with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
-        _block_tridiag_solve(_interior_problem(3), diag, upper, np.ones((3, 1)))
+        _block_tridiag_solve(_interior_times(3), diag, upper, np.ones((3, 1)))
 
 
 def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
@@ -611,7 +612,7 @@ def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    _block_tridiag_solve(_interior_problem(m), diag, upper, rhs)
+    _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
     assert len(calls) <= math.ceil(math.log2(m)) + 1
 
 
@@ -675,7 +676,7 @@ def test_scalar_cyclic_reduction_raises_on_a_zero_pivot_at_an_even_position():
     with pytest.raises(np.linalg.LinAlgError):
         va._cyclic_reduction(lower, diag, np.concatenate([upper, np.zeros((1, 1, 1))]), rhs)
     with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
-        _block_tridiag_solve(_interior_problem(6), diag, upper, rhs[..., 0])
+        _block_tridiag_solve(_interior_times(6), diag, upper, rhs[..., 0])
 
 
 def test_dim_1_newton_steps_call_no_lapack_solve_unless_they_fall_back(monkeypatch):
@@ -723,6 +724,59 @@ def test_newton_step_evaluates_each_iterate_once(monkeypatch):
     res = tv.solve_el(p)
     assert res.iterations == 1
     assert passes == ["evaluate"] * 3
+
+
+def _count_cell_passes(monkeypatch):
+    """Wraps the solver's cell pass; returns [passes, passes that raised EvalError]."""
+    counts = [0, 0]
+    action_and_gradient = va._action_and_gradient
+
+    def counting(*args):
+        counts[0] += 1
+        try:
+            return action_and_gradient(*args)
+        except ex.EvalError:
+            counts[1] += 1
+            raise
+
+    monkeypatch.setattr(va, "_action_and_gradient", counting)
+    return counts
+
+
+# These cases use only + - * /, integer powers and sqrt, which round the same on
+# every platform, so their pass counts and messages are exact.
+
+
+def test_line_search_halves_a_step_that_does_not_decrease_the_gradient(monkeypatch):
+    counts = _count_cell_passes(monkeypatch)
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 - 2*qs1^2 + qs1^4", 1, [0.5], [1.0])
+    res = tv.solve_el(p)
+    # one pass for the guess, one per accepted step, and one rejected full step
+    assert res.iterations == 5
+    assert counts == [7, 0]
+    assert res.gradient_norm <= 1e-12 * (1 + abs(res.action_value))
+
+
+def test_line_search_counts_a_failing_trial_as_no_decrease(monkeypatch):
+    counts = _count_cell_passes(monkeypatch)
+    p = tv.make_problem(tv.integers(0, 6), "qd1^2/2 + sqrt(qs1)", 1, [0.01], [4.0])
+    with pytest.raises(NonConvergence) as err:
+        tv.solve_el(p)
+    assert str(err.value) == "line search failed at iteration 10 (gradient max-norm 5.884e-01)"
+    assert err.value.iterations == 10
+    assert counts == [186, 97]
+
+
+def test_line_search_fails_at_the_rounding_floor(monkeypatch):
+    counts = _count_cell_passes(monkeypatch)
+    grid = tv.explicit([0, 0.3, 1.1, 1.7, 3.0])
+    p = tv.make_problem(grid, "qd1^2/2 + qs1^2/2 + qs1^4/4", 1, [0.2], [1.3])
+    with pytest.raises(NonConvergence) as err:
+        tv.solve_el(p, tol=1e-300)
+    assert str(err.value) == "line search failed at iteration 6 (gradient max-norm 1.110e-16)"
+    assert err.value.iterations == 6
+    # the guess and 5 accepted steps, then 31 trials at scales 1 to 2**-30, none lower
+    assert counts == [37, 0]
 
 
 def test_nonconvergence_reports_norm():
