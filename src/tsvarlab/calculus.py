@@ -14,32 +14,29 @@ is not finite (:func:`over_cells`, :func:`finite_cells`) and sums them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
-from .timescale import TimeScaleGrid, kappa
+from .timescale import Frozen, TimeScaleGrid, kappa
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Values (scalars or n-vectors) attached to the points of a grid."""
+class GridFunction(Frozen):
+    """Values (scalars or n-vectors) attached to the points of a grid; equal only to itself."""
 
-    grid: TimeScaleGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
+    def __init__(self, grid: TimeScaleGrid, values):
+        vals = np.array(values, dtype=float)
         if vals.ndim not in (1, 2):
             raise ValueError("grid function values must be a 1-D or 2-D array")
-        if vals.shape[0] != len(self.grid):
+        if vals.shape[0] != len(grid):
             raise ValueError(
-                f"value count {vals.shape[0]} does not match grid size {len(self.grid)}"
+                f"value count {vals.shape[0]} does not match grid size {len(grid)}"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must all be finite")
         vals.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -163,8 +160,7 @@ def delta_integral(f: GridFunction, r: float, s: float) -> float:
     return total if f.values.ndim == 2 else float(total)
 
 
-@dataclass(frozen=True)
-class PushforwardResult:
+class PushforwardResult(NamedTuple):
     """Image grid and transported values, plus both sides of the substitution identity."""
 
     image_grid: TimeScaleGrid

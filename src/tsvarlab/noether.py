@@ -11,41 +11,49 @@ profile is the measured object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
-from .timescale import kappa
+from .timescale import Frozen, kappa
 from .variational import Problem, _traj_values
 
 
-@dataclass(frozen=True)
-class SymmetryGenerator:
+class SymmetryGenerator(Frozen):
     """Infinitesimal generator (tau, xi), optionally with exact finite maps.
 
     ``tau`` and each ``xi`` component are expressions over (t, q1..qn); the
     optional exact family ``tbar``/``qbar`` may also reference eps.  Without
     it the family is the trees t + eps*tau and q + eps*xi.  The ``*_at``
     samplers take one point (t a float, q of shape (n,)) or many (a leading
-    point axis).
+    point axis).  Equal and hashed by (dim, tau, xi, tbar, qbar).
     """
 
-    dim: int
-    tau: ex.Expression
-    xi: tuple[ex.Expression, ...]
-    tbar: ex.Expression | None = None
-    qbar: tuple[ex.Expression, ...] | None = None
-
-    def __post_init__(self):
-        if len(self.xi) != self.dim:
-            raise ValueError(f"xi must have {self.dim} components")
-        if (self.tbar is None) != (self.qbar is None):
+    def __init__(self, dim: int, tau: ex.Expression, xi: tuple[ex.Expression, ...],
+                 tbar: ex.Expression | None = None, qbar: tuple[ex.Expression, ...] | None = None):
+        if len(xi) != dim:
+            raise ValueError(f"xi must have {dim} components")
+        if (tbar is None) != (qbar is None):
             raise ValueError("exact family needs both tbar and qbar")
-        if self.qbar is not None and len(self.qbar) != self.dim:
-            raise ValueError(f"qbar must have {self.dim} components")
+        if qbar is not None and len(qbar) != dim:
+            raise ValueError(f"qbar must have {dim} components")
+        for name, value in zip(("dim", "tau", "xi", "tbar", "qbar"), (dim, tau, xi, tbar, qbar)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def _key(self) -> tuple:
+        return self.dim, self.tau, self.xi, self.tbar, self.qbar
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @property
     def has_family(self) -> bool:
@@ -188,8 +196,7 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
     return over_cells(t, condition, y, v, dq_sigma, dq_delta, *time_slopes)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     mode: str  # "fixed-time" or "time-transform"
     eps_values: tuple[float, ...]
     cell_times: np.ndarray  # left endpoint of each compared cell
@@ -278,15 +285,13 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
 # Conserved quantities
 
 
-@dataclass(frozen=True)
-class ResidualProfile:
+class ResidualProfile(NamedTuple):
     times: np.ndarray
     residuals: np.ndarray
     max_abs: float
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     """Sampled conserved-quantity values and their forward-difference residuals."""
 
     times: np.ndarray  # kappa-truncated grid points carrying C
@@ -317,7 +322,8 @@ def noether_quantity_fixed_time(
     p: Problem, q: GridFunction, gen: SymmetryGenerator
 ) -> ConservationReport:
     """C = dL/dv . xi(t, q) along the trajectory, with residual profile: tau taken as 0."""
-    return noether_quantity(p, q, replace(gen, tau=ex.Num(0.0)))
+    without_tau = SymmetryGenerator(gen.dim, ex.Num(0.0), gen.xi, gen.tbar, gen.qbar)
+    return noether_quantity(p, q, without_tau)
 
 
 def noether_quantity(
@@ -355,8 +361,7 @@ def noether_quantity(
 # Extended-Lagrangian identities (time-reparameterization device)
 
 
-@dataclass(frozen=True)
-class ExtendedPartialsReport:
+class ExtendedPartialsReport(NamedTuple):
     times: np.ndarray
     r: float
     value_composite: np.ndarray  # reparameterized Lagrangian value

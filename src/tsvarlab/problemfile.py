@@ -27,7 +27,8 @@ errors carry a section.key field path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from . import expr as ex
 from .noether import SymmetryGenerator, make_generator
@@ -42,12 +43,11 @@ class ProblemFileError(ValueError):
 _SECTIONS = {"timescale", "problem", "symmetry", "solver"}
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     timescale: dict
     problem: dict
     symmetry: dict | None = None
-    solver: dict = field(default_factory=dict)
+    solver: dict = MappingProxyType({})  # read-only, so the default is shared safely
     path: str = "<memory>"
 
 

@@ -10,8 +10,8 @@ downstream works on the literal points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,17 +20,27 @@ SAMPLED_CONTINUUM = "sampled-continuum"
 MAX_POINTS = 10**7  # largest grid the constructors build
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class TimeScaleGrid:
+class Frozen:
+    """Base of the core objects: assigning or deleting any attribute raises AttributeError.
+
+    A constructor sets its fields with ``object.__setattr__``; a
+    ``cached_property`` writes the instance's ``__dict__`` and still caches.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TimeScaleGrid(Frozen):
     """Immutable finite grid of time points with an intent tag, equal by value.
 
     ``points`` must be strictly increasing; ``array`` holds them as read-only
     float64, the grid's one stored copy.  Public constructors guarantee at
     least two points; :func:`kappa` may produce a single-point truncation.
     """
-
-    array: np.ndarray
-    intent: str
 
     def __init__(self, points, intent: str = EXACT_DISCRETE):
         arr = np.array(points, dtype=float)
@@ -82,8 +92,7 @@ class TimeScaleGrid:
         raise ValueError(f"t={t!r} is not a point of this time scale grid")
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     t: float
     right_scattered: bool
     right_dense: bool
@@ -116,9 +125,9 @@ def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
     if not h > 0:
         raise ValueError("uniform step h must be positive")
     span = float(b) - float(a)
-    _check_size("uniform(a, b, h)", abs(span) / h + 1)
     if span <= 0:
         raise ValueError("uniform(a, b, h) needs b > a")
+    _check_size("uniform(a, b, h)", span / h + 1)
     n = round(span / h)
     if n < 1 or abs(n * h - span) > 1e-9 * max(span, h):
         raise ValueError(f"uniform(a, b, h): (b - a) = {span!r} is not a multiple of h = {h!r}")

@@ -10,14 +10,14 @@ Lagrangian, each step by block cyclic reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as ex
 from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
-from .timescale import TimeScaleGrid, kappa
+from .timescale import Frozen, TimeScaleGrid, kappa
 
 
 class SolverError(RuntimeError):
@@ -40,18 +40,27 @@ class SingularJacobian(SolverError):
         self.time = float(time)
 
 
-@dataclass(frozen=True)
-class Lagrangian:
+class Lagrangian(Frozen):
     """Evaluator of L(t, y, v) with y the jumped state and v the delta derivative.
 
     Takes one point (t a float, y and v of shape (n,)) or c cells at once
     (t of shape (c,), y and v of shape (c, n)) in one walk of the tree.
     Partials come from derivative trees built once, and a pass evaluates
-    only those it asks for; t may be any real.
+    only those it asks for; t may be any real.  Equal and hashed by
+    ``dim`` and ``expression``.
     """
 
-    dim: int
-    expression: ex.Expression
+    def __init__(self, dim: int, expression: ex.Expression):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "expression", expression)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.expression) == (other.dim, other.expression)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.expression))
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "Lagrangian":
@@ -60,13 +69,32 @@ class Lagrangian:
         tree = ex.parse(text, dim, allow=("t", "qs", "qd"))
         return cls(dim, tree)
 
+    @cached_property
+    def _names(self) -> dict[str, list[str]]:
+        """The variables of each kind of partial: ["t"], qs1..qsn and qd1..qdn."""
+        return {"t": ["t"], **{kind: [f"{kind}{k + 1}" for k in range(self.dim)]
+                               for kind in ("qs", "qd")}}
+
+    @cached_property
+    def _second_partials(self) -> dict[tuple[int, int], ex.Expression]:
+        """d2L/da db at (i, j), i <= j, over a and b in (qs1..qsn, qd1..qdn), where not a literal 0.
+
+        d2L/da db is built only where b occurs in dL/da.
+        """
+        names = self._names["qs"] + self._names["qd"]
+        first = [ex.derivative(self.expression, a) for a in names]
+        second = {(i, j): ex.derivative(first[i], b) for i in range(len(names))
+                  for j, b in enumerate(names) if i <= j and b in first[i].variables}
+        return {ij: d for ij, d in second.items() if not ex._is_num(d, 0.0)}
+
     def _sample(self, trees, t, y, v, **extra) -> np.ndarray:
         """The trees, over t, y and v (and ``extra`` variables), one per entry of the last axis."""
         y, v = np.asarray(y), np.asarray(v)
         env = {"t": t, **extra}
-        for k in range(self.dim):
-            env[f"qs{k + 1}"] = y[..., k]
-            env[f"qd{k + 1}"] = v[..., k]
+        names = self._names
+        for k, (qs, qd) in enumerate(zip(names["qs"], names["qd"])):
+            env[qs] = y[..., k]
+            env[qd] = v[..., k]
         return sample(trees, env, np.broadcast(t, env["qs1"], env["qd1"]).shape)
 
     def value(self, t, y, v):
@@ -77,8 +105,7 @@ class Lagrangian:
 
         dL/dt ("t") has shape (c,), dL/dy ("qs") and dL/dv ("qd") (c, n); no other is evaluated.
         """
-        names = [["t"] if kind == "t" else [f"{kind}{k + 1}" for k in range(self.dim)]
-                 for kind in kinds]
+        names = [self._names[kind] for kind in kinds]
         trees = [ex.derivative(self.expression, w) for group in names for w in group]
         stacked = self._sample([self.expression, *trees], t, y, v)
         out, stacked = [stacked[..., 0][()]], stacked[..., 1:]
@@ -88,23 +115,19 @@ class Lagrangian:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Fundamental variational problem: grid, Lagrangian, boundary values."""
+class Problem(Frozen):
+    """Fundamental variational problem: grid, Lagrangian, boundary values; equal only to itself."""
 
-    grid: TimeScaleGrid
-    lagrangian: Lagrangian
-    qa: np.ndarray
-    qb: np.ndarray
-
-    def __post_init__(self):
-        qa = np.atleast_1d(np.array(self.qa, dtype=float))
-        qb = np.atleast_1d(np.array(self.qb, dtype=float))
-        n = self.lagrangian.dim
+    def __init__(self, grid: TimeScaleGrid, lagrangian: Lagrangian, qa, qb):
+        qa = np.atleast_1d(np.array(qa, dtype=float))
+        qb = np.atleast_1d(np.array(qb, dtype=float))
+        n = lagrangian.dim
         if qa.shape != (n,) or qb.shape != (n,):
             raise ValueError(f"boundary values must have shape ({n},)")
         qa.setflags(write=False)
         qb.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "lagrangian", lagrangian)
         object.__setattr__(self, "qa", qa)
         object.__setattr__(self, "qb", qb)
 
@@ -199,8 +222,7 @@ def _action_and_gradient(p: Problem, vals: np.ndarray):
     return integral(t, mu, lval), finite_cells(t[:-1], gradient)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     trajectory: GridFunction
     iterations: int
     gradient_norm: float
@@ -216,16 +238,11 @@ def _cell_hessian(p: Problem, t, mu, y, v):
     the n-by-n blocks of d2L in (y, y), (v, y) and (v, v), with no 2n-by-2n
     array; the chain rule of y = q_right, v = (q_right - q_left) / mu maps
     them entry by entry, so one cell alone gives the same blocks as in a
-    batch.  d2L/da db is built only where b occurs in dL/da.
+    batch.
     """
     n = p.dim
-    names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
-    tree = p.lagrangian.expression
-    first = [ex.derivative(tree, a) for a in names]
-    second = {(i, j): ex.derivative(first[i], b) for i in range(2 * n)
-              for j, b in enumerate(names) if i <= j and b in first[i].variables}
-    second = {ij: d for ij, d in second.items() if not ex._is_num(d, 0.0)}
-    values = p.lagrangian._sample([tree, *second.values()], t, y, v)
+    second = p.lagrangian._second_partials
+    values = p.lagrangian._sample([p.lagrangian.expression, *second.values()], t, y, v)
     # d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j at [..., i, j], cells first
     h_yy, h_vy, h_vv = (np.zeros(np.shape(mu) + (n, n)) for _ in range(3))
     for k, (i, j) in enumerate(second, start=1):

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -115,6 +117,19 @@ def test_dimension_mismatch_exits_3(tmp_path):
         '[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [0, 1]\nqb = [4]\n'
     )
     assert run(["solve", str(bad)]) == 3
+
+
+def test_only_the_expression_nodes_are_dataclasses():
+    # @dataclass writes and compiles each class's methods when the module is
+    # imported: about 1 ms of every command's start per class, so the records
+    # are named tuples and the core objects plain classes
+    found = set()
+    for info in pkgutil.iter_modules(tv.__path__, "tsvarlab."):
+        if info.name != "tsvarlab.__main__":  # importing it runs the command line
+            module = importlib.import_module(info.name)
+            found |= {obj.__qualname__ for obj in vars(module).values()
+                      if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")}
+    assert found == {"Num", "Var", "Neg", "BinOp", "Call"}
 
 
 def _solve_under_recursion_limit_100(tmp_path, lagrangian):

@@ -1,9 +1,14 @@
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import tsvarlab as tv
 from tsvarlab.cli import main
+from tsvarlab.problemfile import ProblemFile
+from tsvarlab.timescale import PointClassification
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +29,71 @@ def test_readme_usage_block_is_the_help_text(capsys):
     block = re.match(r"\s*```\n(.*?)^```", section, re.MULTILINE | re.DOTALL).group(1)
     assert main(["--help"]) == 0
     assert capsys.readouterr().out == block
+
+
+GRID = tv.uniform(0, 1, 0.5)
+L = tv.Lagrangian.from_text("qd1^2 / 2", 1)
+
+# each core object, built from its fields as keywords, in the constructor's order
+CORE = [
+    (tv.TimeScaleGrid, dict(points=(0.0, 0.5, 1.0), intent="exact-discrete")),
+    (tv.GridFunction, dict(grid=GRID, values=np.array([0.0, 1.0, 4.0]))),
+    (tv.Lagrangian, dict(dim=1, expression=L.expression)),
+    (tv.Problem, dict(grid=GRID, lagrangian=L, qa=np.array([0.0]), qb=np.array([1.0]))),
+    (tv.SymmetryGenerator, dict(dim=1, tau=tv.parse("1", 1), xi=(tv.parse("t", 1),),
+                                tbar=None, qbar=None)),
+]
+
+# each result record and its fields, in their documented order
+RECORDS = [
+    (PointClassification, "t right_scattered right_dense left_scattered left_dense isolated "
+                          "dense intent"),
+    (tv.PushforwardResult, "image_grid transported lhs rhs"),
+    (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
+    (tv.InvarianceReport, "mode eps_values cell_times discrepancies per_eps_max max_discrepancy "
+                          "action_value action_eps_derivative"),
+    (tv.ResidualProfile, "times residuals max_abs"),
+    (tv.ConservationReport, "times values residual_times residuals max_abs_residual"),
+    (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "
+                                "d5_forward d5_formula max_value_error max_d4_error max_d5_error"),
+    (ProblemFile, "timescale problem symmetry solver path"),
+]
+
+
+@pytest.mark.parametrize("cls, fields", [
+    pytest.param(cls, fields, id=cls.__name__) for cls, fields in
+    CORE + [(cls, {name: k for k, name in enumerate(names.split())}) for cls, names in RECORDS]
+])
+def test_everything_is_immutable_after_construction(cls, fields):
+    # "Everything is immutable after construction": a field, a cached property
+    # or a new attribute can be neither assigned nor deleted
+    if hasattr(cls, "_fields"):
+        assert cls._fields == tuple(fields)
+    else:
+        assert list(inspect.signature(cls).parameters) == list(fields)
+    obj = cls(**fields)
+    for name, value in fields.items():
+        got = getattr(obj, name)
+        assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value
+    if cls is tv.TimeScaleGrid:
+        assert obj.points is obj.points  # a cached property still caches
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+def test_core_objects_compare_as_the_readme_says():
+    # a grid is equal to one of the same points and intent, a Lagrangian or a
+    # generator to one with the same fields, a grid function or a problem only to itself
+    for make in (lambda: tv.uniform(0, 1, 0.5), lambda: tv.Lagrangian.from_text("qd1^2 / 2", 1),
+                 lambda: tv.make_generator(1, "1", ["t"], "t + eps", ["q1"])):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert tv.Lagrangian.from_text("qd1^2", 1) != tv.Lagrangian.from_text("qd1^2", 2)
+    assert tv.make_generator(1, "1", ["t"]) != tv.make_generator(1, "0", ["t"])
+    for make in (lambda: tv.GridFunction(GRID, [0.0, 1.0, 4.0]),
+                 lambda: tv.make_problem(GRID, "qd1^2", 1, [0.0], [1.0])):
+        a, b = make(), make()
+        assert a == a and a != b and len({a, b}) == 2
