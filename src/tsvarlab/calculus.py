@@ -52,8 +52,8 @@ def _on_cell_axis(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
 def grid_cells(times: np.ndarray, values):
     """Per cell k of the points ``times``: (t_k, mu_k, q_k, q_{k+1}, q^Delta_k), cell axis first.
 
-    ``values`` holds q at the points, shape (N,) or (N, n).  The package forms
-    every graininess and forward difference quotient here; a quotient that
+    ``values`` holds q at the points, shape (N,) or (N, n).  Every cell pass
+    forms its graininess and forward difference quotients here; a quotient that
     overflows is left inf or nan, unwarned, for the located pass to name.
     """
     values = np.asarray(values)

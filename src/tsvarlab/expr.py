@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields, replace
-
 import numpy as np
+
+from .timescale import Frozen
 
 FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 VARIABLE_KINDS = ("t", "eps", "q", "qs", "qd")
@@ -66,28 +66,13 @@ class EvalError(ValueError):
 # AST
 
 
-class _Node:
+class _Node(Frozen):
     """Equal and hashed by structure, without the column; a node keeps its derivatives.
 
-    ``variables`` (the frozenset of the variable names in the tree) and ``_hash``
-    are joined from the operands' when the node is built, so no walk forms them.
+    Each class names its fields in ``__match_args__``.  Its constructor also
+    joins ``variables`` (the frozenset of the variable names in the tree) and
+    ``_hash`` from the operands', so no walk forms them.
     """
-
-    def __post_init__(self):
-        if isinstance(self, BinOp):
-            left, right = self.left.variables, self.right.variables
-            names = left if right <= left else right if left <= right else left | right
-            key = (BinOp, self.op, self.left._hash, self.right._hash)
-        elif isinstance(self, Neg):
-            names, key = self.arg.variables, (Neg, self.arg._hash)
-        elif isinstance(self, Call):
-            names, key = self.arg.variables, (Call, self.fn, self.arg._hash)
-        elif isinstance(self, Var):
-            names, key = frozenset((self.name,)), (Var, self.name)
-        else:
-            names, key = frozenset(), (Num, self.value)
-        object.__setattr__(self, "variables", names)
-        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
         """Same class, label and operands node by node, over a stack of node pairs."""
@@ -115,7 +100,7 @@ class _Node:
         return self._hash
 
     def __repr__(self) -> str:
-        """The dataclass-generated text, built over an explicit stack, so depth is not bounded."""
+        """``Class(field=value, ...)`` in field order, on an explicit stack: any depth."""
         out, stack = [], [self]
         while stack:
             item = stack.pop()
@@ -123,45 +108,74 @@ class _Node:
                 out.append(item)
                 continue
             pieces = [f"{type(item).__qualname__}("]
-            for k, f in enumerate(fields(item)):
-                value = getattr(item, f.name)
-                pieces += [f"{', ' if k else ''}{f.name}=",
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                pieces += [f"{', ' if k else ''}{name}=",
                            value if isinstance(value, _Node) else repr(value)]
             stack += reversed(pieces + [")"])
         return "".join(out)
 
+    def __reduce__(self):
+        """Pickled and copied as its postorder list, which _build reads back through the
+        constructors: no recursion, no kept derivatives, and hashes of the loading process."""
+        return _build, (_postorder(self),)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+_set = object.__setattr__  # field by field: nodes that fill __dict__ take 1.5x the memory
+
+
 class Num(_Node):
-    value: float
-    pos: int = 0
+    __match_args__ = ("value", "pos")
+
+    def __init__(self, value: float, pos: int = 0):
+        _set(self, "value", value)
+        _set(self, "pos", pos)
+        _set(self, "variables", frozenset())
+        _set(self, "_hash", hash((Num, value)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(_Node):
-    name: str
-    pos: int = 0
+    __match_args__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = 0):
+        _set(self, "name", name)
+        _set(self, "pos", pos)
+        _set(self, "variables", frozenset((name,)))
+        _set(self, "_hash", hash((Var, name)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
-    arg: "Expression"
-    pos: int = 0
+    __match_args__ = ("arg", "pos")
+
+    def __init__(self, arg: Expression, pos: int = 0):
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
+        _set(self, "variables", arg.variables)
+        _set(self, "_hash", hash((Neg, arg._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
-    pos: int = 0
+    __match_args__ = ("op", "left", "right", "pos")  # op is one of + - * / ^
+
+    def __init__(self, op: str, left: Expression, right: Expression, pos: int = 0):
+        a, b = left.variables, right.variables
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "pos", pos)
+        _set(self, "variables", a if b <= a else b if a <= b else a | b)
+        _set(self, "_hash", hash((BinOp, op, left._hash, right._hash)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
-    fn: str
-    arg: "Expression"
-    pos: int = 0
+    __match_args__ = ("fn", "arg", "pos")
+
+    def __init__(self, fn: str, arg: Expression, pos: int = 0):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "pos", pos)
+        _set(self, "variables", arg.variables)
+        _set(self, "_hash", hash((Call, fn, arg._hash)))
 
 
 Expression = Num | Var | Neg | BinOp | Call
@@ -360,7 +374,7 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^":
 def _eval(tree: Expression, env: dict, memo: dict | None):
     """Value of tree; ``values`` holds only the operands in use, and memo the shared nodes'.
 
-    Entering a node pushes it, None and its operands, rightmost first, as in substitute.
+    Entering a node pushes it, None and its operands, rightmost first, as in derivative.
     """
     values, todo = [], [tree]
     while todo:
@@ -413,24 +427,49 @@ def evaluate(e, env: dict):
     return values if trees is e else values[0]
 
 
+def _postorder(e: Expression) -> list:
+    """(class, label, column) of every node of e, operands before their node.
+
+    The label is a Num's value, a Var's name, an operator or a function, and None for Neg.
+    """
+    flat, todo = [], [e]
+    while todo:  # node, then its right and left operands: the reverse of postorder
+        node = todo.pop()
+        kind = type(node)
+        if kind is BinOp:
+            flat.append((kind, node.op, node.pos))
+            todo += (node.left, node.right)
+        elif kind is Num or kind is Var:
+            flat.append((kind, node.value if kind is Num else node.name, node.pos))
+        else:
+            flat.append((kind, node.fn if kind is Call else None, node.pos))
+            todo.append(node.arg)
+    return flat[::-1]
+
+
+def _build(flat: list) -> Expression:
+    """The tree of a _postorder list; an entry that is a node stands for itself."""
+    done = []
+    for entry in flat:
+        if isinstance(entry, _Node):
+            done.append(entry)
+            continue
+        kind, label, pos = entry
+        if kind is BinOp:
+            done[-2:] = [BinOp(label, *done[-2:], pos)]
+        elif kind is Neg:
+            done[-1] = Neg(done[-1], pos)
+        elif kind is Call:
+            done[-1] = Call(label, done[-1], pos)
+        else:
+            done.append(kind(label, pos))
+    return done[0]
+
+
 def substitute(e: Expression, trees: dict) -> Expression:
     """e with every variable named in ``trees`` replaced by its tree."""
-    done, todo = [], [e]
-    while todo:
-        node = todo.pop()
-        if node is None:
-            node = todo.pop()
-            if isinstance(node, BinOp):
-                done[-2:] = [replace(node, left=done[-2], right=done[-1])]
-            else:
-                done[-1] = replace(node, arg=done[-1])
-        elif isinstance(node, BinOp):
-            todo += (node, None, node.right, node.left)
-        elif isinstance(node, (Neg, Call)):
-            todo += (node, None, node.arg)
-        else:
-            done.append(trees.get(node.name, node) if isinstance(node, Var) else node)
-    return done[0]
+    return _build([trees.get(entry[1], entry) if entry[0] is Var else entry
+                   for entry in _postorder(e)])
 
 
 _ZERO = Num(0.0)

@@ -47,14 +47,6 @@ class SymmetryGenerator(Frozen):
     def _key(self) -> tuple:
         return self.dim, self.tau, self.xi, self.tbar, self.qbar
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     @property
     def has_family(self) -> bool:
         return self.tbar is not None

@@ -48,7 +48,6 @@ class ProblemFile(NamedTuple):
     problem: dict
     symmetry: dict | None = None
     solver: dict = MappingProxyType({})  # read-only, so the default is shared safely
-    path: str = "<memory>"
 
 
 def _split_unquoted(text: str, sep: str) -> list[str]:
@@ -102,7 +101,7 @@ def _parse_value(text: str, where: str):
     return _parse_scalar(text, where)
 
 
-def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
+def parse_problem_text(text: str) -> ProblemFile:
     sections: dict[str, dict] = {}
     current: dict | None = None
     current_name = ""
@@ -139,7 +138,6 @@ def parse_problem_text(text: str, path: str = "<memory>") -> ProblemFile:
         problem=sections["problem"],
         symmetry=sections.get("symmetry"),
         solver=sections.get("solver", {}),
-        path=path,
     )
 
 
@@ -151,7 +149,7 @@ def load_problem_file(path) -> ProblemFile:
         raise ProblemFileError(f"cannot read problem file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ProblemFileError(f"cannot read problem file {str(path)!r}: {exc}") from None
-    return parse_problem_text(text, path=str(path))
+    return parse_problem_text(text)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,39 @@ MAX_POINTS = 10**7  # largest grid the constructors build
 
 
 class Frozen:
-    """Base of the core objects: assigning or deleting any attribute raises AttributeError.
+    """Base of the formula nodes and core objects: assigning or deleting any attribute
+    raises AttributeError, and objects of one class are equal when their ``_key`` is.
 
-    A constructor sets its fields with ``object.__setattr__``; a
-    ``cached_property`` writes the instance's ``__dict__`` and still caches.
+    A constructor sets its fields with ``object.__setattr__``; a ``cached_property``
+    writes the instance's ``__dict__`` and still caches.  Where ``_key`` is None an
+    object is equal only to itself.  Python drops the inherited ``__hash__`` of a
+    class that defines ``__eq__``, so a class that overrides one defines both.  A
+    copy or an unpickled object gets its state back with every array read-only.
     """
+
+    _key = None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        key = self._key
+        if key is None or other.__class__ is not self.__class__:
+            return True if self is other else NotImplemented
+        return key == other._key
+
+    def __hash__(self) -> int:
+        key = self._key
+        return object.__hash__(self) if key is None else hash(key)
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
 
 
 class TimeScaleGrid(Frozen):

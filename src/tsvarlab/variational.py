@@ -54,13 +54,9 @@ class Lagrangian(Frozen):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "expression", expression)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim, self.expression) == (other.dim, other.expression)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.expression))
+    @property
+    def _key(self) -> tuple:
+        return self.dim, self.expression
 
     @classmethod
     def from_text(cls, text: str, dim: int) -> "Lagrangian":

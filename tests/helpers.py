@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import io
 import re
-from dataclasses import replace
 
 import numpy as np
 
@@ -513,8 +512,10 @@ def recursive_substitute(e, trees):
         return trees.get(e.name, e)
     if isinstance(e, BinOp):
         left, right = recursive_substitute(e.left, trees), recursive_substitute(e.right, trees)
-        return replace(e, left=left, right=right)
-    return replace(e, arg=recursive_substitute(e.arg, trees)) if isinstance(e, (Neg, Call)) else e
+        return BinOp(e.op, left, right, pos=e.pos)
+    if isinstance(e, Call):
+        return Call(e.fn, recursive_substitute(e.arg, trees), pos=e.pos)
+    return Neg(recursive_substitute(e.arg, trees), pos=e.pos) if isinstance(e, Neg) else e
 
 
 def recursive_evaluate(e, env):
@@ -560,17 +561,17 @@ def _recursive_eval(node, env, memo):
 
 @functools.cache
 def _plain_dataclass(cls):
-    return dataclasses.make_dataclass(cls.__qualname__, [f.name for f in dataclasses.fields(cls)])
+    return dataclasses.make_dataclass(cls.__qualname__, cls.__match_args__)
 
 
 def dataclass_repr(e):
     """repr(e) as @dataclass generates it: the repr of a copy of the tree made of
-    plain dataclasses with the same names and fields."""
+    plain dataclasses with the same names and fields, in ``__match_args__`` order."""
     def copy(value):
         if not isinstance(value, _Node):
             return value
-        fields = dataclasses.fields(value)
-        return _plain_dataclass(type(value))(*(copy(getattr(value, f.name)) for f in fields))
+        return _plain_dataclass(type(value))(*(copy(getattr(value, name))
+                                               for name in type(value).__match_args__))
     return repr(copy(e))
 
 

@@ -91,6 +91,23 @@ def test_solve_rejects_non_finite_guess_value(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read guess file: [Errno 2] No such file or directory: "),
+    ("", "guess file is empty\n"),
+    ("t,x\n0,0\n1,1\n2,2\n3,3\n4,4\n", "guess file is missing a column: 'q_1'"),
+    ("t,q_1\n0,0\n1,1\n2,2\n3,3\n5,4\n", "guess file times do not match the problem grid\n"),
+])
+def test_solve_rejects_unreadable_guess_files(tmp_path, capsys, text, message):
+    guess = tmp_path / "guess.csv"
+    if text is not None:
+        guess.write_text(text)
+    out = tmp_path / "fp.csv"
+    assert run(["solve", FREE, "--out", str(out), "--guess", str(guess)]) == 3
+    # the messages of a missing file and a missing column end in Python's own error text
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_solve_rejects_short_guess_row(tmp_path, capsys):
     guess = tmp_path / "guess.csv"
     out = tmp_path / "fp.csv"
@@ -119,17 +136,17 @@ def test_dimension_mismatch_exits_3(tmp_path):
     assert run(["solve", str(bad)]) == 3
 
 
-def test_only_the_expression_nodes_are_dataclasses():
+def test_no_class_in_the_package_is_a_dataclass():
     # @dataclass writes and compiles each class's methods when the module is
     # imported: about 1 ms of every command's start per class, so the records
-    # are named tuples and the core objects plain classes
+    # are named tuples, and the formula nodes and core objects plain classes
     found = set()
     for info in pkgutil.iter_modules(tv.__path__, "tsvarlab."):
         if info.name != "tsvarlab.__main__":  # importing it runs the command line
             module = importlib.import_module(info.name)
             found |= {obj.__qualname__ for obj in vars(module).values()
                       if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")}
-    assert found == {"Num", "Var", "Neg", "BinOp", "Call"}
+    assert found == set()
 
 
 def _solve_under_recursion_limit_100(tmp_path, lagrangian):
@@ -358,8 +375,77 @@ def test_sweep_rejects_non_sampled_kind(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("qa = [0]", "qa = [0", "problem.qa: unterminated list"),
+    ("qa = [0]", "qa = []", "problem.qa: expected 1 entries, got 0"),
+    ("[symmetry]", "[problem]", "line 15: duplicate section [problem]"),
+    ("h = 1", "h 1", "line 7: expected key = value"),
+    ("h = 1", "= 1", "line 7: missing key"),
+    ("dim = 1", 'dim = "1"', "problem.dim: expected a number, got '1'"),
+    ('lagrangian = "qd1^2"', "lagrangian = 2", "problem.lagrangian: expected a string, got 2.0"),
+    ("qa = [0]", 'qa = ["0"]', "problem.qa: expected a bracketed numeric list"),
+    ('xi = ["1"]', "xi = [1]", "symmetry.xi: expected a bracketed list of quoted strings"),
+    ("dim = 1", "dim = 0", "problem.dim: must be >= 1"),
+    ("dim = 1", "dim = 1\nmass = 2", "problem.mass: unknown key"),
+    ('xi = ["1"]', 'xi = ["1"]\nzeta = "1"', "symmetry.zeta: unknown key"),
+    ('xi = ["1"]', 'xi = ["1"]\n[solver]\nsteps = 3', "solver.steps: unknown key"),
+    ('xi = ["1"]', 'xi = ["1"]\n[solver]\nmax_iter = 0', "solver.max_iter: must be >= 1"),
+    ('xi = ["1"]', 'xi = ["qd1"]',
+     "symmetry: variable 'qd1' is not allowed in this context (column 1)"),
+])
+def test_problem_file_errors_exit_3_with_their_message(tmp_path, capsys, old, new, message):
+    text = Path(FREE).read_text()
+    assert old in text
+    problem = tmp_path / "bad.problem"
+    problem.write_text(text.replace(old, new, 1))
+    out = tmp_path / "c.csv"
+    assert run(["check", str(problem), "conservation", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", FREE, "invariance", "--eps=0.1,x"], "cannot parse --eps list '0.1,x'"),
+    (["check", FREE, "invariance", "--eps=,"], "empty --eps list"),
+    (["sweep", GRAVITY, "--h-list=0.1,x"], "cannot parse --h-list list '0.1,x'"),
+    (["sweep", GRAVITY, "--h-list="], "empty --h-list list"),
+])
+def test_value_lists_that_do_not_parse_or_are_empty_exit_3(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_requires_a_symmetry_section(tmp_path, capsys):
+    bare = tmp_path / "bare.problem"
+    bare.write_text(Path(GRAVITY).read_text().split("[symmetry]")[0])
+    out = tmp_path / "s.csv"
+    assert run(["sweep", str(bare), "--h-list=0.1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: sweep requires a [symmetry] section for the residual\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_increasing_h_list(tmp_path):
     assert run(["sweep", GRAVITY, "--h-list", "0.01,0.1", "--out", str(tmp_path / "s.csv")]) == 3
+
+
+def test_each_command_writes_beside_its_problem_file_without_out(tmp_path, capsys):
+    # <stem>_solution.csv, <stem>_check_<which>.csv and <stem>_sweep.csv, the
+    # same bytes as the same command writes to --out
+    problem = tmp_path / "free.problem"
+    problem.write_text(Path(FREE).read_text())
+    for argv, name in [(["solve"], "free_solution.csv"),
+                       *((["check", which], f"free_check_{which}.csv")
+                         for which in ("el", "invariance", "conservation")),
+                       (["sweep", "--h-list=1,0.5"], "free_sweep.csv")]:
+        command = [argv[0], str(problem), *argv[1:], "--quiet"]
+        assert run(command) == 0
+        assert run(command + ["--out", str(tmp_path / "given.csv")]) == 0
+        assert (tmp_path / name).read_bytes() == (tmp_path / "given.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "free.problem", "free_check_conservation.csv", "free_check_el.csv",
+        "free_check_invariance.csv", "free_solution.csv", "free_sweep.csv", "given.csv"]
 
 
 def test_outputs_bit_stable_across_runs(tmp_path):

@@ -408,6 +408,9 @@ def test_formulas_of_any_depth_under_a_recursion_limit_of_100():
         assert tv.parse("(" * 1000 + "t" + ")" * 1000, 1) == Var("t")
         assert tv.evaluate(tv.parse("-" * 10_001 + "t", 1), {"t": 2.0}) == -2.0
         assert repr(a).count("Var(name='qd1'") == 10_000
+        import copy, pickle
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):  # derivatives not kept
+            assert twin == a and hash(twin) == hash(a) and "_derivatives" not in vars(twin)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)

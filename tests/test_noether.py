@@ -608,3 +608,15 @@ def test_extended_partials_zero_rate_guarded():
     traj = tv.linear_guess(p)
     with pytest.raises(ValueError, match="nonzero"):
         tv.extended_lagrangian_partials(p, traj, r=0.0)
+
+
+def test_a_dim_1_trajectory_may_be_given_as_a_flat_grid_function():
+    # values of shape (N,) read as the (N, 1) form of the same trajectory
+    p = doubling_problem()
+    q = tv.solve_el(p).trajectory
+    flat = tv.GridFunction(p.grid, q.values[:, 0])
+    assert flat.values.shape == (len(p.grid),) and q.values.shape == (len(p.grid), 1)
+    assert tv.action(p, flat) == tv.action(p, q)
+    assert np.array_equal(tv.el_residual(p, flat).values, tv.el_residual(p, q).values)
+    a, b = (tv.noether_quantity(p, x, dilation_generator()) for x in (flat, q))
+    assert np.array_equal(a.values, b.values) and np.array_equal(a.residuals, b.residuals)

@@ -1,5 +1,10 @@
+import copy
 import inspect
+import os
+import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +12,9 @@ import pytest
 
 import tsvarlab as tv
 from tsvarlab.cli import main
+from tsvarlab.expr import BinOp, Call, Neg, Num, Var
 from tsvarlab.problemfile import ProblemFile
-from tsvarlab.timescale import PointClassification
+from tsvarlab.timescale import Frozen, PointClassification
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,6 +48,11 @@ CORE = [
     (tv.Problem, dict(grid=GRID, lagrangian=L, qa=np.array([0.0]), qb=np.array([1.0]))),
     (tv.SymmetryGenerator, dict(dim=1, tau=tv.parse("1", 1), xi=(tv.parse("t", 1),),
                                 tbar=None, qbar=None)),
+    (Num, dict(value=2.0, pos=3)),
+    (Var, dict(name="t", pos=1)),
+    (Neg, dict(arg=Var("t", 2), pos=1)),
+    (BinOp, dict(op="+", left=Num(1.0, 1), right=Var("t", 5), pos=3)),
+    (Call, dict(fn="sin", arg=Var("t", 5), pos=1)),
 ]
 
 # each result record and its fields, in their documented order
@@ -56,7 +67,7 @@ RECORDS = [
     (tv.ConservationReport, "times values residual_times residuals max_abs_residual"),
     (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "
                                 "d5_forward d5_formula max_value_error max_d4_error max_d5_error"),
-    (ProblemFile, "timescale problem symmetry solver path"),
+    (ProblemFile, "timescale problem symmetry solver"),
 ]
 
 
@@ -77,11 +88,58 @@ def test_everything_is_immutable_after_construction(cls, fields):
         assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value
     if cls is tv.TimeScaleGrid:
         assert obj.points is obj.points  # a cached property still caches
+    frozen = issubclass(cls, Frozen)  # the records are named tuples, with Python's messages
     for name in [*fields, "extra"]:
-        with pytest.raises(AttributeError):
+        assigned, deleted = (f"cannot {verb} field '{name}'" if frozen else None
+                             for verb in ("assign to", "delete"))
+        with pytest.raises(AttributeError, match=assigned):
             setattr(obj, name, 0)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match=deleted):
             delattr(obj, name)
+
+
+def _arrays(obj) -> list:
+    """Every array that obj holds, also through the core objects it holds."""
+    found = []
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, Frozen):
+            found += _arrays(value)
+    return found
+
+
+@pytest.mark.parametrize("cls, fields", [pytest.param(cls, fields, id=cls.__name__)
+                                         for cls, fields in CORE])
+def test_copies_stay_equal_and_read_only(cls, fields):
+    # a deep copy or an unpickled object keeps its arrays read-only, is equal
+    # to the original where that is a value, and holds equal fields either way
+    obj = cls(**fields)
+    for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is cls and twin is not obj
+        assert [a.flags.writeable for a in _arrays(twin)] == [False] * len(_arrays(obj))
+        if cls in (tv.GridFunction, tv.Problem):
+            assert twin != obj
+        else:
+            assert twin == obj and hash(twin) == hash(obj)
+        for name, value in fields.items():
+            got = getattr(twin, name)
+            assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value
+
+
+def test_a_formula_pickled_in_another_process_equals_a_fresh_parse():
+    # the hash of a node mixes the hashes of classes and strings, which differ
+    # between processes: an unpickled tree is rebuilt with this process's
+    text = "qd1^2 / 2 + 3 * cos(qs1) - t"
+    script = ("import pickle, sys, tsvarlab as tv; L = tv.Lagrangian.from_text(%r, 1); "
+              "sys.stdout.buffer.write(pickle.dumps((L.expression, L)))" % text)
+    env = dict(os.environ, PYTHONHASHSEED="random",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, check=True)
+    tree, lagrangian = pickle.loads(proc.stdout)
+    fresh = tv.Lagrangian.from_text(text, 1)
+    assert tree == fresh.expression and hash(tree) == hash(fresh.expression)
+    assert lagrangian == fresh and hash(lagrangian) == hash(fresh)
 
 
 def test_core_objects_compare_as_the_readme_says():
