@@ -49,6 +49,7 @@ CHUNK_VALUES = 4096
 _GUARD = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 _PAD = 0
+_MIX = 6364136223846793005  # odd, so that multiplying by it permutes the int64 bit patterns
 
 
 def fmt(x: float) -> str:
@@ -88,8 +89,9 @@ def _scaled(m, e, exp10):
     s1 = pe + m * l
     hi = p + s1
     lo = s1 - (hi - p)
-    k = e + b.astype(np.int64)
-    hi, lo = np.ldexp(hi, k), np.ldexp(lo, k)
+    # 2^k from its exponent bits; k is about 52-57, so both products are exact
+    scale = ((e + b.astype(np.int64) + 1023) << 52).view(np.float64)
+    hi, lo = hi * scale, lo * scale
     whole = np.floor(hi)
     r = (hi - whole) + lo
     r_floor = np.floor(r)
@@ -196,10 +198,28 @@ def encode(x: np.ndarray, seps: np.ndarray) -> tuple[bytes, int]:
 
 
 def encode_rows(vals: np.ndarray) -> bytes:
-    """CSV lines of a 2-D block of floats: values joined by ',', each row ended by LF."""
+    """CSV lines of a 2-D block of floats: values joined by ',', each row ended by LF.
+
+    The text of a float is a function of its bits.  So where at most half of the
+    block's bit patterns are distinct, each distinct one is encoded once and the
+    cells take their texts from it; -0.0 and every nan payload are patterns apart.
+    """
     if vals.size < SMALL_TABLE:
         lines = [",".join(map(format, row, repeat(".17g"))) + "\n" for row in vals.tolist()]
         return "".join(lines).encode()
+    bits = np.ascontiguousarray(vals, dtype=np.float64).view(np.int64).ravel()
+    # Each distinct pattern fills one of 8192 buckets (the top 13 bits of bits * _MIX),
+    # so a block that fills more than half its size in buckets is more than half
+    # distinct.  Such a block goes to the kernel without a sort, which costs time and
+    # maps numpy's sort code into memory.
+    filled = np.count_nonzero(np.bincount((bits * _MIX >> 51) & 8191))
+    if 2 * filled <= bits.size:
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        if 2 * len(distinct) <= bits.size:
+            texts = encode(distinct.view(np.float64), np.full(len(distinct), ord(","), np.uint8))[0]
+            cells = np.array(texts.split(b",")[:-1], dtype=object)[inverse.ravel()]
+            rows, cols = vals.shape
+            return (b",".join([b"%s"] * cols) + b"\n") * rows % tuple(cells.tolist())
     seps = np.full(vals.shape, ord(","), dtype=np.uint8)
     seps[:, -1] = ord("\n")
     return encode(vals.ravel(), seps.ravel())[0]

@@ -8,11 +8,11 @@ repeated runs on the same platform are bit-stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import SimpleNamespace
@@ -91,6 +91,18 @@ def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[b
         yield encode_rows(body[-1:])[:-1] + b"," * tail.shape[1] + b"\n"
 
 
+def _create_tmp(path: Path) -> tuple[int, Path]:
+    """A new file beside ``path``, open for writing, with the mode ``open()`` gives
+    (0o666 less the umask); a name that exists already is skipped."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in itertools.count():
+        tmp = path.parent / f"tsvarlab-{os.getpid()}-{n}.tmp"
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:
+            pass
+
+
 def _write_csv(path: Path, header: list[str], rows: Iterable[bytes]) -> None:
     """Writes the header line and then each block of rows, atomically (temp file + rename).
 
@@ -99,7 +111,7 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[bytes]) -> None:
     path = Path(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", suffix=".tmp")
+        fd, tmp = _create_tmp(path)
         with os.fdopen(fd, "wb") as fh:
             fh.write((",".join(header) + "\n").encode())
             for block in rows:

@@ -28,7 +28,8 @@ class Frozen:
     writes the instance's ``__dict__`` and still caches.  Where ``_key`` is None an
     object is equal only to itself.  Python drops the inherited ``__hash__`` of a
     class that defines ``__eq__``, so a class that overrides one defines both.  A
-    copy or an unpickled object gets its state back with every array read-only.
+    copy or an unpickled object gets its fields back, every array read-only, and
+    none of the cached values.
     """
 
     _key = None
@@ -48,6 +49,12 @@ class Frozen:
     def __hash__(self) -> int:
         key = self._key
         return object.__hash__(self) if key is None else hash(key)
+
+    def __getstate__(self) -> dict:
+        """The fields, without the values that a ``cached_property`` keeps."""
+        cls = type(self)
+        return {name: value for name, value in self.__dict__.items()
+                if not isinstance(getattr(cls, name, None), cached_property)}
 
     def __setstate__(self, state: dict) -> None:
         for value in state.values():

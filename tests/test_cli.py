@@ -796,6 +796,19 @@ def test_unwritable_output_or_undecodable_input_exits_3_naming_the_file(tmp_path
         assert sorted(tmp_path.rglob("*")) == before  # no CSV and no *.tmp left behind
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_output_file_mode_follows_the_umask(tmp_path, umask, mode):
+    out = tmp_path / "fp.csv"
+    old = os.umask(umask)
+    try:
+        assert run(["solve", FREE, "--out", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+    assert sorted(tmp_path.iterdir()) == [out]  # the temporary file was renamed
+
+
 def test_oversized_explicit_list_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ts, "MAX_POINTS", 5)
     problem = tmp_path / "big.problem"

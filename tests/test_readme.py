@@ -127,6 +127,21 @@ def test_copies_stay_equal_and_read_only(cls, fields):
             assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value
 
 
+def test_copies_leave_cached_values_out():
+    # a grid's points tuple repeats its array as Python floats, and a
+    # Lagrangian's second-derivative trees are rebuilt from its expression
+    grid, lagrangian = tv.uniform(0.0, 1.0, 1e-3), tv.Lagrangian.from_text("qd1^2/2 + cos(qs1)", 1)
+    sizes = [len(pickle.dumps(grid)), len(pickle.dumps(lagrangian))]
+    assert grid.points and lagrangian._second_partials
+    assert [len(pickle.dumps(grid)), len(pickle.dumps(lagrangian))] == sizes
+    for obj in (grid, lagrangian):
+        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and hash(twin) == hash(obj)
+            assert [a.flags.writeable for a in _arrays(twin)] == [False] * len(_arrays(obj))
+    assert pickle.loads(pickle.dumps(grid)).points == grid.points
+    assert pickle.loads(pickle.dumps(lagrangian))._second_partials == lagrangian._second_partials
+
+
 def test_a_formula_pickled_in_another_process_equals_a_fresh_parse():
     # the hash of a node mixes the hashes of classes and strings, which differ
     # between processes: an unpickled tree is rebuilt with this process's
