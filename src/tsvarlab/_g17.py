@@ -33,18 +33,23 @@ The fallback, and the reference the tests compare against, is
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator
 from itertools import repeat
 
 import numpy as np
 
 # Fewer values than this are formatted one by one.  The kernel costs about
-# 150-200 us a call whatever its size, format() about 1 us a value; the two
-# met between 100 and 200 values on a 2-vCPU x86-64 machine.
+# 190-420 us a call at 10-400 values, most of it fixed, and format() about
+# 0.7 us a value; on a 2-vCPU x86-64 machine whose speed drifts, the two met
+# between 200 and 400 values.
 SMALL_TABLE = 200
-# Values per kernel call when a table is written.  The working arrays take a
-# few hundred bytes a value; on check-dilation-nonuniform 16384 gave the same
-# pass time as 4096 and 3 MB more peak RSS.
+# Values per block when a table is written.  The working arrays take a few
+# hundred bytes a value; on check-dilation-nonuniform 16384 gave the same pass
+# time as 4096 and 3 MB more peak RSS.  Consecutive blocks of repeats share one
+# kernel call on at most CHUNK_VALUES // 2 distinct patterns, the most a block
+# of repeats can hand the kernel alone, over at most GROUP_BLOCKS blocks.
 CHUNK_VALUES = 4096
+GROUP_BLOCKS = 8
 
 _GUARD = 2.0**-30
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
@@ -204,22 +209,71 @@ def encode_rows(vals: np.ndarray) -> bytes:
     block's bit patterns are distinct, each distinct one is encoded once and the
     cells take their texts from it; -0.0 and every nan payload are patterns apart.
     """
-    if vals.size < SMALL_TABLE:
-        lines = [",".join(map(format, row, repeat(".17g"))) + "\n" for row in vals.tolist()]
-        return "".join(lines).encode()
+    return b"".join(encode_blocks((vals,)))
+
+
+def encode_blocks(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The CSV lines of each 2-D block of one table in turn, as ``encode_rows`` gives them.
+
+    Consecutive blocks of repeats form a group whose distinct patterns the kernel
+    encodes in one call.  A group closes before the sum of its blocks' distinct
+    counts would pass ``CHUNK_VALUES // 2``, or at ``GROUP_BLOCKS`` blocks, so
+    memory does not grow with the table.
+    """
+    group, patterns = [], 0
+    for vals in blocks:
+        repeats = _repeats(vals) if vals.size >= SMALL_TABLE else None
+        if group and (repeats is None or len(group) == GROUP_BLOCKS
+                      or patterns + len(repeats[0]) > CHUNK_VALUES // 2):
+            yield from _group_rows(group)
+            group, patterns = [], 0
+        if repeats is None:
+            yield _block_rows(vals)
+        else:
+            group.append((vals.shape, *repeats))
+            patterns += len(repeats[0])
+    if group:
+        yield from _group_rows(group)
+
+
+def _repeats(vals):
+    """The sorted distinct bit patterns of a block and each cell's index among them,
+    or None where more than half of the block is distinct."""
     bits = np.ascontiguousarray(vals, dtype=np.float64).view(np.int64).ravel()
     # Each distinct pattern fills one of 8192 buckets (the top 13 bits of bits * _MIX),
     # so a block that fills more than half its size in buckets is more than half
     # distinct.  Such a block goes to the kernel without a sort, which costs time and
     # maps numpy's sort code into memory.
     filled = np.count_nonzero(np.bincount((bits * _MIX >> 51) & 8191))
-    if 2 * filled <= bits.size:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        if 2 * len(distinct) <= bits.size:
-            texts = encode(distinct.view(np.float64), np.full(len(distinct), ord(","), np.uint8))[0]
-            cells = np.array(texts.split(b",")[:-1], dtype=object)[inverse.ravel()]
-            rows, cols = vals.shape
-            return (b",".join([b"%s"] * cols) + b"\n") * rows % tuple(cells.tolist())
+    if 2 * filled > bits.size:
+        return None
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    if 2 * len(distinct) > bits.size:
+        return None
+    # a group holds the inverse of each of its blocks, so in the smallest type that fits
+    return distinct, inverse.astype(np.min_scalar_type(len(distinct)))
+
+
+def _group_rows(group):
+    """The CSV lines of each block of a group, from one kernel call on their distinct patterns."""
+    # np.unique with the inverse sorts by argsort, as _repeats does; without it,
+    # np.unique would call np.sort, whose code is mapped apart
+    union, where = np.unique(np.concatenate([distinct for _, distinct, _ in group]),
+                             return_inverse=True)
+    texts = encode(union.view(np.float64), np.full(len(union), ord(","), np.uint8))[0]
+    texts = np.array(texts.split(b",")[:-1], dtype=object)
+    start = 0
+    for (rows, cols), distinct, inverse in group:
+        cells = texts[where[start : start + len(distinct)]][inverse]
+        start += len(distinct)
+        yield (b",".join([b"%s"] * cols) + b"\n") * rows % tuple(cells.tolist())
+
+
+def _block_rows(vals):
+    """CSV lines of a block that is small or mostly distinct: every value formatted."""
+    if vals.size < SMALL_TABLE:
+        lines = [",".join(map(format, row, repeat(".17g"))) + "\n" for row in vals.tolist()]
+        return "".join(lines).encode()
     seps = np.full(vals.shape, ord(","), dtype=np.uint8)
     seps[:, -1] = ord("\n")
     return encode(vals.ravel(), seps.ravel())[0]

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import expr as ex
-from ._g17 import CHUNK_VALUES, encode_rows
+from ._g17 import CHUNK_VALUES, encode_blocks, encode_rows
 from ._g17 import fmt as _fmt
 from .calculus import GridFunction, grid_cells
 from .noether import (
@@ -82,11 +82,12 @@ def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[b
         tail = tail[:, None]
     width = body.shape[1] + (0 if tail is None else tail.shape[1])
     step = max(1, CHUNK_VALUES // width)
-    for start in range(0, stop, step):
-        block = body[start : min(start + step, stop)]
-        if tail is not None:
-            block = np.column_stack([block, tail[start : start + len(block)]])
-        yield encode_rows(block)
+    starts = range(0, stop, step)
+    blocks = (body[start : min(start + step, stop)] for start in starts)
+    if tail is not None:
+        blocks = (np.column_stack([block, tail[start : start + len(block)]])
+                  for start, block in zip(starts, blocks))
+    yield from encode_blocks(blocks)
     if tail is not None:
         yield encode_rows(body[-1:])[:-1] + b"," * tail.shape[1] + b"\n"
 
@@ -207,9 +208,12 @@ def cmd_check(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise _UsageError(f"--tol must be a non-negative finite number, got {args.tol!r}")
     eps_list = _parse_float_list(args.eps, "--eps")
-    for eps in eps_list:
+    for k, eps in enumerate(eps_list):
         if not math.isfinite(eps):
             raise _UsageError(f"--eps values must be finite, got {eps!r}")
+        if eps in eps_list[:k]:  # as floats, so 0 and -0 are one value
+            first = eps_list[eps_list.index(eps)]
+            raise _UsageError(f"--eps values must be distinct, got {first!r} and {eps!r}")
     pf = load_problem_file(args.file)
     problem = build_problem(pf)
     opts = solver_options(pf)

@@ -722,6 +722,20 @@ def test_check_eps_must_be_finite(tmp_path, capsys, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps, first, again", [
+    ("0.1,0.1", 0.1, 0.1), ("0,-0", 0.0, -0.0), ("-0.5,0.1,0.5,1e-1", 0.1, 0.1),
+])
+def test_check_eps_values_must_be_distinct(tmp_path, capsys, eps, first, again):
+    # compared as floats and rejected before the problem file is read, as nan is
+    out = tmp_path / "inv.csv"
+    assert run(["check", str(tmp_path / "missing.problem"), "invariance", f"--eps={eps}"]) == 3
+    message = f"error: --eps values must be distinct, got {first!r} and {again!r}\n"
+    assert capsys.readouterr().err == message
+    assert run(["check", DOUBLING, "invariance", f"--eps={eps}", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_non_finite_generator_value_exits_3_at_its_point(tmp_path, capsys):
     # q1 = 10.75 at point 1, where tau = q1^300 overflows
     huge = tmp_path / "huge.problem"

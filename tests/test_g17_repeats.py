@@ -1,13 +1,18 @@
-"""encode_rows on blocks whose values repeat, against format(x, ".17g"), value by value.
+"""encode_rows and encode_blocks on blocks whose values repeat, against format(x, ".17g"),
+value by value.
 
 A block in which at most half of the bit patterns are distinct encodes each
-distinct pattern once; the tests record what reaches the kernel.
+distinct pattern once, and consecutive such blocks share one kernel call; the
+tests record what reaches the kernel.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tsvarlab import _g17
+from tsvarlab.cli import _format_rows
 
 SIGNED_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                         0xFFF0000000000001], dtype=np.uint64).view(np.float64)
@@ -25,11 +30,11 @@ def _expected(block: np.ndarray) -> bytes:
                    for row in block.tolist()).encode()
 
 
-def _encoded(block: np.ndarray, monkeypatch) -> tuple[bytes, list[tuple[int, int]]]:
-    """encode_rows(block) and, per kernel call it made, the number of values and of line ends.
+def _counted(monkeypatch) -> list[tuple[int, int]]:
+    """Per kernel call from now on, the number of values and of line ends.
 
-    The whole block goes to the kernel with a line end per row, a block of repeats
-    as its distinct patterns with none.
+    A mostly distinct block goes to the kernel whole with a line end per row, a
+    group of blocks of repeats as its distinct patterns with none.
     """
     sizes = []
     kernel = _g17.encode
@@ -39,16 +44,25 @@ def _encoded(block: np.ndarray, monkeypatch) -> tuple[bytes, list[tuple[int, int
         return kernel(x, seps)
 
     monkeypatch.setattr(_g17, "encode", counted)
+    return sizes
+
+
+def _encoded(block: np.ndarray, monkeypatch) -> tuple[bytes, list[tuple[int, int]]]:
+    """encode_rows(block) and the sizes of the kernel calls it made."""
+    sizes = _counted(monkeypatch)
     return _g17.encode_rows(block), sizes
+
+
+def _fill(shape, patterns, rng) -> np.ndarray:
+    """A block of the given shape holding exactly the given int64 bit patterns, shuffled."""
+    cells = np.concatenate([patterns, rng.choice(patterns, shape[0] * shape[1] - len(patterns))])
+    return rng.permutation(cells).view(np.float64).reshape(shape)
 
 
 def _block(shape, n_distinct, seed) -> np.ndarray:
     """A block of the given shape holding exactly n_distinct bit patterns of POOL."""
     rng = np.random.default_rng(seed)
-    size = shape[0] * shape[1]
-    picked = rng.permutation(np.unique(POOL.view(np.int64)))[:n_distinct]
-    cells = np.concatenate([picked, rng.choice(picked, size - n_distinct)])
-    return rng.permutation(cells).view(np.float64).reshape(shape)
+    return _fill(shape, rng.permutation(np.unique(POOL.view(np.int64)))[:n_distinct], rng)
 
 
 @pytest.mark.parametrize("shape", [(40, 17), (300, 1), (1, 256)], ids=["block", "column", "row"])
@@ -100,3 +114,109 @@ def test_signed_zeros_and_nan_payloads_stay_apart(monkeypatch):
     assert data == _expected(block)
     assert sizes == [(len(values), 0)]
     assert data.splitlines()[0] == b"0,-0,nan,nan,nan,nan"
+
+
+# ---------------------------------------------------------------------------
+# Tables of several blocks through encode_blocks
+
+ROWS = 4096 // 17  # the rows of a block of a 17-column table, as cli._format_rows cuts it
+PATTERNS = np.unique(np.concatenate([
+    POOL, np.random.default_rng(26).standard_normal(6000) * 10.0 ** np.arange(-30, 30).repeat(100),
+]).view(np.int64))
+PATTERNS = PATTERNS[~np.isnan(PATTERNS.view(np.float64))]  # a test places the nan payloads it needs
+
+
+def _table(counts, seed, shared=False) -> list[np.ndarray]:
+    """One (ROWS, 17) block per count, holding that many distinct patterns: the next
+    ones of a shuffled PATTERNS from one block to the next (disjoint while they
+    last), or all drawn from the first count's patterns."""
+    rng = np.random.default_rng(seed)
+    patterns = rng.permutation(PATTERNS)
+    blocks, start = [], 0
+    for n in counts:
+        picked = (rng.permutation(patterns[: counts[0]])[:n] if shared
+                  else patterns.take(range(start, start + n), mode="wrap"))
+        blocks.append(_fill((ROWS, 17), picked, rng))
+        start += n
+    return blocks
+
+
+def _encoded_blocks(blocks, monkeypatch) -> tuple[list[bytes], list[tuple[int, int]]]:
+    """What encode_blocks yields for the blocks, checked against format() block by
+    block, and the sizes of the kernel calls it made."""
+    sizes = _counted(monkeypatch)
+    out = list(_g17.encode_blocks(iter(blocks)))
+    assert out == [_expected(block) for block in blocks]
+    return out, sizes
+
+
+@pytest.mark.parametrize("counts, sizes", [
+    ((1024, 1024, 10), [(2048, 0), (10, 0)]),
+    ((1024, 1025, 10), [(1024, 0), (1035, 0)]),
+], ids=["2048", "2049"])
+def test_a_group_closes_before_its_distinct_counts_pass_half_a_chunk(counts, sizes, monkeypatch):
+    assert _g17.CHUNK_VALUES // 2 == 2048
+    assert _encoded_blocks(_table(counts, seed=27), monkeypatch)[1] == sizes
+
+
+@pytest.mark.parametrize("counts, shared, sizes", [
+    ((100,) * 9, True, [(100, 0), (100, 0)]),  # 8 blocks, then 1
+    ((300,) * 9, False, [(1800, 0), (900, 0)]),  # 6 blocks of 300, then 3
+], ids=["block-count", "pattern-count"])
+def test_nine_blocks_of_repeats_take_one_kernel_call_per_group(counts, shared, sizes, monkeypatch):
+    assert _g17.GROUP_BLOCKS == 8
+    assert _encoded_blocks(_table(counts, seed=28, shared=shared), monkeypatch)[1] == sizes
+
+
+def test_a_mostly_distinct_block_closes_the_group(monkeypatch):
+    _, sizes = _encoded_blocks(_table((300, ROWS * 17, 200), seed=29), monkeypatch)
+    assert sizes == [(300, 0), (ROWS * 17, ROWS), (200, 0)]
+
+
+def test_a_final_short_block(monkeypatch):
+    # a short block of repeats joins the group; one under SMALL_TABLE is formatted
+    # one value at a time after the group
+    blocks = _table((100, 100, 40, 5), seed=30, shared=True)
+    blocks[2], blocks[3] = blocks[2][:80], blocks[3][:5]
+    assert blocks[3].size < _g17.SMALL_TABLE <= blocks[2].size
+    assert _encoded_blocks(blocks, monkeypatch)[1] == [(100, 0)]
+
+
+def test_signed_zeros_and_nan_payloads_first_seen_in_different_blocks(monkeypatch):
+    # 0.0 and a nan, then -0.0 and another payload, then two more payloads
+    firsts = np.array([[0.0, SIGNED_NANS[0]], [-0.0, SIGNED_NANS[1]], SIGNED_NANS[2:]])
+    blocks = _table((50, 50, 50), seed=31, shared=True)
+    for block, pair in zip(blocks, firsts):
+        block[:, 0] = np.resize(pair, ROWS)
+    out, sizes = _encoded_blocks(blocks, monkeypatch)
+    union = np.unique(np.concatenate([block.view(np.int64).ravel() for block in blocks]))
+    assert sizes == [(len(union), 0)] and len(union) > 50
+    assert [[row.split(b",")[0] for row in rows.splitlines()[:2]] for rows in out] == [
+        [b"0", b"nan"], [b"-0", b"nan"], [b"nan", b"nan"]]
+
+
+@pytest.mark.parametrize("seed", range(32, 36))
+def test_no_kernel_call_on_repeats_exceeds_half_a_chunk(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    counts = 1 + rng.integers(0, ROWS * 17 // 2, 12) // rng.choice([1, 4, 16], 12)
+    _, sizes = _encoded_blocks(_table(tuple(counts), seed), monkeypatch)
+    assert all(n <= _g17.CHUNK_VALUES // 2 for n, line_ends in sizes if not line_ends)
+    assert len(sizes) < len(counts)
+
+
+def _peak(table) -> int:
+    tracemalloc.start()
+    try:
+        for _ in _format_rows(table):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_a_table_of_repeats():
+    # 64 patterns: a group would take 32 blocks by its distinct count alone
+    rng = np.random.default_rng(36)
+    table = rng.choice(PATTERNS[:64], (10**5, 17)).view(np.float64)
+    short = table[: 10**4].copy()
+    assert _peak(table) < 1.2 * _peak(short)
