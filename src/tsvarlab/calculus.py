@@ -8,8 +8,9 @@ to floating-point rounding.
 
 This is the one cell layer: it forms cells (:func:`grid_cells`), evaluates
 trees over them (:func:`sample`), names the lowest cell where a pass fails or
-is not finite (:func:`over_cells`, :func:`finite_cells`) and sums them
-(:func:`integral`); the variational and Noether modules only state formulas.
+is not finite (:func:`over_cells`, :func:`finite_cells`, the located quotient
+:func:`difference_quotient`) and sums them (:func:`integral`).  Other modules
+silence no numpy warning on cell values: they form such arithmetic in :func:`over_cells`.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ def grid_cells(times: np.ndarray, values):
     """Per cell k of the points ``times``: (t_k, mu_k, q_k, q_{k+1}, q^Delta_k), cell axis first.
 
     ``values`` holds q at the points, shape (N,) or (N, n).  Every cell pass
-    forms its graininess and forward difference quotients here; a quotient that
-    overflows is left inf or nan, unwarned, for the located pass to name.
+    forms its graininess and forward difference quotients here; a graininess or
+    quotient that overflows is left inf or nan, unwarned, for the located pass to name.
     """
     values = np.asarray(values)
-    mu = times[1:] - times[:-1]  # the bits of np.diff, without its wrapper's cost
     left, right = values[:-1], values[1:]
     with np.errstate(all="ignore"):
+        mu = times[1:] - times[:-1]  # the bits of np.diff, without its wrapper's cost
         delta = (right - left) / _on_cell_axis(mu, values)
     return times[:-1], mu, left, right, delta
 
@@ -113,6 +114,11 @@ def finite_cells(times, values, what: str = "cell"):
     return values
 
 
+def difference_quotient(times, values) -> np.ndarray:
+    """q^Delta on the cells of ``times``, unless one is inf or nan: then an EvalError at its cell."""
+    return finite_cells(times[:-1], grid_cells(times, values)[4])
+
+
 def integral(times, mu: np.ndarray, values: np.ndarray):
     """Delta integral of cell values, (c,) or (c, n), on cells at ``times`` of graininess mu.
 
@@ -133,8 +139,7 @@ def delta_derivative(f: GridFunction) -> GridFunction:
     """Forward-difference derivative, defined on the kappa truncation."""
     if len(f.grid) < 2:
         raise ValueError("delta derivative needs a grid with at least 2 points")
-    t, _, _, _, delta = grid_cells(f.grid.array, f.values)
-    return GridFunction(kappa(f.grid), finite_cells(t, delta))
+    return GridFunction(kappa(f.grid), difference_quotient(f.grid.array, f.values))
 
 
 def compose_sigma(f: GridFunction) -> GridFunction:

@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from ._g17 import CHUNK_VALUES, encode_blocks, encode_rows
 from ._g17 import fmt as _fmt
-from .calculus import GridFunction, grid_cells
+from .calculus import GridFunction, difference_quotient
 from .noether import (
     check_invariance_fixed_time,
     check_invariance_time_transform,
@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
     n = problem.dim
     vals = result.trajectory.values
     header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
-    rows = _format_rows(np.column_stack([grid.array, vals]), grid_cells(grid.array, vals)[4])
+    rows = _format_rows(np.column_stack([grid.array, vals]), difference_quotient(grid.array, vals))
     out = Path(args.out) if args.out else _default_out(Path(args.file), "solution")
     _write_csv(out, header, rows)
     if not args.quiet:

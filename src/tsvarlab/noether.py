@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
+from .calculus import GridFunction, difference_quotient, grid_cells, integral, over_cells, sample
 from .timescale import Frozen, kappa
 from .variational import Problem, _traj_values
 
@@ -241,7 +241,7 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
     def cells(eps: float) -> np.ndarray:
         """L along the transformed states at fixed time, or mu * L on the image grid."""
         mapped = over_cells(t, partial(gen._sample, maps, eps=eps), vals, what="point")
-        if dt is not None and not np.all(rising := np.diff(mapped[:, 0]) > 0):
+        if dt is not None and not np.all(rising := mapped[1:, 0] > mapped[:-1, 0]):
             i = int(np.argmin(rising)) + 1  # the first image not above the one before
             raise ValueError(f"point {i} at t={float(t[i])!r}: transformed times are not strictly "
                              f"increasing at eps={eps!r} ({float(mapped[i - 1, 0])!r} followed "
@@ -254,12 +254,11 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
         return over_cells(t_e, lambda t_i, mu_i, y_i, v_i: mu_i * p.lagrangian.value(t_i, y_i, v_i),
                           mu_e, y, v)
 
-    with np.errstate(all="ignore"):
-        base = lval if dt is None else finite_cells(cell_t, mu * lval)
+    base = lval if dt is None else over_cells(cell_t, lambda _, mu, lval: mu * lval, mu, lval)
     eps_values = tuple(float(e) for e in eps_list)
     disc = np.empty((len(eps_values), len(base)))
     for e, eps in enumerate(eps_values):
-        disc[e] = np.abs(cells(eps) - base)
+        disc[e] = over_cells(cell_t, lambda _, image, base: np.abs(image - base), cells(eps), base)
     per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
     return InvarianceReport(
         mode=mode,
@@ -295,7 +294,7 @@ class ConservationReport(NamedTuple):
 
 def _profile(times: np.ndarray, values: np.ndarray) -> ResidualProfile:
     """delta C / delta t, unless a quotient is inf or nan: then an EvalError at its cell."""
-    resid = finite_cells(times[:-1], grid_cells(times, values)[4])
+    resid = difference_quotient(times, values)
     return ResidualProfile(times[:-1].copy(), resid, float(np.max(np.abs(resid), initial=0.0)))
 
 
@@ -391,9 +390,11 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
         lval, d1, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr, ("t", "qd"))
         value_ref = p.lagrangian.value(t_i, y, v)
         d4_form = _h(lval, d3, vr) - d1 * mu_i * r
-        return forward[:, 0], value_ref, forward[:, 1], d4_form, forward[:, 2:], d3
+        value_c, d4_fwd, d5_fwd = forward[:, 0], forward[:, 1], forward[:, 2:]
+        return (value_c, value_ref, d4_fwd, d4_form, d5_fwd, d3, np.abs(value_c - value_ref),
+                np.abs(d4_fwd - d4_form), np.abs(d5_fwd - d3))
 
-    value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form = over_cells(
+    value_c, value_ref, d4_fwd, d4_form, d5_fwd, d5_form, value_err, d4_err, d5_err = over_cells(
         t, cell, p.grid.array[1:], mu, y, v
     )
 
@@ -406,7 +407,7 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
         d4_formula=d4_form,
         d5_forward=d5_fwd,
         d5_formula=d5_form,
-        max_value_error=float(np.max(np.abs(value_c - value_ref), initial=0.0)),
-        max_d4_error=float(np.max(np.abs(d4_fwd - d4_form), initial=0.0)),
-        max_d5_error=float(np.max(np.abs(d5_fwd - d5_form), initial=0.0)),
+        max_value_error=float(np.max(value_err, initial=0.0)),
+        max_d4_error=float(np.max(d4_err, initial=0.0)),
+        max_d5_error=float(np.max(d5_err, initial=0.0)),
     )

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as ex
-from .calculus import GridFunction, finite_cells, grid_cells, integral, over_cells, sample
+from .calculus import GridFunction, grid_cells, integral, over_cells, sample
 from .timescale import Frozen, TimeScaleGrid, kappa
 
 
@@ -193,9 +193,7 @@ def el_residual(p: Problem, q: GridFunction) -> GridFunction:
         raise ValueError("Euler-Lagrange residual needs a grid with at least 3 points")
     t, _, _, d2, d3 = _cell_terms(p, _traj_values(p, q))
     t, _, _, _, d3_delta = grid_cells(t, d3)
-    with np.errstate(all="ignore"):
-        resid = d3_delta - d2[:-1]
-    return GridFunction(kappa(kappa(p.grid)), finite_cells(t, resid))
+    return GridFunction(kappa(kappa(p.grid)), over_cells(t, lambda _, a, b: a - b, d3_delta, d2[:-1]))
 
 
 def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
@@ -213,9 +211,9 @@ def stationarity_gradient(p: Problem, q: GridFunction) -> np.ndarray:
 def _action_and_gradient(p: Problem, vals: np.ndarray):
     """The action and its stationarity gradient, from one pass over the cells."""
     t, mu, lval, d2, d3 = _cell_terms(p, vals)
-    with np.errstate(all="ignore"):
-        gradient = mu[:-1, None] * d2[:-1] + d3[:-1] - d3[1:]
-    return integral(t, mu, lval), finite_cells(t[:-1], gradient)
+    return integral(t, mu, lval), over_cells(
+        t[:-1], lambda _, mu, d2, d3, d3_next: mu[:, None] * d2 + d3 - d3_next,
+        mu[:-1], d2[:-1], d3[:-1], d3[1:])
 
 
 class SolveResult(NamedTuple):

@@ -271,6 +271,28 @@ def test_non_finite_cell_exits_3_without_csv(tmp_path, capsys):
         assert not out.exists()
 
 
+# the qd column's quotient (1e300 - 0) / 1e-300 at cell 0, and at eps = 1 the
+# discrepancy |L(q + pi) - L(q)| = |-1e308 - 1e308| at cell 0
+@pytest.mark.parametrize("text, argv", [
+    ("[timescale]\nkind = explicit\npoints = [0, 1e-300, 1]\n"
+     '[problem]\ndim = 1\nlagrangian = "t + 0 * qs1"\nqa = [0]\nqb = [0]\n',
+     ["solve", "{problem}", "--guess", "{guess}"]),
+    ("[timescale]\nkind = uniform\na = 0\nb = 1\nh = 0.25\n"
+     '[problem]\ndim = 1\nlagrangian = "qd1^2/2 + 1e308*cos(qs1)"\nqa = [0]\nqb = [0]\n'
+     '[symmetry]\nxi = ["3.141592653589793"]\n',
+     ["check", "{problem}", "invariance", "--eps", "1"]),
+], ids=["qd-column", "invariance-discrepancy"])
+def test_overflowing_written_values_exit_3_without_csv(tmp_path, capsys, text, argv):
+    problem, guess, out = tmp_path / "huge.problem", tmp_path / "guess.csv", tmp_path / "huge.csv"
+    problem.write_text(text)
+    guess.write_text("t,q_1\n0,0\n1.0000000000000001e-300,1e300\n1,0\n")
+    assert run([a.format(problem=problem, guess=guess) for a in argv] + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: cell 0 at t=0.0: non-finite value inf (column 1)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_passes_evaluate_only_the_partials_they_use(tmp_path, capsys):
     # sqrt(t) has no slope at t = 0; only a quantity with tau != 0 needs dL/dt
     root = tmp_path / "root.problem"

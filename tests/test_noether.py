@@ -338,6 +338,22 @@ def test_overflowing_report_terms_are_located_without_a_warning():
         tv.noether_quantity_fixed_time(p, q, tv.make_generator(1, xi=["1"]))
 
 
+def test_overflowing_image_cell_is_located_without_a_warning():
+    # at eps = 1e10 the images -1e308 and 1e308 of t = 0 and t = 1 are finite, and
+    # the image cell between them, 1e308 - -1e308, is not
+    p = tv.make_problem(tv.TimeScaleGrid((0.0, 1.0, 1.0000001)), "qd1^2/2 + 1", 1, [0.0], [0.0])
+    gen = tv.make_generator(1, tau="1e298*(2*t - 1)", tbar="t + eps*1e298*(2*t - 1)", qbar=["q1"])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=-1e\+308: non-finite value inf"):
+        tv.check_invariance_time_transform(p, tv.linear_guess(p), gen, [1e10])
+
+
+def test_overflowing_extended_partials_error_is_located():
+    # with r = -1 the composite value L * r = -1e308 and L = 1e308 differ by -2e308
+    p = tv.make_problem(tv.uniform(0, 1, 0.25), "qd1^2/2 + 1e308*cos(qs1)", 1, [0.0], [0.0])
+    with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
+        tv.extended_lagrangian_partials(p, tv.linear_guess(p), r=-1.0)
+
+
 @pytest.mark.parametrize("eps_list", [[0.1], [-0.1, 0.2, 0.5]])
 def test_each_report_samples_its_family_once(monkeypatch, eps_list):
     # one evaluation samples the generator, one takes L, L_y and L_v (and one
