@@ -33,7 +33,7 @@ The fallback, and the reference the tests compare against, is
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import repeat
 
 import numpy as np
@@ -202,26 +202,28 @@ def encode(x: np.ndarray, seps: np.ndarray) -> tuple[bytes, int]:
     return out.T.tobytes().translate(None, bytes([_PAD])), len(slow)
 
 
-def encode_rows(vals: np.ndarray) -> bytes:
-    """CSV lines of a 2-D block of floats: values joined by ',', each row ended by LF.
+def encode_table(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[bytes]:
+    """The CSV lines of a float table, a block of whole rows at a time: the columns
+    of ``body``, then those of ``tail``, which has one row fewer and leaves the
+    final row's cells blank.
 
-    The text of a float is a function of its bits.  So where at most half of the
-    block's bit patterns are distinct, each distinct one is encoded once and the
-    cells take their texts from it; -0.0 and every nan payload are patterns apart.
+    A block holds as many rows as fit in ``CHUNK_VALUES`` values, at least one.
+    The text of a float is a function of its bits, so where at most half of a
+    block's bit patterns are distinct (-0.0 and each nan payload apart), each
+    distinct one is encoded once.  Consecutive such blocks form a group whose
+    patterns the kernel encodes in one call; it closes before the sum of their
+    distinct counts would pass ``CHUNK_VALUES // 2``, or at ``GROUP_BLOCKS``
+    blocks, so memory does not grow with the table.
     """
-    return b"".join(encode_blocks((vals,)))
-
-
-def encode_blocks(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The CSV lines of each 2-D block of one table in turn, as ``encode_rows`` gives them.
-
-    Consecutive blocks of repeats form a group whose distinct patterns the kernel
-    encodes in one call.  A group closes before the sum of its blocks' distinct
-    counts would pass ``CHUNK_VALUES // 2``, or at ``GROUP_BLOCKS`` blocks, so
-    memory does not grow with the table.
-    """
+    stop = len(body) if tail is None else len(body) - 1
+    if np.ndim(tail) == 1:
+        tail = tail[:, None]
+    step = max(1, CHUNK_VALUES // (body.shape[1] + (0 if tail is None else tail.shape[1])))
     group, patterns = [], 0
-    for vals in blocks:
+    for start in range(0, stop, step):
+        vals = body[start : min(start + step, stop)]
+        if tail is not None:
+            vals = np.column_stack([vals, tail[start : start + step]])
         repeats = _repeats(vals) if vals.size >= SMALL_TABLE else None
         if group and (repeats is None or len(group) == GROUP_BLOCKS
                       or patterns + len(repeats[0]) > CHUNK_VALUES // 2):
@@ -234,6 +236,8 @@ def encode_blocks(blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
             patterns += len(repeats[0])
     if group:
         yield from _group_rows(group)
+    if tail is not None:
+        yield _block_rows(body[-1:])[:-1] + b"," * tail.shape[1] + b"\n"
 
 
 def _repeats(vals):

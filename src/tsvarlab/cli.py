@@ -13,14 +13,14 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import expr as ex
-from ._g17 import CHUNK_VALUES, encode_blocks, encode_rows
+from ._g17 import encode_table
 from ._g17 import fmt as _fmt
 from .calculus import GridFunction, difference_quotient
 from .noether import (
@@ -69,27 +69,6 @@ _COMMANDS = {
 _WHICH = ("el", "invariance", "conservation")
 _HELP = {"-h": False, "--help": False}  # flags of every command
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's: a value, not an option
-
-
-def _format_rows(body: np.ndarray, tail: np.ndarray | None = None) -> Iterator[bytes]:
-    """CSV rows of %.17g values, a block of whole rows at a time: the columns of
-    ``body``, then those of ``tail``.
-
-    ``tail`` has one row fewer than ``body``; the final row leaves its cells blank.
-    """
-    stop = len(body) if tail is None else len(body) - 1
-    if np.ndim(tail) == 1:
-        tail = tail[:, None]
-    width = body.shape[1] + (0 if tail is None else tail.shape[1])
-    step = max(1, CHUNK_VALUES // width)
-    starts = range(0, stop, step)
-    blocks = (body[start : min(start + step, stop)] for start in starts)
-    if tail is not None:
-        blocks = (np.column_stack([block, tail[start : start + len(block)]])
-                  for start, block in zip(starts, blocks))
-    yield from encode_blocks(blocks)
-    if tail is not None:
-        yield encode_rows(body[-1:])[:-1] + b"," * tail.shape[1] + b"\n"
 
 
 def _create_tmp(path: Path) -> tuple[int, Path]:
@@ -192,7 +171,7 @@ def cmd_solve(args) -> int:
     n = problem.dim
     vals = result.trajectory.values
     header = ["t"] + [f"q_{k + 1}" for k in range(n)] + [f"qd_{k + 1}" for k in range(n)]
-    rows = _format_rows(np.column_stack([grid.array, vals]), difference_quotient(grid.array, vals))
+    rows = encode_table(np.column_stack([grid.array, vals]), difference_quotient(grid.array, vals))
     out = Path(args.out) if args.out else _default_out(Path(args.file), "solution")
     _write_csv(out, header, rows)
     if not args.quiet:
@@ -229,7 +208,7 @@ def cmd_check(args) -> int:
     if args.which == "el":
         resid = el_residual(problem, trajectory)
         header = ["t"] + [f"r_{k + 1}" for k in range(n)]
-        rows = _format_rows(np.column_stack([resid.grid.array, resid.values]))
+        rows = encode_table(np.column_stack([resid.grid.array, resid.values]))
         max_abs = float(np.max(np.abs(resid.values), initial=0.0))
     elif args.which == "invariance":
         time_transform = generator.has_family or generator.tau != ex.Num(0.0)
@@ -237,12 +216,12 @@ def cmd_check(args) -> int:
         report = check(problem, trajectory, generator, eps_list)
         header = ["t"] + [f"disc_eps={e:g}" if float(f"{e:g}") == e else f"disc_eps={e!r}"
                           for e in report.eps_values]
-        rows = _format_rows(np.column_stack([report.cell_times, report.discrepancies.T]))
+        rows = encode_table(np.column_stack([report.cell_times, report.discrepancies.T]))
         max_abs = report.max_discrepancy
     else:  # conservation
         report = noether_quantity(problem, trajectory, generator)
         header = ["t", "C", "residual"]
-        rows = _format_rows(np.column_stack([report.times, report.values]), report.residuals)
+        rows = encode_table(np.column_stack([report.times, report.values]), report.residuals)
         max_abs = report.max_abs_residual
 
     _write_csv(out, header, rows)

@@ -113,25 +113,30 @@ def _family_slopes(gen: SymmetryGenerator, t: np.ndarray, q: np.ndarray) -> np.n
     maps = gen._maps
     trees = (*maps, *(ex.derivative(m, "eps") for m in maps), gen.tau, *gen.xi)
     m = len(maps)
-    s = over_cells(t, partial(gen._sample, trees, eps=0.0), q, what="point")
-    t0, q0, slopes, tau, xi = s[:, 0], s[:, 1:m], s[:, m : 2 * m], s[:, 2 * m], s[:, 2 * m + 1 :]
-    dt, dq = slopes[:, 0], slopes[:, 1:]
-    bad = np.array([
-        np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
-        np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
-        np.abs(dt - tau) > 1e-6 * np.maximum(1.0, np.abs(tau)),
-        np.any(np.abs(dq - xi) > 1e-6 * np.maximum(1.0, np.abs(xi)), axis=-1),
-    ])
+
+    def checked(t, q):  # the samples and the four checks per point, unwarned if they overflow
+        s = gen._sample(trees, t, q, eps=0.0)
+        t0, q0, dt, dq = s[:, 0], s[:, 1:m], s[:, m], s[:, m + 1 : 2 * m]
+        tau, xi = s[:, 2 * m], s[:, 2 * m + 1 :]
+        return s, np.stack([
+            np.abs(t0 - t) > 1e-12 * np.maximum(1.0, np.abs(t)),
+            np.any(np.abs(q0 - q) > 1e-12 * np.maximum(1.0, np.abs(q)), axis=-1),
+            np.abs(dt - tau) > 1e-6 * np.maximum(1.0, np.abs(tau)),
+            np.any(np.abs(dq - xi) > 1e-6 * np.maximum(1.0, np.abs(xi)), axis=-1),
+        ], axis=1)
+
+    s, bad = over_cells(t, checked, q, what="point")
+    t0, dt, tau = s[:, 0], s[:, m], s[:, 2 * m]
     if bad.any():
-        i = int(np.argmax(bad.any(axis=0)))
+        i = int(np.argmax(bad.any(axis=1)))
         ti = f"t={float(t[i])!r}"
         raise ValueError((
             f"tbar at eps=0 is {float(t0[i])!r}, expected {ti}",
             f"qbar at eps=0 differs from q at {ti}",
             f"d tbar/d eps at 0 is {float(dt[i])!r} but tau={float(tau[i])!r} at {ti}",
             f"d qbar/d eps at 0 does not match xi at {ti}",
-        )[int(np.argmax(bad[:, i]))])
-    return slopes
+        )[int(np.argmax(bad[i]))])
+    return s[:, m : 2 * m]
 
 
 # ---------------------------------------------------------------------------

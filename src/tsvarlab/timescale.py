@@ -66,9 +66,10 @@ class Frozen:
 class TimeScaleGrid(Frozen):
     """Immutable finite grid of time points with an intent tag, equal by value.
 
-    ``points`` must be strictly increasing; ``array`` holds them as read-only
-    float64, the grid's one stored copy.  Public constructors guarantee at
-    least two points; :func:`kappa` may produce a single-point truncation.
+    ``points`` must be strictly increasing, and the last minus the first a finite
+    double; ``array`` holds them as read-only float64, the grid's one stored copy.
+    Public constructors guarantee at least two points; :func:`kappa` may produce a
+    single-point truncation.
     """
 
     def __init__(self, points, intent: str = EXACT_DISCRETE):
@@ -86,6 +87,9 @@ class TimeScaleGrid(Frozen):
                 f"time scale grid points must be strictly increasing "
                 f"(got {float(arr[i])!r} followed by {float(arr[i + 1])!r})"
             )
+        a, b = float(arr[0]), float(arr[-1])  # Python floats: b - a overflows to inf unwarned
+        if not np.isfinite(b - a):  # else no difference of two points overflows
+            raise ValueError(f"time scale grid points from {a!r} to {b!r} span more than a double")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "intent", intent)

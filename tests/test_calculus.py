@@ -220,6 +220,13 @@ def test_overflowing_pushforward_is_located_without_a_warning():
         tv.pushforward(alpha, tv.GridFunction(g, [1e10, 1e10, 1e10]))
 
 
+def test_pushforward_onto_a_grid_whose_span_overflows_is_rejected():
+    g = tv.integers(0, 2)
+    alpha = tv.GridFunction(g, [-1e308, 0.0, 1e308])
+    with pytest.raises(ValueError, match=r"from -1e\+308 to 1e\+308 span more than a double$"):
+        tv.pushforward(alpha, tv.GridFunction(g, [1.0, 1.0, 1.0]))
+
+
 def test_pushforward_rejects_decreasing_alpha():
     g = tv.integers(0, 3)
     alpha = tv.GridFunction(g, np.array([0.0, 2.0, 1.5, 3.0]))

@@ -15,8 +15,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
 from tsvarlab import timescale as ts
+from tsvarlab._g17 import encode_table
 from tsvarlab.cli import (
-    USAGE, _format_rows, _option, _read_args, _UsageError, entrypoint, main,
+    USAGE, _option, _read_args, _UsageError, entrypoint, main,
 )
 from tsvarlab.problemfile import (
     ProblemFileError,
@@ -290,6 +291,27 @@ def test_overflowing_written_values_exit_3_without_csv(tmp_path, capsys, text, a
     captured = capsys.readouterr()
     assert captured.err == "error: cell 0 at t=0.0: non-finite value inf (column 1)\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+# the family's d qbar/d eps = -1e308 and its xi = 1e308 differ by -inf, and the
+# grid's span 1e308 - -1e308 overflows; neither may warn before its error
+@pytest.mark.parametrize("text, argv, err", [
+    ("[timescale]\nkind = uniform\na = 0\nb = 1\nh = 0.25\n"
+     '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [0]\n'
+     '[symmetry]\nxi = ["1e308"]\ntbar = "t"\nqbar = ["q1 - eps*1e308"]\n',
+     ["check", "{problem}", "invariance", "--eps", "1"],
+     "error: d qbar/d eps at 0 does not match xi at t=0.0\n"),
+    ("[timescale]\nkind = explicit\npoints = [-1e308, 0, 1e308]\n"
+     '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [0]\n',
+     ["solve", "{problem}"],
+     "error: timescale: time scale grid points from -1e+308 to 1e+308 span more than a double\n"),
+], ids=["family-check", "grid-span"])
+def test_overflowing_input_exits_3_without_a_warning_or_csv(tmp_path, capsys, text, argv, err):
+    problem, out = tmp_path / "huge.problem", tmp_path / "huge.csv"
+    problem.write_text(text)
+    assert run([a.format(problem=problem) for a in argv] + ["--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
 
@@ -869,9 +891,9 @@ def test_row_format_is_17_significant_digits():
     values = [0.0, -0.0, 1.0, 0.1, -2.5e-7, 1e22, 5e-324, 2.2250738585072014e-308,
               1.7976931348623157e308, math.pi, float("inf"), float("-inf"), float("nan")]
     body = np.array(values).reshape(-1, 1)
-    assert b"".join(_format_rows(body)).decode().splitlines() == [format(x, ".17g") for x in values]
+    assert b"".join(encode_table(body)).decode().splitlines() == [format(x, ".17g") for x in values]
     tail = np.array([[1.0, 2.0]] * (len(values) - 1))
-    rows = b"".join(_format_rows(body, tail)).decode().splitlines()
+    rows = b"".join(encode_table(body, tail)).decode().splitlines()
     assert rows[:-1] == [format(x, ".17g") + ",1,2" for x in values[:-1]]
     assert rows[-1] == "nan,,"
 

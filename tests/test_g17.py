@@ -6,7 +6,7 @@ from itertools import repeat
 
 import numpy as np
 
-from tsvarlab._g17 import SMALL_TABLE, encode, encode_rows, fmt
+from tsvarlab._g17 import SMALL_TABLE, encode, encode_table, fmt
 
 
 def _exact_ties(x: np.ndarray) -> int:
@@ -102,5 +102,5 @@ def test_rows_above_the_size_constant_equal_rows_below_it():
     table = rng.standard_normal((SMALL_TABLE, 3)) * 10.0 ** rng.integers(-8, 20, (SMALL_TABLE, 3))
     table[0] = [0.0, math.inf, -math.nan]
     expected = "".join(",".join(map(fmt, row)) + "\n" for row in table.tolist()).encode()
-    assert encode_rows(table) == expected  # through the kernel
-    assert encode_rows(table[:2]) == b"".join(expected.splitlines(keepends=True)[:2])
+    assert b"".join(encode_table(table)) == expected  # through the kernel
+    assert b"".join(encode_table(table[:2])) == b"".join(expected.splitlines(keepends=True)[:2])

@@ -1,18 +1,24 @@
-"""encode_rows and encode_blocks on blocks whose values repeat, against format(x, ".17g"),
-value by value.
+"""encode_table on tables whose values repeat, against format(x, ".17g"), value by
+value.
 
 A block in which at most half of the bit patterns are distinct encodes each
 distinct pattern once, and consecutive such blocks share one kernel call; the
 tests record what reaches the kernel.
 """
 
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tsvarlab import _g17
-from tsvarlab.cli import _format_rows
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "tsvarlab-hypothesis")
 
 SIGNED_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
                         0xFFF0000000000001], dtype=np.uint64).view(np.float64)
@@ -48,9 +54,9 @@ def _counted(monkeypatch) -> list[tuple[int, int]]:
 
 
 def _encoded(block: np.ndarray, monkeypatch) -> tuple[bytes, list[tuple[int, int]]]:
-    """encode_rows(block) and the sizes of the kernel calls it made."""
+    """encode_table(block) joined, and the sizes of the kernel calls it made."""
     sizes = _counted(monkeypatch)
-    return _g17.encode_rows(block), sizes
+    return b"".join(_g17.encode_table(block)), sizes
 
 
 def _fill(shape, patterns, rng) -> np.ndarray:
@@ -117,9 +123,9 @@ def test_signed_zeros_and_nan_payloads_stay_apart(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Tables of several blocks through encode_blocks
+# Tables of several blocks
 
-ROWS = 4096 // 17  # the rows of a block of a 17-column table, as cli._format_rows cuts it
+ROWS = 4096 // 17  # the rows of a block of a 17-column table, as encode_table cuts it
 PATTERNS = np.unique(np.concatenate([
     POOL, np.random.default_rng(26).standard_normal(6000) * 10.0 ** np.arange(-30, 30).repeat(100),
 ]).view(np.int64))
@@ -142,10 +148,10 @@ def _table(counts, seed, shared=False) -> list[np.ndarray]:
 
 
 def _encoded_blocks(blocks, monkeypatch) -> tuple[list[bytes], list[tuple[int, int]]]:
-    """What encode_blocks yields for the blocks, checked against format() block by
-    block, and the sizes of the kernel calls it made."""
+    """What encode_table yields for the table of the blocks, checked against format()
+    block by block, and the sizes of the kernel calls it made."""
     sizes = _counted(monkeypatch)
-    out = list(_g17.encode_blocks(iter(blocks)))
+    out = list(_g17.encode_table(np.concatenate(blocks)))
     assert out == [_expected(block) for block in blocks]
     return out, sizes
 
@@ -174,12 +180,13 @@ def test_a_mostly_distinct_block_closes_the_group(monkeypatch):
 
 
 def test_a_final_short_block(monkeypatch):
-    # a short block of repeats joins the group; one under SMALL_TABLE is formatted
-    # one value at a time after the group
-    blocks = _table((100, 100, 40, 5), seed=30, shared=True)
-    blocks[2], blocks[3] = blocks[2][:80], blocks[3][:5]
-    assert blocks[3].size < _g17.SMALL_TABLE <= blocks[2].size
-    assert _encoded_blocks(blocks, monkeypatch)[1] == [(100, 0)]
+    # a short final block of repeats joins the group; one under SMALL_TABLE is
+    # formatted one value at a time after the group
+    for rows in (80, 5):
+        blocks = _table((100, 100, 40), seed=30, shared=True)
+        blocks[2] = blocks[2][:rows]
+        assert (blocks[2].size < _g17.SMALL_TABLE) == (rows == 5)
+        assert _encoded_blocks(blocks, monkeypatch)[1] == [(100, 0)]
 
 
 def test_signed_zeros_and_nan_payloads_first_seen_in_different_blocks(monkeypatch):
@@ -207,7 +214,7 @@ def test_no_kernel_call_on_repeats_exceeds_half_a_chunk(seed, monkeypatch):
 def _peak(table) -> int:
     tracemalloc.start()
     try:
-        for _ in _format_rows(table):
+        for _ in _g17.encode_table(table):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -220,3 +227,26 @@ def test_memory_does_not_grow_with_a_table_of_repeats():
     table = rng.choice(PATTERNS[:64], (10**5, 17)).view(np.float64)
     short = table[: 10**4].copy()
     assert _peak(table) < 1.2 * _peak(short)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 3), st.integers(-1, 1), st.integers(0, 2),
+       st.sampled_from([0, 8192]), st.integers(0, 2**32 - 1))
+def test_tables_cut_at_block_boundaries_equal_format(width, blocks, offset, tail_width, spread,
+                                                     seed):
+    # full rows at, just below and just above a multiple of the rows of a block; the
+    # values repeat, or are mostly distinct where ``spread`` adds random ones
+    tail_width = min(tail_width, width - 1)
+    full = blocks * (_g17.CHUNK_VALUES // width) + offset
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([POOL, rng.standard_normal(spread)])
+    cells = rng.choice(pool, (full + (tail_width > 0), width))
+    tail = cells[:-1, width - tail_width :] if tail_width else None
+    if tail_width == 1:
+        tail = tail[:, 0]  # one column as a 1-D array, as check conservation passes it
+    lines = [",".join(map(_g17.fmt, row)) for row in cells.tolist()]
+    if tail_width:
+        lines[-1] = lines[-1].rsplit(",", tail_width)[0] + "," * tail_width
+    pieces = list(_g17.encode_table(cells[:, : width - tail_width], tail))
+    assert b"".join(pieces) == ("\n".join(lines) + "\n").encode()
+    assert max(piece.count(b"\n") for piece in pieces) == min(full, _g17.CHUNK_VALUES // width)

@@ -354,6 +354,13 @@ def test_overflowing_extended_partials_error_is_located():
         tv.extended_lagrangian_partials(p, tv.linear_guess(p), r=-1.0)
 
 
+def test_overflowing_family_check_fails_without_a_warning():
+    # d qbar/d eps = -1e308 and xi = 1e308 differ by -inf
+    family = tv.make_generator(1, xi=["1e308"], tbar="t", qbar=["q1 - eps*1e308"])
+    with pytest.raises(ValueError, match=r"^d qbar/d eps at 0 does not match xi at t=0\.0$"):
+        tv.validate_family(family, [0.0, 0.25], [[0.0], [0.0]])
+
+
 @pytest.mark.parametrize("eps_list", [[0.1], [-0.1, 0.2, 0.5]])
 def test_each_report_samples_its_family_once(monkeypatch, eps_list):
     # one evaluation samples the generator, one takes L, L_y and L_v (and one

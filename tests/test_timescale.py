@@ -235,6 +235,16 @@ def test_power2_rejects_exponents_that_overflow():
             tv.power2(0, n1)
 
 
+def test_a_grid_whose_span_overflows_is_rejected():
+    # its graininess 1.7e308 - -1.7e308 would overflow; with a finite span no
+    # difference of two points can
+    message = r"^time scale grid points from -1\.7e\+308 to 1\.7e\+308 span more than a double$"
+    with pytest.raises(ValueError, match=message):
+        tv.TimeScaleGrid((-1.7e308, 1.7e308))
+    g = tv.explicit([-8.9e307, 8.9e307])
+    assert tv.graininess(g).tolist() == [2 * 8.9e307]
+
+
 def test_index_of_finds_exactly_the_stored_points():
     rng = np.random.default_rng(11)
     for _ in range(40):
