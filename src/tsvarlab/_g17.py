@@ -39,10 +39,10 @@ from itertools import repeat
 import numpy as np
 
 # Fewer values than this are formatted one by one.  The kernel costs about
-# 190-420 us a call at 10-400 values, most of it fixed, and format() about
-# 0.7 us a value; on a 2-vCPU x86-64 machine whose speed drifts, the two met
-# between 200 and 400 values.
-SMALL_TABLE = 200
+# 160-250 us a call at 200-600 values, most of it fixed, and format() about
+# 0.7 us a value; best of 9 on a 2-vCPU x86-64 machine whose speed drifts,
+# the kernel won every block of 400-600 values in six draws, format() some to 375.
+SMALL_TABLE = 400
 # Values per block when a table is written.  The working arrays take a few
 # hundred bytes a value; on check-dilation-nonuniform 16384 gave the same pass
 # time as 4096 and 3 MB more peak RSS.  Consecutive blocks of repeats share one

@@ -37,7 +37,7 @@ from .problemfile import (
     solver_options,
     timescale_kind,
 )
-from .variational import SolverError, el_residual, solve_el
+from .variational import Problem, SolverError, el_residual, solve_el
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -247,9 +247,13 @@ def cmd_sweep(args) -> int:
 
     residuals = []
     actions = []
+    problem = None
     for h in h_list:
         grid = build_grid(pf, h_override=h)
-        problem = build_problem(pf, grid=grid)
+        if problem is None:  # the Lagrangian is parsed and differentiated once
+            problem = build_problem(pf, grid=grid)
+        else:
+            problem = Problem(grid, problem.lagrangian, problem.qa, problem.qb)
         result = solve_el(problem, **opts)
         report = noether_quantity(problem, result.trajectory, generator)
         residuals.append(report.max_abs_residual)

@@ -252,10 +252,12 @@ def _cell_hessian(p: Problem, t, mu, y, v):
 
 
 def _interior_hessian(p: Problem, vals: np.ndarray):
-    """Block tridiagonal Hessian of the action over interior points: diagonal and upper blocks."""
+    """The action's Hessian over interior points, as the three bands of _block_tridiag_solve."""
     t, mu, _, y, v = grid_cells(p.grid.array, vals)
     left, cross, right = over_cells(t, partial(_cell_hessian, p), mu, y, v)
-    return right[:-1] + left[1:], cross[1:-1]
+    cross[[0, -1]] = 0.0  # the first and last cells couple an interior point to a boundary value
+    # lower is a copy: numpy's matmul rounds a transposed view differently
+    return np.ascontiguousarray(cross[:-1].swapaxes(1, 2)), right[:-1] + left[1:], cross[1:]
 
 
 # Largest normwise backward error accepted from cyclic reduction: about
@@ -263,37 +265,32 @@ def _interior_hessian(p: Problem, vals: np.ndarray):
 _BACKWARD_TOL = 1e-13
 
 
-def _block_tridiag_solve(times, diag, upper, rhs):
+def _block_tridiag_solve(times, lower, diag, upper, rhs):
     """Solves the symmetric block tridiagonal system by block cyclic reduction.
 
-    ``diag`` holds the m diagonal n-by-n blocks, ``upper`` the m - 1 blocks
-    right of the diagonal (the lower ones are their transposes), ``rhs`` is
-    (m, n), and ``times`` gives each row's time, for the report of a
-    singular system.  Each stage eliminates the rows at even positions with
-    one batched solve and recurses on the others: ceil(log2(m + 1)) solves
-    in all (Buzbee, Golub & Nielson 1970); for n = 1 a solve is one
-    multiplication by the reciprocals of the pivots.  Cyclic reduction
-    pivots on diagonal blocks, which may be singular or nearly so in an
-    invertible indefinite system.  So when a pivot block is singular, or the
-    solution's normwise backward error exceeds ``_BACKWARD_TOL``, the system
-    is solved again by block Thomas elimination, which reports
+    Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs
+    (m, n), with (m, n, n) bands: lower[0] and upper[-1] are zero and lower[i]
+    is upper[i - 1] transposed.  ``times`` gives each row's time, for the
+    report of a singular system.  Each stage eliminates the rows at even
+    positions with one batched solve and recurses on the others:
+    ceil(log2(m + 1)) solves in all (Buzbee, Golub & Nielson 1970); for n = 1
+    a solve is one multiplication by the reciprocals of the pivots.  Cyclic
+    reduction pivots on diagonal blocks, which may be singular or nearly so in
+    an invertible indefinite system.  So when a pivot block is singular, or
+    the solution's normwise backward error exceeds ``_BACKWARD_TOL``, block
+    Thomas elimination solves the same bands again and reports
     SingularJacobian at the first row whose Schur complement is singular.
     """
-    lower, padded = np.zeros(diag.shape), np.zeros(diag.shape)
-    lower[1:] = upper.swapaxes(1, 2)
-    padded[:-1] = upper
     with np.errstate(all="ignore"):
         try:
-            x = _cyclic_reduction(lower, diag, padded, rhs[..., None])[..., 0]
+            x = _cyclic_reduction(lower, diag, upper, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:  # a singular pivot block
             pass
         else:
             residual = rhs - _block_matvec(diag, x)
-            residual[:-1] -= _block_matvec(upper, x[1:])
+            residual[:-1] -= _block_matvec(upper[:-1], x[1:])
             residual[1:] -= _block_matvec(lower[1:], x[:-1])
-            row_sums, abs_upper = np.abs(diag).sum(axis=2), np.abs(upper)
-            row_sums[:-1] += abs_upper.sum(axis=2)
-            row_sums[1:] += abs_upper.sum(axis=1)
+            row_sums = sum(np.abs(band).sum(axis=2) for band in (diag, upper, lower))
             scale = row_sums.max() * np.abs(x).max() + np.abs(rhs).max()
             if np.isfinite(scale) and np.abs(residual).max() <= _BACKWARD_TOL * scale:
                 return x
@@ -320,28 +317,23 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     if n == 1:
         x = _scalar_cyclic_reduction(lower.ravel(), diag.ravel(), upper.ravel(), rhs.ravel())
         return x.reshape(rhs.shape)
-    sol = np.linalg.solve(
-        diag[0::2], np.concatenate([lower[0::2], upper[0::2], rhs[0::2]], axis=2)
-    )
-    if m == 1:
-        return sol[..., 2 * n :]
-    if m % 2 == 0:  # the last odd row has no right neighbour: a zero one stands in
-        sol = np.concatenate([sol, np.zeros_like(sol[:1])])
+    k = (m + 1) // 2
+    sol = np.zeros((m // 2 + 1, n, 2 * n + rhs.shape[2]))  # zero right of an even m's last row
     a, b, y = sol[..., :n], sol[..., n : 2 * n], sol[..., 2 * n :]
+    a[:k], b[:k], y[:k] = lower[0::2], upper[0::2], rhs[0::2]
+    sol[:k] = np.linalg.solve(diag[0::2], sol[:k])
+    if m == 1:
+        return y
     lo, up = lower[1::2], upper[1::2]
-    x_odd = _cyclic_reduction(
+    x = np.zeros((m + 2, *rhs.shape[1:]))  # x[i + 1] is row i's unknown, between two zero rows
+    x[2 : m + 1 : 2] = _cyclic_reduction(
         -lo @ a[:-1],
         diag[1::2] - lo @ b[:-1] - up @ a[1:],
         -up @ b[1:],
         rhs[1::2] - lo @ y[:-1] - up @ y[1:],
     )
-    pad = np.zeros_like(x_odd[:1])
-    x_near = np.concatenate([pad, x_odd, pad])
-    x_even = y - a @ x_near[:-1] - b @ x_near[1:]
-    x = np.empty_like(rhs)
-    x[0::2] = x_even[: (m + 1) // 2]
-    x[1::2] = x_odd
-    return x
+    x[1 : 2 * k : 2] = y[:k] - a[:k] @ x[0 : 2 * k : 2] - b[:k] @ x[2 : 2 * k + 1 : 2]
+    return x[1:-1]
 
 
 def _scalar_cyclic_reduction(lower, diag, upper, rhs):

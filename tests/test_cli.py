@@ -397,6 +397,21 @@ def test_sweep_free_particle_exact(tmp_path):
     assert rows[1][3] == "exact"
 
 
+def test_sweep_parses_the_lagrangian_once(tmp_path, monkeypatch):
+    calls = []
+    from_text = tv.Lagrangian.from_text
+
+    def counting_from_text(text, dim):
+        calls.append(text)
+        return from_text(text, dim)
+
+    monkeypatch.setattr(tv.Lagrangian, "from_text", counting_from_text)
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", GRAVITY, "--h-list", "0.1,0.05,0.02,0.01", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+    assert len(calls) == 1
+
+
 def test_sweep_single_h_has_empty_order(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", GRAVITY, "--h-list", "0.1", "--out", str(out)]) == 0

@@ -71,7 +71,7 @@ def _block(shape, n_distinct, seed) -> np.ndarray:
     return _fill(shape, rng.permutation(np.unique(POOL.view(np.int64)))[:n_distinct], rng)
 
 
-@pytest.mark.parametrize("shape", [(40, 17), (300, 1), (1, 256)], ids=["block", "column", "row"])
+@pytest.mark.parametrize("shape", [(40, 17), (500, 1), (1, 512)], ids=["block", "column", "row"])
 def test_repeated_values_are_encoded_once(shape, monkeypatch):
     n_distinct = min(len(np.unique(POOL.view(np.int64))), shape[0] * shape[1] // 4)
     block = _block(shape, n_distinct, seed=shape[0])
@@ -80,34 +80,34 @@ def test_repeated_values_are_encoded_once(shape, monkeypatch):
     assert sizes == [(n_distinct, 0)]
 
 
-@pytest.mark.parametrize("extra, sizes", [(0, [(128, 0)]), (1, [(256, 16)])], ids=["half", "half+1"])
+@pytest.mark.parametrize("extra, sizes", [(0, [(256, 0)]), (1, [(512, 32)])], ids=["half", "half+1"])
 def test_the_gate_is_half_of_the_block_distinct(extra, sizes, monkeypatch):
-    # 256 values: 128 distinct patterns take the repeat path, 129 the full kernel
+    # 512 values: 256 distinct patterns take the repeat path, 257 the full kernel
     pool = np.concatenate([POOL, np.arange(200.0) + 0.5])
     rng = np.random.default_rng(24 + extra)
-    distinct = np.unique(pool.view(np.int64))[:128 + extra]
-    cells = np.concatenate([distinct, rng.choice(distinct, 128 - extra)])
-    block = rng.permutation(cells).view(np.float64).reshape(16, 16)
+    distinct = np.unique(pool.view(np.int64))[:256 + extra]
+    cells = np.concatenate([distinct, rng.choice(distinct, 256 - extra)])
+    block = rng.permutation(cells).view(np.float64).reshape(32, 16)
     data, got = _encoded(block, monkeypatch)
     assert data == _expected(block)
     assert got == sizes
 
 
 def test_patterns_that_share_hash_buckets_are_counted_exactly(monkeypatch):
-    # b and b + 1/_MIX (mod 2^64) land in one bucket: 256 distinct patterns in
-    # 128 buckets pass the bucket count, and the exact count sends them to the kernel
+    # b and b + 1/_MIX (mod 2^64) land in one bucket: 512 distinct patterns in at
+    # most 256 buckets pass the bucket count, and the exact count sends them to the kernel
     rng = np.random.default_rng(25)
-    low = rng.integers(0, 2**52, 128, dtype=np.uint64) | np.uint64(0x3FF0000000000000)
+    low = rng.integers(0, 2**52, 256, dtype=np.uint64) | np.uint64(0x3FF0000000000000)
     partner = (low + np.uint64(pow(_g17._MIX, -1, 2**64))).view(np.float64)
-    block = np.concatenate([low.view(np.float64), partner]).reshape(16, 16)
+    block = np.concatenate([low.view(np.float64), partner]).reshape(32, 16)
     data, sizes = _encoded(block, monkeypatch)
     assert data == _expected(block)
-    assert sizes == [(256, 16)]
+    assert sizes == [(512, 32)]
 
 
 @pytest.mark.parametrize("value", [0.0, -0.0, np.nan, -np.nan, np.inf, TIES[3], 5e-324, 1e17])
 def test_a_block_of_one_repeated_value(value, monkeypatch):
-    block = np.full((20, 17), value)
+    block = np.full((30, 17), value)
     data, sizes = _encoded(block, monkeypatch)
     assert data == _expected(block)
     assert sizes == [(1, 0)]
@@ -115,7 +115,7 @@ def test_a_block_of_one_repeated_value(value, monkeypatch):
 
 def test_signed_zeros_and_nan_payloads_stay_apart(monkeypatch):
     values = np.concatenate([[0.0, -0.0], SIGNED_NANS])
-    block = np.tile(values, (50, 1))
+    block = np.tile(values, (70, 1))
     data, sizes = _encoded(block, monkeypatch)
     assert data == _expected(block)
     assert sizes == [(len(values), 0)]

@@ -368,7 +368,7 @@ def test_hessian_matches_finite_differences_of_gradient():
             rng.uniform(-1, 1, size=dim), rng.uniform(-1, 1, size=dim),
         )
         vals = rng.uniform(-1.5, 1.5, size=(len(g), dim))
-        diag, upper = _interior_hessian(p, vals)
+        _, diag, upper = _interior_hessian(p, vals)
         m = len(g) - 2
         hess = np.zeros((m, dim, m, dim))
         for j in range(m):
@@ -530,6 +530,13 @@ def _interior_times(m):
     return np.arange(1.0, m + 1)
 
 
+def _bands(diag, upper):
+    """lower, diag and upper bands of the system given by its m diagonal and m - 1 upper blocks."""
+    lower, padded = np.zeros(diag.shape), np.zeros(diag.shape)
+    lower[1:], padded[:-1] = upper.swapaxes(1, 2), upper
+    return lower, diag, padded
+
+
 def test_cyclic_reduction_matches_dense_solve():
     rng = np.random.default_rng(41)
     sizes = sorted(set(range(1, 41)) | {2**k + d for k in range(2, 11) for d in (-1, 0, 1)})
@@ -541,7 +548,7 @@ def test_cyclic_reduction_matches_dense_solve():
                 for n in range(1, 5) for m in range(1, 17)]
     for m, (diag, upper, rhs) in systems:
         n = diag.shape[1]
-        x = _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
+        x = _block_tridiag_solve(_interior_times(m), *_bands(diag, upper), rhs)
         if m * n <= 1100:  # dense matrices of at most about 10 MB
             ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(m, n)
         else:
@@ -560,7 +567,7 @@ def test_block_solve_error_is_bounded_by_the_condition_number():
             diag, upper = sym + np.swapaxes(sym, 1, 2), rng.uniform(-1, 1, size=(m - 1, n, n))
             rhs = rng.uniform(-10, 10, size=(m, n))
             dense = _dense(diag, upper)
-            x = _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
+            x = _block_tridiag_solve(_interior_times(m), *_bands(diag, upper), rhs)
             ref = np.linalg.solve(dense, rhs.ravel()).reshape(m, n)
             bound = 1e-12 * np.linalg.cond(dense) * np.max(np.abs(ref))
             assert np.max(np.abs(x - ref)) <= bound, (n, m)
@@ -570,10 +577,10 @@ def test_solve_el_with_a_zero_pivot_in_an_indefinite_hessian():
     # interior Hessian: diagonal [2, 1, 0, -1], off-diagonal -1, determinant 1
     p = tv.make_problem(tv.integers(0, 5), "qd1^2/2 - t*qs1^2/2", 1, [1.0], [1.0])
     vals = tv.linear_guess(p).values
-    diag, upper = va._interior_hessian(p, vals)
+    lower, diag, upper = va._interior_hessian(p, vals)
     assert np.array_equal(diag[:, 0, 0], [2.0, 1.0, 0.0, -1.0])
     rhs = -tv.stationarity_gradient(p, tv.linear_guess(p))
-    x = _block_tridiag_solve(p.grid.array[1:-1], diag, upper, rhs)
+    x = _block_tridiag_solve(p.grid.array[1:-1], lower, diag, upper, rhs)
     ref = np.linalg.solve(_dense(diag, upper), rhs.ravel()).reshape(4, 1)
     assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
     res = tv.solve_el(p)
@@ -591,13 +598,13 @@ def test_singular_system_reports_first_singular_schur_complement():
             if k < 8:
                 upper[k] = 0.0
         with pytest.raises(SingularJacobian, match=r"interior point 4 \(t=5\.0\)$") as err:
-            _block_tridiag_solve(_interior_times(9), diag, upper, rhs)
+            _block_tridiag_solve(_interior_times(9), *_bands(diag, upper), rhs)
         assert err.value.block_index == 4 and type(err.value.time) is float
     # nonsingular diagonal blocks, singular matrix: Schur complements 1, 1, 0
     diag = np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1)
     upper = np.ones((2, 1, 1))
     with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
-        _block_tridiag_solve(_interior_times(3), diag, upper, np.ones((3, 1)))
+        _block_tridiag_solve(_interior_times(3), *_bands(diag, upper), np.ones((3, 1)))
 
 
 def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
@@ -612,7 +619,7 @@ def test_cyclic_reduction_makes_log2_batched_solves(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    _block_tridiag_solve(_interior_times(m), diag, upper, rhs)
+    _block_tridiag_solve(_interior_times(m), *_bands(diag, upper), rhs)
     assert len(calls) <= math.ceil(math.log2(m)) + 1
 
 
@@ -652,6 +659,42 @@ def test_scalar_cyclic_reduction_matches_the_block_route():
             assert np.allclose(x, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref))), m
 
 
+def test_block_cyclic_reduction_matches_the_oracle_bit_for_bit():
+    # n >= 2 takes the batched route, on dominant (definite) blocks, on dominant blocks
+    # of both signs and on blocks with no dominance at all (indefinite)
+    rng = np.random.default_rng(48)
+    sizes = [1, 2, 3, 4, 15, 16, 17] + [int(m) for m in rng.integers(1, 81, size=6)]
+    for n in range(2, 7):
+        for m in sizes:
+            for kind in ("definite", "flipped", "indefinite"):
+                diag, upper, rhs = _block_system(rng, n, m, 0.5 if kind == "flipped" else 0.0)
+                if kind == "indefinite":
+                    sym = rng.uniform(-1, 1, size=(m, n, n))
+                    diag = sym + np.swapaxes(sym, 1, 2)
+                lower, diag, upper = _bands(diag, upper)
+                with np.errstate(all="ignore"):
+                    x = va._cyclic_reduction(lower, diag, upper, rhs[..., None])
+                    ref = block_cyclic_reduction(lower, diag, upper, rhs[..., None])
+                assert x.shape == ref.shape == (m, n, 1)
+                assert x.tobytes() == ref.tobytes(), (n, m, kind)
+
+
+def test_interior_hessian_bands_are_the_solver_layout():
+    # the first and last cells couple a boundary value: lower[0] and upper[-1] are zero;
+    # lower holds the other cross blocks transposed, as a contiguous copy
+    rng = np.random.default_rng(49)
+    grids = [tv.integers(0, 2), tv.explicit([0.0, 0.25, 1.0])]
+    for g in grids + [random_grid(rng, max_points=10) for _ in range(25)]:
+        dim = int(rng.integers(1, 5))
+        p = tv.make_problem(g, random_smooth_lagrangian_text(rng, dim), dim,
+                            rng.uniform(-1, 1, size=dim), rng.uniform(-1, 1, size=dim))
+        lower, diag, upper = _interior_hessian(p, rng.uniform(-1.5, 1.5, size=(len(g), dim)))
+        assert lower.shape == diag.shape == upper.shape == (len(g) - 2, dim, dim)
+        assert not lower[0].any() and not upper[-1].any()
+        assert lower.flags.c_contiguous
+        assert lower[1:].tobytes() == np.ascontiguousarray(upper[:-1].swapaxes(1, 2)).tobytes()
+
+
 def test_block_matvec_multiplies_1x1_blocks_elementwise():
     # the backward-error residual's products: for n = 1 the same as a 1x1 matmul
     # up to the sign of a zero, which abs removes; for n >= 2 the matmul itself
@@ -676,7 +719,7 @@ def test_scalar_cyclic_reduction_raises_on_a_zero_pivot_at_an_even_position():
     with pytest.raises(np.linalg.LinAlgError):
         va._cyclic_reduction(lower, diag, np.concatenate([upper, np.zeros((1, 1, 1))]), rhs)
     with pytest.raises(SingularJacobian, match=r"interior point 2 \(t=3\.0\)$"):
-        _block_tridiag_solve(_interior_times(6), diag, upper, rhs[..., 0])
+        _block_tridiag_solve(_interior_times(6), *_bands(diag, upper), rhs[..., 0])
 
 
 def test_dim_1_newton_steps_call_no_lapack_solve_unless_they_fall_back(monkeypatch):
