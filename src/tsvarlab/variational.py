@@ -152,9 +152,14 @@ def as_trajectory(p: Problem, values) -> GridFunction:
 
 def linear_guess(p: Problem) -> GridFunction:
     """Componentwise linear interpolation between the boundary values."""
+    span = [float(b) - float(a) for a, b in zip(p.qa, p.qb)]  # Python floats: inf, unwarned
+    for k, (a, b, d) in enumerate(zip(p.qa, p.qb, span)):
+        if not np.isfinite(d):
+            raise ValueError(f"linear guess of component {k + 1} from {float(a)!r} to "
+                             f"{float(b)!r} spans more than a double")
     t = p.grid.array
     w = (t - t[0]) / (t[-1] - t[0])
-    vals = p.qa[None, :] + w[:, None] * (p.qb - p.qa)[None, :]
+    vals = p.qa[None, :] + w[:, None] * np.array(span)[None, :]
     vals[0] = p.qa
     vals[-1] = p.qb
     return GridFunction(p.grid, vals)
@@ -223,41 +228,40 @@ class SolveResult(NamedTuple):
     action_value: float
 
 
-def _cell_hessian(p: Problem, t, mu, y, v):
-    """Hessian blocks of the cell terms in (q_left, q_right): left-left, left-right, right-right.
+def _interior_hessian(p: Problem, vals: np.ndarray):
+    """The action's Hessian over interior points, as the three bands of _block_tridiag_solve.
 
-    Each block is (n, n) for one cell and (c, n, n) on c cells.  The nonzero
-    second derivatives of L in (y, v) are evaluated in one pass with L
-    itself, whose domain errors come first as in the other passes, and fill
-    the n-by-n blocks of d2L in (y, y), (v, y) and (v, v), with no 2n-by-2n
-    array; the chain rule of y = q_right, v = (q_right - q_left) / mu maps
-    them entry by entry, so one cell alone gives the same blocks as in a
-    batch.
+    One located pass evaluates L, whose domain errors come first as in the
+    other passes, and its nonzero second derivatives in (y, v) = (q_right,
+    (q_right - q_left) / mu); the chain rule maps them entry by entry to each
+    cell's left-left, cross and right-right blocks.  A second located pass
+    sums point k+1's diagonal block, cell k's right-right plus cell k+1's
+    left-left, and names cell k if it fails.
     """
     n = p.dim
-    second = p.lagrangian._second_partials
-    values = p.lagrangian._sample([p.lagrangian.expression, *second.values()], t, y, v)
-    # d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j at [..., i, j], cells first
-    h_yy, h_vy, h_vv = (np.zeros(np.shape(mu) + (n, n)) for _ in range(3))
-    for k, (i, j) in enumerate(second, start=1):
-        if j < n:
-            h_yy[..., i, j] = h_yy[..., j, i] = values[..., k]
-        elif i < n:
-            h_vy[..., j - n, i] = values[..., k]
-        else:
-            h_vv[..., i - n, j - n] = h_vv[..., j - n, i - n] = values[..., k]
-    mu = np.reshape(mu, np.shape(mu) + (1, 1))
-    left = h_vv / mu
-    return left, -(h_vy + left), mu * h_yy + (np.swapaxes(h_vy, -1, -2) + h_vy) + left
+    lagrangian, second = p.lagrangian, p.lagrangian._second_partials
 
+    def blocks(t, mu, y, v):
+        values = lagrangian._sample([lagrangian.expression, *second.values()], t, y, v)
+        # d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j at [cell, i, j]
+        h_yy, h_vy, h_vv = (np.zeros((len(mu), n, n)) for _ in range(3))
+        for k, (i, j) in enumerate(second, start=1):
+            if j < n:
+                h_yy[:, i, j] = h_yy[:, j, i] = values[:, k]
+            elif i < n:
+                h_vy[:, j - n, i] = values[:, k]
+            else:
+                h_vv[:, i - n, j - n] = h_vv[:, j - n, i - n] = values[:, k]
+        mu = mu[:, None, None]
+        left = h_vv / mu
+        return left, -(h_vy + left), mu * h_yy + (h_vy.swapaxes(1, 2) + h_vy) + left
 
-def _interior_hessian(p: Problem, vals: np.ndarray):
-    """The action's Hessian over interior points, as the three bands of _block_tridiag_solve."""
     t, mu, _, y, v = grid_cells(p.grid.array, vals)
-    left, cross, right = over_cells(t, partial(_cell_hessian, p), mu, y, v)
+    left, cross, right = over_cells(t, blocks, mu, y, v)
     cross[[0, -1]] = 0.0  # the first and last cells couple an interior point to a boundary value
+    diag = over_cells(t[:-1], lambda _, right, left: right + left, right[:-1], left[1:])
     # lower is a copy: numpy's matmul rounds a transposed view differently
-    return np.ascontiguousarray(cross[:-1].swapaxes(1, 2)), right[:-1] + left[1:], cross[1:]
+    return np.ascontiguousarray(cross[:-1].swapaxes(1, 2)), diag, cross[1:]
 
 
 # Largest normwise backward error accepted from cyclic reduction: about

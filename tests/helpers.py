@@ -311,8 +311,11 @@ def block_cyclic_reduction(lower, diag, upper, rhs):
     return x
 
 
-def dense_cell_hessian(p, t, mu, y, v):
-    """variational._cell_hessian through a dense (c, 2n, 2n) array of d2L in (y, v), as it was."""
+def dense_cell_blocks(p, t, mu, y, v):
+    """A cell's Hessian blocks in (q_left, q_right): left-left, left-right and right-right.
+
+    Formed through a dense (c, 2n, 2n) array of d2L in (y, v), as the solver once did.
+    """
     n = p.dim
     names = [f"qs{k + 1}" for k in range(n)] + [f"qd{k + 1}" for k in range(n)]
     tree = p.lagrangian.expression
@@ -328,6 +331,25 @@ def dense_cell_hessian(p, t, mu, y, v):
     h_yy, h_yv, h_vy, h_vv = h[..., :n, :n], h[..., :n, n:], h[..., n:, :n], h[..., n:, n:]
     left = h_vv / mu
     return left, -(h_vy + left), mu * h_yy + (h_yv + h_vy) + left
+
+
+def dense_blocks(p, vals):
+    """dense_cell_blocks of each cell of the trajectory ``vals``, called one cell at a time,
+    stacked (c, n, n); an overflow is left inf or nan, unwarned."""
+    t, mu = p.grid.array[:-1], np.diff(p.grid.array)
+    with np.errstate(all="ignore"):
+        v = np.diff(vals, axis=0) / mu[:, None]
+        cells = [dense_cell_blocks(p, t[k], mu[k], vals[k + 1], v[k]) for k in range(len(t))]
+    return tuple(np.array(blocks) for blocks in zip(*cells))
+
+
+def dense_bands(p, vals):
+    """variational._interior_hessian's bands (lower, diag, upper) from dense_blocks."""
+    left, cross, right = dense_blocks(p, vals)
+    cross[[0, -1]] = 0.0
+    with np.errstate(all="ignore"):
+        diag = right[:-1] + left[1:]
+    return np.ascontiguousarray(cross[:-1].swapaxes(1, 2)), diag, cross[1:]
 
 
 def stack_sample(trees, env, cells):

@@ -294,8 +294,10 @@ def test_overflowing_written_values_exit_3_without_csv(tmp_path, capsys, text, a
     assert not out.exists()
 
 
-# the family's d qbar/d eps = -1e308 and its xi = 1e308 differ by -inf, and the
-# grid's span 1e308 - -1e308 overflows; neither may warn before its error
+# the family's d qbar/d eps = -1e308 and its xi = 1e308 differ by -inf, the grid's
+# span 1e308 - -1e308 and the linear guess's qb - qa overflow, and on the guess
+# file's first Newton step each Hessian block 1e308 is finite and interior point
+# 1's diagonal block 2e308 is not; none may warn before its error
 @pytest.mark.parametrize("text, argv, err", [
     ("[timescale]\nkind = uniform\na = 0\nb = 1\nh = 0.25\n"
      '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [0]\n'
@@ -306,11 +308,20 @@ def test_overflowing_written_values_exit_3_without_csv(tmp_path, capsys, text, a
      '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [0]\n',
      ["solve", "{problem}"],
      "error: timescale: time scale grid points from -1e+308 to 1e+308 span more than a double\n"),
-], ids=["family-check", "grid-span"])
+    ("[timescale]\nkind = integers\na = 0\nb = 4\n"
+     '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [-1e308]\nqb = [1e308]\n',
+     ["solve", "{problem}"],
+     "error: linear guess of component 1 from -1e+308 to 1e+308 spans more than a double\n"),
+    ("[timescale]\nkind = explicit\npoints = [0, 1e-308, 2e-308, 3e-308]\n"
+     '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [0]\n',
+     ["solve", "{problem}", "--guess", "{guess}"],
+     "error: cell 0 at t=0.0: non-finite value inf (column 1)\n"),
+], ids=["family-check", "grid-span", "linear-guess", "hessian-diagonal"])
 def test_overflowing_input_exits_3_without_a_warning_or_csv(tmp_path, capsys, text, argv, err):
-    problem, out = tmp_path / "huge.problem", tmp_path / "huge.csv"
+    problem, guess, out = tmp_path / "huge.problem", tmp_path / "guess.csv", tmp_path / "huge.csv"
     problem.write_text(text)
-    assert run([a.format(problem=problem) for a in argv] + ["--out", str(out)]) == 3
+    guess.write_text("t,q_1\n0,0\n1e-308,1e-310\n2e-308,0\n3e-308,0\n")
+    assert run([a.format(problem=problem, guess=guess) for a in argv] + ["--out", str(out)]) == 3
     assert capsys.readouterr() == ("", err)
     assert not out.exists()
 

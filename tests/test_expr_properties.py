@@ -240,8 +240,7 @@ def test_chain_hessian_builds_the_17_nonzero_second_derivatives(monkeypatch):
     sample = va.Lagrangian._sample
     monkeypatch.setattr(va.Lagrangian, "_sample",
                         lambda self, trees, *a: sampled.append(trees) or sample(self, trees, *a))
-    t, mu, _, y, v = va.grid_cells(p.grid.array, va.linear_guess(p).values)
-    va._cell_hessian(p, t, mu, y, v)
+    va._interior_hessian(p, va.linear_guess(p).values)
     assert len(sampled) == 1 and sampled[0][0] is tree
     assert len(sampled[0]) == 1 + 17
     for got, d in zip(sampled[0][1:], want.values()):

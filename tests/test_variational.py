@@ -10,14 +10,14 @@ from tsvarlab.variational import (
     NonConvergence,
     SingularJacobian,
     _block_tridiag_solve,
-    _cell_hessian,
     _interior_hessian,
 )
 
 from helpers import (
     block_cyclic_reduction,
     brute_action,
-    dense_cell_hessian,
+    dense_bands,
+    dense_blocks,
     fd_action_gradient,
     random_grid,
     random_quadratic_lagrangian_text,
@@ -191,14 +191,13 @@ def test_batched_cells_equal_pointwise_calls():
             assert np.array_equal(batched, np.array(pointwise))
         values = [lag.value(t[i], y[i], v[i]) for i in range(len(t))]
         assert np.array_equal(lag.value(t, y, v), values)
-        blocks = [_cell_hessian(p, t[i], mu[i], y[i], v[i]) for i in range(len(t))]
-        for batched, pointwise in zip(_cell_hessian(p, t, mu, y, v), zip(*blocks), strict=True):
-            assert np.array_equal(batched, np.array(pointwise))
+        for batched, pointwise in zip(_interior_hessian(p, vals), dense_bands(p, vals), strict=True):
+            assert batched.tobytes() == pointwise.tobytes()
 
 
-def test_cell_hessian_blocks_equal_the_dense_route():
-    # the three n-by-n blocks filled from the nonzero second derivatives give the bits
-    # of the dense (c, 2n, 2n) route, the sign of every zero included
+def test_interior_hessian_bands_equal_the_dense_route():
+    # the bands filled from the nonzero second derivatives give the bits of the
+    # dense (c, 2n, 2n) route, cell by cell, the sign of every zero included
     rng = np.random.default_rng(31)
     cases = [(random_smooth_lagrangian_text(rng, int(d)), int(d)) for d in rng.integers(1, 4, 15)]
     cases += [
@@ -212,12 +211,8 @@ def test_cell_hessian_blocks_equal_the_dense_route():
         g = random_grid(rng, max_points=10)
         p = tv.make_problem(g, text, dim, np.zeros(dim), np.zeros(dim))
         vals = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], size=(len(g), dim))
-        t, mu, _, y, v = va.grid_cells(g.array, vals)
-        for cell in (slice(None), 0, -1):
-            got = _cell_hessian(p, t[cell], mu[cell], y[cell], v[cell])
-            want = dense_cell_hessian(p, t[cell], mu[cell], y[cell], v[cell])
-            for a, b in zip(got, want, strict=True):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (text, cell)
+        for a, b in zip(_interior_hessian(p, vals), dense_bands(p, vals), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), text
 
 
 def test_overflowing_action_is_located_not_returned():
@@ -278,6 +273,39 @@ def test_overflowing_mu_weighted_terms_and_sums_are_located():
     q = tv.GridFunction(g, [[0.0], [0.0], [1e100], [1e100]])
     with pytest.raises(tv.EvalError, match=message):
         tv.el_residual(p, q)
+
+
+def test_overflowing_hessian_diagonal_block_is_located_at_its_left_cell():
+    # every block h_vv / mu = 1e308 is finite; interior point k+1's diagonal block,
+    # cell k's right-right plus cell k+1's left-left, is 2e308 and names cell k
+    for points, vals, message in (
+        ([0.0, 1e-308, 2e-308, 3e-308], [0.0, 1e-310, 0.0, 0.0],
+         r"^cell 0 at t=0\.0: non-finite value inf"),
+        ([-1.0, 0.0, 1e-308, 2e-308], [0.0, 0.0, 1e-310, 0.0],
+         r"^cell 1 at t=0\.0: non-finite value inf"),
+    ):
+        p = tv.make_problem(tv.explicit(points), "qd1^2/2", 1, [0.0], [0.0])
+        vals = np.array(vals)[:, None]
+        assert all(np.isfinite(blocks).all() for blocks in dense_blocks(p, vals))
+        for run in (lambda: _interior_hessian(p, vals),
+                    lambda: tv.solve_el(p, tv.GridFunction(p.grid, vals))):
+            with pytest.raises(tv.EvalError, match=message):
+                run()
+
+
+def test_linear_guess_of_overflowing_boundary_values_names_the_component():
+    # qb - qa = 2e308 in component 2 is refused before any array arithmetic can warn
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + qd2^2/2", 2, [0.0, -1e308], [1.0, 1e308])
+    message = r"^linear guess of component 2 from -1e\+308 to 1e\+308 spans more than a double$"
+    for run in (lambda: tv.linear_guess(p), lambda: tv.solve_el(p)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    # a difference that is a double keeps numpy's bits
+    p = tv.make_problem(tv.explicit([0.0, 0.1, 0.7, 3.0]), "qd1^2/2", 1, [-8e307], [9e307])
+    t = p.grid.array
+    want = p.qa + ((t - t[0]) / (t[-1] - t[0]))[:, None] * (p.qb - p.qa)
+    want[0], want[-1] = p.qa, p.qb
+    assert tv.linear_guess(p).values.tobytes() == want.tobytes()
 
 
 def test_el_residual_free_particle_lines():
