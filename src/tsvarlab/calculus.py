@@ -83,7 +83,7 @@ def over_cells(times, fn, *per_cell_args, what: str = "cell"):
     An EvalError is located as ``cell i at t=...`` (or ``point i``) at the
     lowest failing cell, and so is the first cell whose results hold an inf
     or nan; arithmetic in fn that overflows raises no numpy warning.  Returns
-    fn's result (an array, or a tuple of them) as float arrays.
+    fn's result (an array, or a tuple of them) as fn built it.
     """
     with np.errstate(all="ignore"):  # an inf or nan is located below, not warned about
         try:
@@ -97,11 +97,10 @@ def over_cells(times, fn, *per_cell_args, what: str = "cell"):
                     exc = earlier
             message = f"{what} {exc.cell} at t={float(times[exc.cell])!r}: {exc.message}"
             raise ex.EvalError(message, exc.column, exc.cell) from None
-    is_tuple = isinstance(results, tuple)
-    arrays = [np.array(r, dtype=float) for r in (results if is_tuple else [results])]
+    arrays = results if isinstance(results, tuple) else (results,)
     if not all(np.isfinite(a).all() for a in arrays):  # the lowest such cell among all results
         finite_cells(times, np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1), what)
-    return tuple(arrays) if is_tuple else arrays[0]
+    return results
 
 
 def finite_cells(times, values, what: str = "cell"):

@@ -269,3 +269,37 @@ def test_sample_fills_what_np_stack_did():
         2, [1.0], [3.0])  # an int time at one point, through the library
     assert (lval, l_t, l_y.tolist(), l_v.tolist()) == (19.0, 9.0, [1.0], [12.0])
     assert type(lval) is type(l_t) is np.float64
+
+
+def test_over_cells_hands_back_what_fn_built_and_names_the_lowest_failing_cell():
+    # no float copy: the very arrays fn returned, a bool one included; a failure
+    # or a non-finite value is still named at the lowest cell over all results
+    from tsvarlab.calculus import over_cells
+
+    times = np.arange(5) * 0.5
+    a, b = np.array([1.0, 1.0, 1.0, -1.0, 1.0]), np.array([1.0, -1.0, 1.0, 1.0, 1.0])
+    built = {}
+
+    def one(t, x):
+        built["one"] = 2.0 * x
+        return built["one"]
+
+    def pair(t, x):
+        built["pair"] = (x + 1.0, x < 0.0)
+        return built["pair"]
+
+    assert over_cells(times, one, a) is built["one"]
+    got = over_cells(times, pair, a)
+    assert type(got) is tuple and len(got) == 2
+    assert got[0] is built["pair"][0] and got[1] is built["pair"][1]
+    assert got[1].dtype == bool and got[1].tolist() == [False, False, False, True, False]
+
+    # ln(qs1) fails first, at cell 3, and ln(qs2) after it at cell 1: cell 1 is named
+    trees = [tv.parse("ln(qs1)", 2), tv.parse("ln(qs2)", 2)]
+    with pytest.raises(tv.EvalError, match=r"^cell 1 at t=0\.5: ln of non-positive value -1\.0"):
+        over_cells(times, lambda t, x, y: tuple(tv.evaluate(trees, {"qs1": x, "qs2": y})), a, b)
+    # an inf in the second result's cell 1 comes before a nan in the first's cell 2
+    first, second = np.zeros(5), np.zeros((5, 2))
+    first[2], second[1, 1] = np.nan, np.inf
+    with pytest.raises(tv.EvalError, match=r"^point 1 at t=0\.5: non-finite value inf"):
+        over_cells(times, lambda t: (first, second), what="point")
