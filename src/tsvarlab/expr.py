@@ -339,14 +339,14 @@ def _power(base, expo):
 
 
 def _ipow(x, k: int):
-    result = 1.0
-    acc = x
+    result = None  # the squares x^(2^j) of k's set bits, multiplied lowest first
     while k:
         if k & 1:
-            result = result * acc
-        acc = acc * acc
+            result = x if result is None else result * x
         k >>= 1
-    return result
+        if k:  # no square past the highest bit
+            x = x * x
+    return 1.0 if result is None else result
 
 
 def _nonzero_sqrt(x):

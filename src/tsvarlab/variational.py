@@ -132,9 +132,6 @@ class Problem(Frozen):
         return self.lagrangian.dim
 
 
-Trajectory = GridFunction  # vector-valued grid function with (N, n) values
-
-
 def make_problem(grid: TimeScaleGrid, lagrangian_text: str, dim: int, qa, qb) -> Problem:
     return Problem(grid, Lagrangian.from_text(lagrangian_text, dim), qa, qb)
 
@@ -233,33 +230,33 @@ def _interior_hessian(p: Problem, vals: np.ndarray):
 
     One located pass evaluates L, whose domain errors come first as in the
     other passes, and its nonzero second derivatives in (y, v) = (q_right,
-    (q_right - q_left) / mu); the chain rule maps them entry by entry to each
-    cell's left-left, cross and right-right blocks.  A second located pass
-    sums point k+1's diagonal block, cell k's right-right plus cell k+1's
-    left-left, and names cell k if it fails.
+    (q_right - q_left) / mu), each written by the chain rule into its entry of
+    the cell's left-left, cross or right-right block.  A second located pass
+    adds cell k+1's left-left into cell k's right-right in place, point k+1's
+    diagonal block, and names cell k if it fails.
     """
     n = p.dim
     lagrangian, second = p.lagrangian, p.lagrangian._second_partials
 
     def blocks(t, mu, y, v):
         values = lagrangian._sample([lagrangian.expression, *second.values()], t, y, v)
-        # d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j at [cell, i, j]
-        h_yy, h_vy, h_vv = (np.zeros((len(mu), n, n)) for _ in range(3))
+        # mu d2L/dy_i dy_j, d2L/dv_i dy_j and d2L/dv_i dv_j / mu at [cell, i, j]
+        right, cross, left = (np.zeros((len(mu), n, n)) for _ in range(3))
         for k, (i, j) in enumerate(second, start=1):
             if j < n:
-                h_yy[:, i, j] = h_yy[:, j, i] = values[:, k]
+                right[:, i, j] = right[:, j, i] = mu * values[:, k]
             elif i < n:
-                h_vy[:, j - n, i] = values[:, k]
+                cross[:, j - n, i] = values[:, k]
             else:
-                h_vv[:, i - n, j - n] = h_vv[:, j - n, i - n] = values[:, k]
-        mu = mu[:, None, None]
-        left = h_vv / mu
-        return left, -(h_vy + left), mu * h_yy + (h_vy.swapaxes(1, 2) + h_vy) + left
+                left[:, i - n, j - n] = left[:, j - n, i - n] = values[:, k] / mu
+        right += cross.swapaxes(1, 2) + cross
+        right += left
+        return left, -(cross + left), right
 
     t, mu, _, y, v = grid_cells(p.grid.array, vals)
     left, cross, right = over_cells(t, blocks, mu, y, v)
     cross[[0, -1]] = 0.0  # the first and last cells couple an interior point to a boundary value
-    diag = over_cells(t[:-1], lambda _, right, left: right + left, right[:-1], left[1:])
+    diag = over_cells(t[:-1], lambda _, a, b: np.add(a, b, out=a), right[:-1], left[1:])
     # lower is a copy: numpy's matmul rounds a transposed view differently
     return np.ascontiguousarray(cross[:-1].swapaxes(1, 2)), diag, cross[1:]
 
@@ -275,8 +272,8 @@ def _block_tridiag_solve(times, lower, diag, upper, rhs):
     Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs
     (m, n), with (m, n, n) bands: lower[0] and upper[-1] are zero and lower[i]
     is upper[i - 1] transposed.  ``times`` gives each row's time, for the
-    report of a singular system.  Each stage eliminates the rows at even
-    positions with one batched solve and recurses on the others:
+    report of a singular system.  Each stage of one loop eliminates the rows
+    at even positions with one batched solve and hands the others to the next:
     ceil(log2(m + 1)) solves in all (Buzbee, Golub & Nielson 1970); for n = 1
     a solve is one multiplication by the reciprocals of the pivots.  Cyclic
     reduction pivots on diagonal blocks, which may be singular or nearly so in
@@ -315,29 +312,33 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     """Row i reads lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], rhs (m, n, 1).
 
     lower[0] and upper[-1] are zero.  A singular pivot block raises LinAlgError.
-    1-by-1 blocks (n = 1) take _scalar_cyclic_reduction.
+    1-by-1 blocks (n = 1) take _scalar_cyclic_reduction, larger ones a loop over stages.
     """
-    m, n = diag.shape[:2]
+    n = diag.shape[1]
     if n == 1:
         x = _scalar_cyclic_reduction(lower.ravel(), diag.ravel(), upper.ravel(), rhs.ravel())
         return x.reshape(rhs.shape)
-    k = (m + 1) // 2
-    sol = np.zeros((m // 2 + 1, n, 2 * n + rhs.shape[2]))  # zero right of an even m's last row
-    a, b, y = sol[..., :n], sol[..., n : 2 * n], sol[..., 2 * n :]
-    a[:k], b[:k], y[:k] = lower[0::2], upper[0::2], rhs[0::2]
-    sol[:k] = np.linalg.solve(diag[0::2], sol[:k])
-    if m == 1:
-        return y
-    lo, up = lower[1::2], upper[1::2]
-    x = np.zeros((m + 2, *rhs.shape[1:]))  # x[i + 1] is row i's unknown, between two zero rows
-    x[2 : m + 1 : 2] = _cyclic_reduction(
-        -lo @ a[:-1],
-        diag[1::2] - lo @ b[:-1] - up @ a[1:],
-        -up @ b[1:],
-        rhs[1::2] - lo @ y[:-1] - up @ y[1:],
-    )
-    x[1 : 2 * k : 2] = y[:k] - a[:k] @ x[0 : 2 * k : 2] - b[:k] @ x[2 : 2 * k + 1 : 2]
-    return x[1:-1]
+    stages = []  # each stage's a, b and y, solved on its even rows
+    while True:
+        m, k = len(diag), (len(diag) + 1) // 2
+        sol = np.zeros((m // 2 + 1, n, 2 * n + rhs.shape[2]))  # zero right of an even m's last row
+        a, b, y = sol[..., :n], sol[..., n : 2 * n], sol[..., 2 * n :]
+        a[:k], b[:k], y[:k] = lower[0::2], upper[0::2], rhs[0::2]
+        sol[:k] = np.linalg.solve(diag[0::2], sol[:k])
+        stages.append((a[:k], b[:k], y[:k]))
+        if m == 1:
+            break
+        lower, diag, upper, rhs = (  # the odd rows' system; rebinding frees this stage's own bands
+            -lower[1::2] @ a[:-1], diag[1::2] - lower[1::2] @ b[:-1] - upper[1::2] @ a[1:],
+            -upper[1::2] @ b[1:], rhs[1::2] - lower[1::2] @ y[:-1] - upper[1::2] @ y[1:])
+    x = stages.pop()[2]
+    for a, b, y in reversed(stages):  # the odd rows' unknowns x give the even rows'
+        k, m = len(y), len(y) + len(x)
+        full = np.zeros((m + 2, *x.shape[1:]))  # full[i + 1] is row i's unknown, between zero rows
+        full[2 : m + 1 : 2] = x
+        full[1 : 2 * k : 2] = y - a @ full[0 : 2 * k : 2] - b @ full[2 : 2 * k + 1 : 2]
+        x = full[1:-1]
+    return x
 
 
 def _scalar_cyclic_reduction(lower, diag, upper, rhs):

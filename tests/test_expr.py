@@ -194,6 +194,33 @@ def test_fractional_power_requires_positive_base():
         tv.evaluate(e, {"t": -4.0})
 
 
+def test_integer_power_rounds_as_binary_powering_from_the_lowest_bit():
+    # _ipow leaves out the loop's 1.0 * x^(2^j) factor and its square past the highest
+    # bit: the same products in the same order, so the same bits, zero signs and nans
+    from tsvarlab.expr import _ipow
+
+    def binary_powering(x, k):
+        result, acc = 1.0, x
+        while k:
+            if k & 1:
+                result = result * acc
+            acc = acc * acc
+            k >>= 1
+        return result
+
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(61)
+    x = np.concatenate([[0.0, -0.0, tiny, -tiny, 2.2e-308, -1e-160, 1e200, np.inf, -np.inf, np.nan],
+                        rng.uniform(-3, 3, 40) * 10.0 ** rng.integers(-40, 40, 40)])
+    with np.errstate(all="ignore"):
+        for k in range(10):
+            got, want = np.asarray(_ipow(x, k)), np.asarray(binary_powering(x, k))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), k
+            for value in (-0.0, tiny, -1.5, np.inf):  # Python floats, as a number in a formula
+                assert np.asarray(_ipow(value, k)).tobytes() == np.asarray(
+                    binary_powering(value, k)).tobytes(), (value, k)
+
+
 def _outcome(run):
     """Value bits and zero signs, or the EvalError's message, column and cell."""
     try:

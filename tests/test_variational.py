@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -721,6 +722,45 @@ def test_interior_hessian_bands_are_the_solver_layout():
         assert not lower[0].any() and not upper[-1].any()
         assert lower.flags.c_contiguous
         assert lower[1:].tobytes() == np.ascontiguousarray(upper[:-1].swapaxes(1, 2)).tobytes()
+
+
+def _chain_newton_system(cells=2000):
+    """The dim-6 pendulum chain's problem, linear guess and gradient on ``cells`` uniform cells."""
+    n = 6
+    text = (" + ".join(f"qd{k}^2/2" for k in range(1, n + 1)) + " + "
+            + " + ".join(f"{1 + 0.1 * k:g}*cos(qs{k} - qs{k + 1})" for k in range(1, n))
+            + " + cos(qs1)")
+    p = tv.make_problem(tv.uniform(0, 1, 1 / cells), text, n, np.zeros(n), np.full(n, 0.3))
+    q = tv.linear_guess(p)
+    return p, q.values, tv.stationarity_gradient(p, q)
+
+
+def _traced_peak_in_bands(run, band):
+    """run() once untraced (trees and caches), then tracemalloc's peak of a second run, in bands."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / band
+    finally:
+        tracemalloc.stop()
+
+
+def test_interior_hessian_holds_each_block_once():
+    # a band is one (m, n, n) float64 array; the bound fails if the second derivatives are
+    # summed from arrays of their own (7.8 bands) instead of written into their blocks
+    p, vals, _ = _chain_newton_system()
+    band = (len(p.grid) - 2) * p.dim**2 * 8
+    assert _traced_peak_in_bands(lambda: _interior_hessian(p, vals), band) <= 5.5
+
+
+def test_block_cyclic_reduction_frees_each_stage_before_the_next():
+    # the peak above the bands and rhs it is given; the bound fails if every stage's
+    # bands stay alive until the back-substitution (5.7 bands)
+    p, vals, g = _chain_newton_system()
+    times, bands, rhs = p.grid.array[1:-1], _interior_hessian(p, vals), -g
+    peak = _traced_peak_in_bands(lambda: _block_tridiag_solve(times, *bands, rhs), bands[1].nbytes)
+    assert peak <= 5.0
 
 
 def test_block_matvec_multiplies_1x1_blocks_elementwise():
