@@ -19,16 +19,13 @@ from .noether import (
     ConservationReport,
     ExtendedPartialsReport,
     InvarianceReport,
-    ResidualProfile,
     SymmetryGenerator,
     check_invariance_fixed_time,
     check_invariance_time_transform,
-    conservation_residual,
     extended_lagrangian_partials,
     invariance_residual_pointwise,
     make_generator,
     noether_quantity,
-    noether_quantity_fixed_time,
     validate_family,
 )
 from .timescale import (
@@ -75,7 +72,6 @@ __all__ = [
     "ParseError",
     "Problem",
     "PushforwardResult",
-    "ResidualProfile",
     "SingularJacobian",
     "SolveResult",
     "SolverError",
@@ -87,7 +83,6 @@ __all__ = [
     "check_invariance_time_transform",
     "classify",
     "compose_sigma",
-    "conservation_residual",
     "delta_derivative",
     "delta_integral",
     "el_residual",
@@ -104,7 +99,6 @@ __all__ = [
     "make_timescale",
     "mu",
     "noether_quantity",
-    "noether_quantity_fixed_time",
     "parse",
     "power2",
     "pushforward",

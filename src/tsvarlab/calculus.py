@@ -190,7 +190,7 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     if alpha.values.ndim != 1 or f.values.ndim != 1:
         raise ValueError("pushforward expects scalar grid functions")
     avals = alpha.values
-    image = TimeScaleGrid(avals, intent=alpha.grid.intent)
+    image = TimeScaleGrid(avals)
     transported = GridFunction(image, f.values)
 
     t, mu, _, _, alpha_delta = grid_cells(alpha.grid.array, avals)

@@ -3,10 +3,11 @@
 Two invariance notions are implemented: state transformations at fixed time
 (compared integrand by integrand) and joint time/state transformations
 (compared cell integral by cell integral over the image grid; equality on
-every elementary cell is equivalent to equality on every subwindow).  The
-associated conserved quantities are evaluated along trajectories and their
-forward-difference residuals are reported, never asserted: the residual
-profile is the measured object.
+every elementary cell is equivalent to equality on every subwindow).  One
+function, :func:`noether_quantity`, evaluates the conserved quantity of
+either kind along a trajectory: a state-only symmetry is the case tau = 0.
+Its forward-difference residuals are reported, never asserted: they are the
+measured object.
 """
 
 from __future__ import annotations
@@ -281,12 +282,6 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
 # Conserved quantities
 
 
-class ResidualProfile(NamedTuple):
-    times: np.ndarray
-    residuals: np.ndarray
-    max_abs: float
-
-
 class ConservationReport(NamedTuple):
     """Sampled conserved-quantity values and their forward-difference residuals."""
 
@@ -297,31 +292,6 @@ class ConservationReport(NamedTuple):
     max_abs_residual: float
 
 
-def _profile(times: np.ndarray, values: np.ndarray) -> ResidualProfile:
-    """delta C / delta t, unless a quotient is inf or nan: then an EvalError at its cell."""
-    resid = difference_quotient(times, values)
-    return ResidualProfile(times[:-1].copy(), resid, float(np.max(np.abs(resid), initial=0.0)))
-
-
-def conservation_residual(report: ConservationReport) -> ResidualProfile:
-    """Recompute delta C / delta t from the C samples by forward differencing.
-
-    No chain rule is involved anywhere: the residual is literally the
-    difference quotient of the sampled quantity.
-    """
-    if len(report.values) < 2:
-        raise ValueError("conservation residual needs at least 2 C samples")
-    return _profile(report.times, report.values)
-
-
-def noether_quantity_fixed_time(
-    p: Problem, q: GridFunction, gen: SymmetryGenerator
-) -> ConservationReport:
-    """C = dL/dv . xi(t, q) along the trajectory, with residual profile: tau taken as 0."""
-    without_tau = SymmetryGenerator(gen.dim, ex.Num(0.0), gen.xi, gen.tbar, gen.qbar)
-    return noether_quantity(p, q, without_tau)
-
-
 def noether_quantity(
     p: Problem, q: GridFunction, gen: SymmetryGenerator, *, mu_mode: str = "grid"
 ) -> ConservationReport:
@@ -330,9 +300,10 @@ def noether_quantity(
     C = dL/dv . xi + [L - dL/dv . v - dL/dt * mu] * tau, every L argument at
     (t, jumped state, difference quotient), tau and xi at (t, q(t)), sampled
     at the N - 1 points that carry C before the cell pass.  With
-    mu_mode="zero" the graininess term is dropped (continuum-intent
-    evaluation), which reproduces the classical energy-momentum quantity.
-    C is dL/dv . xi where tau = 0, and dL/dt is evaluated only where mu * tau != 0.
+    mu_mode="zero" the graininess term is dropped, which reproduces the
+    classical energy-momentum quantity of the continuum.  C is dL/dv . xi
+    where tau = 0 (a state-only symmetry), and dL/dt is evaluated only where
+    mu * tau != 0.
     """
     if mu_mode not in ("grid", "zero"):
         raise ValueError("mu_mode must be 'grid' or 'zero'")
@@ -349,8 +320,9 @@ def noether_quantity(
         return c
 
     c = over_cells(t, quantity, mu_term, y, v, xi_tau[:, :-1], xi_tau[:, -1])
-    prof = _profile(t, c)
-    return ConservationReport(t.copy(), c, prof.times, prof.residuals, prof.max_abs)
+    resid = difference_quotient(t, c)  # delta C / delta t, located where it is inf or nan
+    return ConservationReport(t.copy(), c, t[:-1].copy(), resid,
+                              float(np.max(np.abs(resid), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

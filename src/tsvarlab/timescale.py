@@ -3,9 +3,9 @@
 A grid is a strictly increasing, finite sequence of real time points.  The
 forward/backward jump operators, graininess and point classification all
 reduce to neighbor lookups; the endpoint conventions are sigma(last) = last
-and rho(first) = first.  Continuum windows are represented as densely
-sampled grids carrying a ``sampled-continuum`` intent tag; every computation
-downstream works on the literal points.
+and rho(first) = first.  A continuum window is represented by a densely
+sampled grid (:func:`sampled`); a grid is its points alone, and every
+computation downstream works on the literal points.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-EXACT_DISCRETE = "exact-discrete"
-SAMPLED_CONTINUUM = "sampled-continuum"
 MAX_POINTS = 10**7  # largest grid the constructors build
 
 
@@ -64,7 +62,7 @@ class Frozen:
 
 
 class TimeScaleGrid(Frozen):
-    """Immutable finite grid of time points with an intent tag, equal by value.
+    """Immutable finite grid of time points, equal by value.
 
     ``points`` must be strictly increasing, and the last minus the first a finite
     double; ``array`` holds them as read-only float64, the grid's one stored copy.
@@ -72,7 +70,7 @@ class TimeScaleGrid(Frozen):
     single-point truncation.
     """
 
-    def __init__(self, points, intent: str = EXACT_DISCRETE):
+    def __init__(self, points):
         arr = np.array(points, dtype=float)
         if len(arr) == 0:
             raise ValueError("time scale grid needs at least one point")
@@ -92,14 +90,12 @@ class TimeScaleGrid(Frozen):
             raise ValueError(f"time scale grid points from {a!r} to {b!r} span more than a double")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "intent", intent)
 
     def __eq__(self, other):
-        return (other.__class__ is self.__class__ and self.intent == other.intent
-                and np.array_equal(self.array, other.array))
+        return other.__class__ is self.__class__ and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash((self.intent, (self.array + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
+        return hash((self.array + 0.0).tobytes())  # -0.0 + 0.0 is 0.0
 
     @cached_property
     def points(self) -> tuple[float, ...]:
@@ -133,7 +129,6 @@ class PointClassification(NamedTuple):
     left_dense: bool
     isolated: bool
     dense: bool
-    intent: str
 
 
 def _check_size(what: str, count: float) -> None:
@@ -205,7 +200,7 @@ def sampled(a: float, b: float, h: float) -> TimeScaleGrid:
     # a + i*h rises with i; keep those below b - 1e-9 h (i runs 2 past (b - a)/h, for rounding)
     steps = a + h * np.arange(1.0, int((b - a) / h) + 3)
     inner = steps[: np.searchsorted(steps, b - 1e-9 * h)]
-    return TimeScaleGrid(np.concatenate(([a], inner, [b])), intent=SAMPLED_CONTINUUM)
+    return TimeScaleGrid(np.concatenate(([a], inner, [b])))
 
 
 # kind -> (its constructor, the constructor's parameters)
@@ -254,7 +249,7 @@ def kappa(ts: TimeScaleGrid) -> TimeScaleGrid:
     """The grid without its final point (the maximum is left-scattered)."""
     if len(ts) < 2:
         raise ValueError("kappa truncation would leave an empty grid")
-    return TimeScaleGrid(ts.array[:-1], intent=ts.intent)
+    return TimeScaleGrid(ts.array[:-1])
 
 
 def classify(ts: TimeScaleGrid, t: float) -> PointClassification:
@@ -270,5 +265,4 @@ def classify(ts: TimeScaleGrid, t: float) -> PointClassification:
         left_dense=not left_scattered,
         isolated=right_scattered and left_scattered,
         dense=not (right_scattered or left_scattered),
-        intent=ts.intent,
     )

@@ -20,7 +20,7 @@ from tsvarlab.expr import (
     _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
     BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _tokenize, derivative,
 )
-from tsvarlab.timescale import SAMPLED_CONTINUUM, _check_size
+from tsvarlab.timescale import _check_size
 
 
 def random_grid(rng, max_points=50, moderate=False, kind=None):
@@ -272,7 +272,7 @@ def loop_sampled(a, b, h):
         pts.append(t)
         i += 1
     pts.append(b)
-    return tv.TimeScaleGrid(tuple(pts), intent=SAMPLED_CONTINUUM)
+    return tv.TimeScaleGrid(tuple(pts))
 
 
 # ---------------------------------------------------------------------------

@@ -129,12 +129,12 @@ def test_criterion_05_fixed_time_exact_conservation():
         p = tv.make_problem(grid, "qd1^2", 1, [0.0], [2.0])
         traj = tv.solve_el(p).trajectory
         gen = tv.make_generator(1, tau="0", xi=["1"])
-        worst = max(worst, tv.noether_quantity_fixed_time(p, traj, gen).max_abs_residual)
+        worst = max(worst, tv.noether_quantity(p, traj, gen).max_abs_residual)
 
         p2 = tv.make_problem(grid, "qd1^2 + qd2^2", 2, [1.0, 0.0], [0.0, 2.0])
         traj2 = tv.solve_el(p2).trajectory
         rot = tv.make_generator(2, tau="0", xi=["-q2", "q1"])
-        worst = max(worst, tv.noether_quantity_fixed_time(p2, traj2, rot).max_abs_residual)
+        worst = max(worst, tv.noether_quantity(p2, traj2, rot).max_abs_residual)
     ok = worst <= 1e-10
     report(
         5,
@@ -156,7 +156,7 @@ def test_criterion_06_product_rule_ledger():
         )
         traj = tv.solve_el(p).trajectory
         gen = random_generator(rng, dim)
-        rep = tv.noether_quantity_fixed_time(p, traj, gen)
+        rep = tv.noether_quantity(p, traj, gen)
         r = tv.invariance_residual_pointwise(p, traj, gen)
         m = len(rep.residuals)
         scale = np.maximum(1.0, np.abs(r.values[:m]))

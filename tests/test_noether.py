@@ -244,7 +244,7 @@ def test_momentum_conserved_for_free_particle():
         p = tv.make_problem(grid, "qd1^2", 1, [0.0], [2.0])
         res = tv.solve_el(p)
         gen = tv.make_generator(1, tau="0", xi=["1"])
-        rep = tv.noether_quantity_fixed_time(p, res.trajectory, gen)
+        rep = tv.noether_quantity(p, res.trajectory, gen)
         # momentum 2 qd is one constant sequence
         spread = np.max(rep.values) - np.min(rep.values)
         assert spread <= 1e-10 * max(1.0, np.max(np.abs(rep.values)))
@@ -255,7 +255,7 @@ def test_angular_momentum_conserved_for_planar_free_particle():
     p = tv.make_problem(tv.power2(0, 5), "qd1^2 + qd2^2", 2, [1.0, 0.0], [0.0, 2.0])
     res = tv.solve_el(p)
     gen = tv.make_generator(2, tau="0", xi=["-q2", "q1"])
-    rep = tv.noether_quantity_fixed_time(p, res.trajectory, gen)
+    rep = tv.noether_quantity(p, res.trajectory, gen)
     assert rep.max_abs_residual <= 1e-10
     r = tv.invariance_residual_pointwise(p, res.trajectory, gen)
     assert np.max(np.abs(r.values)) <= 1e-10
@@ -267,7 +267,7 @@ def test_non_symmetry_residual_equals_pointwise_residual():
     p = tv.make_problem(tv.integers(0, 6), "qs1^2 + qd1^2", 1, [1.0], [0.5])
     res = tv.solve_el(p)
     gen = tv.make_generator(1, tau="0", xi=["1"])
-    rep = tv.noether_quantity_fixed_time(p, res.trajectory, gen)
+    rep = tv.noether_quantity(p, res.trajectory, gen)
     r = tv.invariance_residual_pointwise(p, res.trajectory, gen)
     m = len(rep.residuals)
     assert np.max(np.abs(rep.residuals)) > 1e-3
@@ -278,9 +278,6 @@ def test_quantity_evaluates_only_the_partials_it_uses():
     # sqrt(t) has no slope at t = 0: the quantity needs dL/dt only where mu * tau != 0
     p = tv.make_problem(tv.integers(0, 4), "qd1^2/2 + sqrt(t)*qs1", 1, [0.0], [1.0])
     traj = tv.solve_el(p).trajectory
-    momentum = tv.noether_quantity(p, traj, tv.make_generator(1, tau="0", xi=["1"]))
-    fixed = tv.noether_quantity_fixed_time(p, traj, tv.make_generator(1, tau="1", xi=["1"]))
-    assert np.array_equal(momentum.values, fixed.values)
     message = r"^cell 0 at t=0\.0: sqrt derivative undefined at 0 in sqrt\(\.\.\.\) \(column 11\)$"
     with pytest.raises(tv.EvalError, match=message):
         tv.noether_quantity(p, traj, tv.make_generator(1, tau="1", xi=["1"]))
@@ -335,7 +332,7 @@ def test_overflowing_report_terms_are_located_without_a_warning():
     p = tv.make_problem(g, "1e308*qd1*qs1", 1, [0.0], [0.0])
     q = tv.GridFunction(g, [[0.0], [1.0], [-1.0], [0.0]])
     with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value -inf"):
-        tv.noether_quantity_fixed_time(p, q, tv.make_generator(1, xi=["1"]))
+        tv.noether_quantity(p, q, tv.make_generator(1, xi=["1"]))
 
 
 def test_overflowing_image_cell_is_located_without_a_warning():
@@ -407,7 +404,7 @@ def test_product_rule_ledger_random_instances():
         )
         traj = tv.solve_el(p).trajectory
         gen = random_generator(rng, dim)
-        rep = tv.noether_quantity_fixed_time(p, traj, gen)
+        rep = tv.noether_quantity(p, traj, gen)
         r = tv.invariance_residual_pointwise(p, traj, gen)
         m = len(rep.residuals)
         scale = np.maximum(1.0, np.abs(r.values[:m]))
@@ -429,7 +426,7 @@ def test_product_rule_ledger_general_form():
         vals = rng.uniform(-1.5, 1.5, size=(len(g), dim))
         q = tv.GridFunction(g, vals)
         gen = random_generator(rng, dim)
-        rep = tv.noether_quantity_fixed_time(p, q, gen)
+        rep = tv.noether_quantity(p, q, gen)
         el = tv.el_residual(p, q).values
         r = tv.invariance_residual_pointwise(p, q, gen).values
         t = g.array
@@ -445,9 +442,14 @@ def test_main_quantity_reduces_to_fixed_time_for_zero_tau():
     traj = tv.solve_el(p).trajectory
     gen = tv.make_generator(1, tau="0", xi=["1 + q1"])
     full = tv.noether_quantity(p, traj, gen)
-    fixed = tv.noether_quantity_fixed_time(p, traj, gen)
-    assert np.array_equal(full.values, fixed.values)
-    assert np.array_equal(full.residuals, fixed.residuals)
+    # where tau = 0 the quantity is L_v . xi exactly: L at (t, jumped q, quotient), xi at (t, q)
+    t, vals = p.grid.array, traj.values
+    v = (vals[1:] - vals[:-1]) / (t[1:] - t[:-1])[:, None]
+    l_v = p.lagrangian.value_and_partials(t[:-1], vals[1:], v, ("qd",))[1]
+    fixed = np.sum(l_v * gen.xi_at(t[:-1], vals[:-1]), axis=-1)
+    assert np.array_equal(full.values.view(np.uint64), fixed.view(np.uint64))
+    resid = tv.delta_derivative(tv.GridFunction(tv.kappa(p.grid), fixed)).values
+    assert np.array_equal(full.residuals.view(np.uint64), resid.view(np.uint64))
 
 
 def test_main_quantity_matches_displayed_closed_form():
@@ -554,9 +556,9 @@ def test_conservation_residual_recomputes_from_samples():
     p = doubling_problem()
     traj = tv.as_trajectory(p, recurrence_oracle_power2(1.0, 13.0, 5))
     rep = tv.noether_quantity(p, traj, dilation_generator())
-    prof = tv.conservation_residual(rep)
-    assert np.array_equal(prof.residuals, rep.residuals)
-    assert prof.max_abs == rep.max_abs_residual
+    prof = tv.delta_derivative(tv.GridFunction(tv.kappa(p.grid), rep.values))
+    assert np.array_equal(prof.values, rep.residuals)
+    assert np.max(np.abs(prof.values)) == rep.max_abs_residual
     short = tv.ConservationReport(
         times=np.array([1.0]),
         values=np.array([2.0]),
@@ -565,8 +567,8 @@ def test_conservation_residual_recomputes_from_samples():
         max_abs_residual=0.0,
     )
     with pytest.raises(ValueError, match="at least 2"):
-        tv.conservation_residual(short)
-    constant = tv.noether_quantity_fixed_time(
+        tv.delta_derivative(tv.GridFunction(tv.TimeScaleGrid(short.times), short.values))
+    constant = tv.noether_quantity(
         tv.make_problem(tv.integers(0, 5), "qd1^2", 1, [0.0], [5.0]),
         tv.linear_guess(tv.make_problem(tv.integers(0, 5), "qd1^2", 1, [0.0], [5.0])),
         tv.make_generator(1, tau="0", xi=["1"]),

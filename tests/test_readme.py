@@ -42,7 +42,7 @@ L = tv.Lagrangian.from_text("qd1^2 / 2", 1)
 
 # each core object, built from its fields as keywords, in the constructor's order
 CORE = [
-    (tv.TimeScaleGrid, dict(points=(0.0, 0.5, 1.0), intent="exact-discrete")),
+    (tv.TimeScaleGrid, dict(points=(0.0, 0.5, 1.0))),
     (tv.GridFunction, dict(grid=GRID, values=np.array([0.0, 1.0, 4.0]))),
     (tv.Lagrangian, dict(dim=1, expression=L.expression)),
     (tv.Problem, dict(grid=GRID, lagrangian=L, qa=np.array([0.0]), qb=np.array([1.0]))),
@@ -58,12 +58,11 @@ CORE = [
 # each result record and its fields, in their documented order
 RECORDS = [
     (PointClassification, "t right_scattered right_dense left_scattered left_dense isolated "
-                          "dense intent"),
+                          "dense"),
     (tv.PushforwardResult, "image_grid transported lhs rhs"),
     (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
     (tv.InvarianceReport, "mode eps_values cell_times discrepancies per_eps_max max_discrepancy "
                           "action_value action_eps_derivative"),
-    (tv.ResidualProfile, "times residuals max_abs"),
     (tv.ConservationReport, "times values residual_times residuals max_abs_residual"),
     (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "
                                 "d5_forward d5_formula max_value_error max_d4_error max_d5_error"),
@@ -158,7 +157,7 @@ def test_a_formula_pickled_in_another_process_equals_a_fresh_parse():
 
 
 def test_core_objects_compare_as_the_readme_says():
-    # a grid is equal to one of the same points and intent, a Lagrangian or a
+    # a grid is equal to one of the same points, a Lagrangian or a
     # generator to one with the same fields, a grid function or a problem only to itself
     for make in (lambda: tv.uniform(0, 1, 0.5), lambda: tv.Lagrangian.from_text("qd1^2 / 2", 1),
                  lambda: tv.make_generator(1, "1", ["t"], "t + eps", ["q1"])):
@@ -170,3 +169,8 @@ def test_core_objects_compare_as_the_readme_says():
                  lambda: tv.make_problem(GRID, "qd1^2", 1, [0.0], [1.0])):
         a, b = make(), make()
         assert a == a and a != b and len({a, b}) == 2
+
+
+def test_the_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in tv.__all__ if f"`{name}`" not in text] == []

@@ -5,7 +5,6 @@ import pytest
 
 import tsvarlab as tv
 from tsvarlab import timescale as ts
-from tsvarlab.timescale import EXACT_DISCRETE, SAMPLED_CONTINUUM
 
 import helpers
 from helpers import random_grid
@@ -116,8 +115,6 @@ def test_classify_sampled_intent():
     assert t == 0.5
     rec = tv.classify(g, t)
     assert rec.isolated
-    assert rec.intent == SAMPLED_CONTINUUM
-    assert tv.classify(tv.integers(0, 3), 1).intent == EXACT_DISCRETE
 
 
 def test_sampled_clips_final_step():
@@ -270,7 +267,7 @@ def test_grid_equality_and_hash_are_by_value():
     g = tv.integers(-2, 2)
     same = tv.explicit([-2.0, -1.0, -0.0, 1.0, 2.0])
     assert g == same and hash(g) == hash(same)
-    assert g != tv.TimeScaleGrid(g.array, intent=SAMPLED_CONTINUUM)
+    assert tv.sampled(0, 1, 0.25) == tv.explicit([0, 0.25, 0.5, 0.75, 1])  # the points alone
     assert g != tv.integers(-2, 3) and g != tv.kappa(g)
     assert g != g.points and {g: 1}[same] == 1
 
@@ -336,7 +333,6 @@ def test_constructors_match_the_loop_forms_bit_for_bit():
         want = _outcome(getattr(helpers, f"loop_{name}"), args)
         if isinstance(want, tv.TimeScaleGrid):
             assert isinstance(got, tv.TimeScaleGrid), (name, args, got)
-            assert got.intent == want.intent
             assert np.array_equal(got.array.view(np.uint64), want.array.view(np.uint64)), (name, args)
             built += 1
         else:
