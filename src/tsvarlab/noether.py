@@ -3,11 +3,12 @@
 Two invariance notions are implemented: state transformations at fixed time
 (compared integrand by integrand) and joint time/state transformations
 (compared cell integral by cell integral over the image grid; equality on
-every elementary cell is equivalent to equality on every subwindow).  One
-function, :func:`noether_quantity`, evaluates the conserved quantity of
-either kind along a trajectory: a state-only symmetry is the case tau = 0.
-Its forward-difference residuals are reported, never asserted: they are the
-measured object.
+every elementary cell is equivalent to equality on every subwindow).  Both
+take the family's eps-slopes at 0 from the one family check,
+:func:`validate_family`.  One function, :func:`noether_quantity`, evaluates
+the conserved quantity of either kind along a trajectory: a state-only
+symmetry is the case tau = 0.  Its forward-difference residuals are
+reported, never asserted: they are the measured object.
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ class SymmetryGenerator(Frozen):
 
     ``tau`` and each ``xi`` component are expressions over (t, q1..qn); the
     optional exact family ``tbar``/``qbar`` may also reference eps.  Without
-    it the family is the trees t + eps*tau and q + eps*xi.  The ``*_at``
-    samplers take one point (t a float, q of shape (n,)) or many (a leading
-    point axis).  Equal and hashed by (dim, tau, xi, tbar, qbar).
+    it the family is the trees t + eps*tau and q + eps*xi.  ``xi_at`` takes
+    one point (t a float, q of shape (n,)) or many (a leading point axis).
+    Equal and hashed by (dim, tau, xi, tbar, qbar).
     """
 
     def __init__(self, dim: int, tau: ex.Expression, xi: tuple[ex.Expression, ...],
                  tbar: ex.Expression | None = None, qbar: tuple[ex.Expression, ...] | None = None):
+        if dim < 1:
+            raise ValueError("generator dimension must be >= 1")
         if len(xi) != dim:
             raise ValueError(f"xi must have {dim} components")
         if (tbar is None) != (qbar is None):
@@ -55,15 +58,15 @@ class SymmetryGenerator(Frozen):
     def _sample(self, trees, t, qvec, eps=None) -> np.ndarray:
         """The trees at the points in one evaluation, one tree per component on the last axis."""
         qvec = np.asarray(qvec)
+        n = qvec.shape[-1] if qvec.ndim else 0
+        if n != self.dim:
+            raise ValueError(f"a generator of dim {self.dim} cannot act on states of dim {n}")
         env = {"t": t}
         for k in range(self.dim):
             env[f"q{k + 1}"] = qvec[..., k]
         if eps is not None:
             env["eps"] = eps
         return sample(trees, env, np.broadcast(t, env["q1"]).shape)
-
-    def tau_at(self, t, qvec):
-        return self._sample((self.tau,), t, qvec)[..., 0][()]
 
     def xi_at(self, t, qvec) -> np.ndarray:
         return self._sample(self.xi, t, qvec)
@@ -76,12 +79,6 @@ class SymmetryGenerator(Frozen):
         names = ["t", *(f"q{k + 1}" for k in range(self.dim))]
         return tuple(ex.BinOp("+", ex.Var(w), ex.BinOp("*", ex.Var("eps"), c))
                      for w, c in zip(names, (self.tau, *self.xi)))
-
-    def tbar_at(self, t, qvec, eps: float):
-        return self._sample(self._maps[:1], t, qvec, eps)[..., 0][()]
-
-    def qbar_at(self, t, qvec, eps: float) -> np.ndarray:
-        return self._sample(self._maps[1:], t, qvec, eps)
 
 
 def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, qbar=None) -> SymmetryGenerator:
@@ -97,20 +94,20 @@ def make_generator(dim: int, tau: str = "0", xi=None, tbar: str | None = None, q
     return SymmetryGenerator(dim, tau_tree, xi_trees, tbar_tree, qbar_trees)
 
 
-def validate_family(gen: SymmetryGenerator, times, qvals) -> None:
-    """Check the exact family against its generator on sampled arguments.
+def validate_family(gen: SymmetryGenerator, times, qvals) -> np.ndarray:
+    """The family's exact eps-slopes (tbar, *qbar)' at eps = 0, (N, 1 + n), checked against (tau, xi).
 
-    At eps = 0 the maps must reproduce (t, q) to 1e-12, and their exact
-    eps-derivative must match (tau, xi) to 1e-6.  Raises ValueError on the
-    first violation, and EvalError at the lowest point where a sample fails
-    or is not finite.
+    Takes one point (t a float, q of shape (n,)) or N points (shapes (N,) and
+    (N, n)).  At eps = 0 the maps must reproduce (t, q) to 1e-12, and their
+    slopes must match (tau, xi) to 1e-6; a generator without exact maps is
+    checked on its trees t + eps*tau and q + eps*xi.  Raises ValueError on the
+    first violation, and EvalError at the lowest point where a sample fails or
+    is not finite.
     """
-    if gen.has_family:  # one point (t a float, q of shape (n,)) or many
-        _family_slopes(gen, np.atleast_1d(times).astype(float), np.atleast_2d(qvals).astype(float))
-
-
-def _family_slopes(gen: SymmetryGenerator, t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(tbar, *qbar)'s exact d/d eps at eps = 0, (N, 1 + n), checked as in validate_family."""
+    t, q = np.atleast_1d(np.asarray(times, dtype=float)), np.atleast_2d(np.asarray(qvals, dtype=float))
+    if t.ndim != 1 or q.ndim != 2 or len(q) != len(t):
+        raise ValueError(f"times of shape {np.shape(times)} do not match states of shape "
+                         f"{np.shape(qvals)}: expected (N,) and (N, n)")
     maps = gen._maps
     trees = (*maps, *(ex.derivative(m, "eps") for m in maps), gen.tau, *gen.xi)
     m = len(maps)
@@ -195,7 +192,6 @@ def _first_variation(p: Problem, vals: np.ndarray, dq: np.ndarray, dt=None):
 
 
 class InvarianceReport(NamedTuple):
-    mode: str  # "fixed-time" or "time-transform"
     eps_values: tuple[float, ...]
     cell_times: np.ndarray  # left endpoint of each compared cell
     discrepancies: np.ndarray  # (n_eps, n_cells) absolute differences
@@ -218,7 +214,7 @@ def check_invariance_fixed_time(
     The transformation moves only the state; cells keep their graininess, so
     integrand equality per cell is the subinterval-quantified definition.
     """
-    return _invariance_report(p, q, gen, eps_list, "fixed-time")
+    return _invariance_report(p, q, gen, eps_list, moves_time=False)
 
 
 def check_invariance_time_transform(
@@ -231,15 +227,15 @@ def check_invariance_time_transform(
     commutes with the map.  Cell-by-cell equality of the two integrals is
     the subinterval-quantified definition of invariance.
     """
-    return _invariance_report(p, q, gen, eps_list, "time-transform")
+    return _invariance_report(p, q, gen, eps_list, moves_time=True)
 
 
-def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
+def _invariance_report(p, q, gen, eps_list, moves_time: bool) -> InvarianceReport:
     """Compares the transformed cells with the originals for each eps; d/d eps is exact."""
     vals = _traj_values(p, q)
     t = p.grid.array
-    slopes = _family_slopes(gen, t, vals)
-    dt = slopes[:, 0] if mode == "time-transform" else None
+    slopes = validate_family(gen, t, vals)
+    dt = slopes[:, 0] if moves_time else None
     lval, condition = _first_variation(p, vals, slopes[:, 1:], dt)
     cell_t, mu = grid_cells(t, vals)[:2]
     maps = gen._maps if dt is not None else gen._maps[1:]
@@ -267,7 +263,6 @@ def _invariance_report(p, q, gen, eps_list, mode) -> InvarianceReport:
         disc[e] = over_cells(cell_t, lambda _, image, base: np.abs(image - base), cells(eps), base)
     per_eps = disc.max(axis=1) if len(base) else np.zeros(len(eps_values))
     return InvarianceReport(
-        mode=mode,
         eps_values=eps_values,
         cell_times=cell_t.copy(),
         discrepancies=disc,

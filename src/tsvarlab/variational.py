@@ -407,6 +407,8 @@ def solve_el(
     as no decrease.  Boundary values are held bit-exactly; the result is a
     stationary point, not necessarily a minimizer.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     if len(p.grid) < 3:
         raise ValueError("boundary-value solve needs a grid with at least 3 points")
     vals = _traj_values(p, guess if guess is not None else linear_guess(p)).copy()

@@ -1,9 +1,11 @@
 """The module rules that the README states, read from the package's source with ast."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tsvarlab"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -45,3 +47,15 @@ def test_only_the_cell_layer_silences_numpy():
 def test_only_the_cell_layer_names_non_finite_cells():
     places = _named("finite_cells")
     assert places and {module for module, _ in places} == {"calculus.py"}
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps functions by (module, attribute) name, so a rename
+    # would silently leave its per-layer metric at 0; two names it wraps are already
+    # gone (ROADMAP item 1 replaces the table)
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    wraps = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["WRAPS"])
+    absent = {f"{module}.{attr}" for module, attr, _ in wraps
+              if not hasattr(importlib.import_module(module), attr)}
+    assert len(wraps) > 2 and absent <= {"tsvarlab.expr.diff_eval", "tsvarlab.noether.TimeScaleGrid"}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import tsvarlab as tv
+from tsvarlab import noether
 from tsvarlab import timescale as ts
 from tsvarlab._g17 import encode_table
 from tsvarlab.cli import (
@@ -221,6 +222,19 @@ def test_check_invariance_paper_scenario(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,disc_eps=0.3"
     assert len(lines) == 1 + 4
+
+
+def test_check_invariance_runs_the_one_family_check(tmp_path, monkeypatch):
+    # the report takes its eps-slopes from validate_family, which a trace can then time
+    calls, check = [], noether.validate_family
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(noether, "validate_family", counting)
+    assert run(["check", DOUBLING, "invariance", "--out", str(tmp_path / "inv.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_check_invariance_default_eps_columns(tmp_path):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,6 @@ def test_rotation_family_exactly_invariant():
         qbar=["q1 * cos(eps) - q2 * sin(eps)", "q1 * sin(eps) + q2 * cos(eps)"],
     )
     rep = tv.check_invariance_fixed_time(p, q, gen, [-0.5, -0.1, 0.1, 0.5])
-    assert rep.mode == "fixed-time"
     assert rep.max_discrepancy <= 1e-12
     assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(rep.action_value))
 
@@ -105,7 +106,6 @@ def test_dilation_family_invariant_on_doubling_grid():
     p = tv.make_problem(tv.power2(0, 10), PAPERLIKE_L, 1, [1.0], [13.0])
     q = tv.linear_guess(p)
     rep = tv.check_invariance_time_transform(p, q, dilation_generator(), [-0.5, -0.1, 0.1, 0.5])
-    assert rep.mode == "time-transform"
     assert rep.max_discrepancy <= 1e-12
     assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(rep.action_value))
 
@@ -188,13 +188,46 @@ def test_family_must_match_generator():
 
 def test_validate_family_accepts_consistent_maps():
     gen = dilation_generator()
-    tv.validate_family(gen, [1.0, 2.0, 4.0], np.array([[1.0], [0.5], [-2.0]]))
-    tv.validate_family(gen, 2.0, [0.5])  # one point
+    slopes = tv.validate_family(gen, [1.0, 2.0, 4.0], np.array([[1.0], [0.5], [-2.0]]))
+    # d(t exp(eps))/d eps and d q1/d eps at 0, exactly
+    assert np.array_equal(slopes, [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]])
+    assert np.array_equal(tv.validate_family(gen, 2.0, [0.5]), [[2.0, 0.0]])  # one point
     # d qbar/d eps at 0 is exactly 1; a central difference with step 1e-6
     # would give 0.99998 and reject the family
     wobble = tv.make_generator(1, xi=["1"], tbar="t", qbar=["q1 + sin(10000*eps)/10000"])
     g = tv.integers(0, 4)
     tv.validate_family(wobble, g.array, g.array[:, None])
+
+
+def test_validate_family_rejects_mismatched_shapes():
+    gen = dilation_generator()
+    for times, qvals, shapes in (([[1.0], [2.0]], [[0.5], [0.6]], r"\(2, 1\).*\(2, 1\)"),
+                                 ([1.0, 2.0, 4.0], [[0.5], [0.6]], r"\(3,\).*\(2, 1\)"),
+                                 ([1.0, 2.0, 4.0], [0.5, 0.6, 0.7], r"\(3,\).*\(3,\)")):
+        with pytest.raises(ValueError, match=rf"^times of shape {shapes}: expected \(N,\) and \(N, n\)$"):
+            tv.validate_family(gen, times, qvals)
+
+
+def test_generator_dimension_must_match_the_states():
+    # unchecked, a dim-1 generator on a dim-2 problem would broadcast xi over both L_v components
+    for p_dim, g_dim in ((2, 1), (1, 2)):
+        kinetic = " + ".join(f"qd{k + 1}^2" for k in range(p_dim))
+        p = tv.make_problem(tv.integers(0, 3), kinetic, p_dim, [0.0] * p_dim, [1.0] * p_dim)
+        q = tv.linear_guess(p)
+        gen = tv.make_generator(g_dim, xi=["1"] * g_dim)
+        family = tv.make_generator(g_dim, tau="1", xi=["0"] * g_dim, tbar="t + eps",
+                                   qbar=[f"q{k + 1}" for k in range(g_dim)])
+        message = rf"^a generator of dim {g_dim} cannot act on states of dim {p_dim}$"
+        for run in (lambda: tv.noether_quantity(p, q, gen),
+                    lambda: tv.invariance_residual_pointwise(p, q, gen),
+                    lambda: tv.check_invariance_fixed_time(p, q, gen, [0.1]),
+                    lambda: tv.check_invariance_time_transform(p, q, family, [0.1]),
+                    lambda: tv.validate_family(family, p.grid.array, q.values),
+                    lambda: tv.validate_family(gen, 1.0, np.zeros(p_dim))):
+            with pytest.raises(ValueError, match=message):
+                run()
+    with pytest.raises(ValueError, match=r"^generator dimension must be >= 1$"):
+        tv.make_generator(0)
 
 
 def test_generator_samples_all_points_in_one_call():
@@ -205,8 +238,8 @@ def test_generator_samples_all_points_in_one_call():
     rng = np.random.default_rng(38)
     t = rng.uniform(-2, 2, size=7)
     q = rng.uniform(-2, 2, size=(7, 2))
-    for name, args in (("tau_at", ()), ("xi_at", ()), ("tbar_at", (0.3,)), ("qbar_at", (0.3,))):
-        sample = getattr(gen, name)
+    for sample, args in ((gen.xi_at, ()), (partial(gen._sample, (gen.tau,)), ()),
+                         (partial(gen._sample, gen._maps), (0.3,))):
         pointwise = np.array([sample(t[i], q[i], *args) for i in range(len(t))])
         assert np.array_equal(sample(t, q, *args), pointwise)
     assert np.array_equal(gen.xi_at(t, q)[:, 0], np.zeros(7))

@@ -61,7 +61,7 @@ RECORDS = [
                           "dense"),
     (tv.PushforwardResult, "image_grid transported lhs rhs"),
     (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
-    (tv.InvarianceReport, "mode eps_values cell_times discrepancies per_eps_max max_discrepancy "
+    (tv.InvarianceReport, "eps_values cell_times discrepancies per_eps_max max_discrepancy "
                           "action_value action_eps_derivative"),
     (tv.ConservationReport, "times values residual_times residuals max_abs_residual"),
     (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "

@@ -482,6 +482,14 @@ def test_solver_restarts_from_solution_in_zero_iterations():
     assert np.array_equal(again.trajectory.values, first.trajectory.values)
 
 
+def test_solve_el_rejects_a_negative_iteration_count():
+    # unchecked, range(max_iter + 1) would be empty at -1 and the solve would return None
+    p = tv.make_problem(tv.integers(0, 3), "qd1^2", 1, [0.0], [1.0])
+    with pytest.raises(ValueError, match=r"^max_iter must be >= 0, got -1$"):
+        tv.solve_el(p, max_iter=-1)
+    assert tv.solve_el(p, max_iter=0).iterations == 0  # the linear guess is the extremal
+
+
 def test_singular_jacobian_reports_pivot():
     # Lagrangian linear in the state: nonzero gradient, identically zero Hessian
     p = tv.make_problem(tv.integers(0, 3), "t * qs1", 1, [0.0], [0.0])
