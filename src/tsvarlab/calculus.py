@@ -172,10 +172,6 @@ class PushforwardResult(NamedTuple):
     lhs: float  # integral of f(alpha(t)) * alpha^delta(t) over the source grid
     rhs: float  # integral of the transported values over the image grid
 
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.lhs - self.rhs)
-
 
 def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
     """Change of variables along a strictly increasing grid map.

@@ -110,6 +110,11 @@ def _default_out(file: Path, suffix: str) -> Path:
     return file.with_name(f"{file.stem}_{suffix}.csv")
 
 
+def _max_abs(values) -> float:
+    """The largest |value|, 0 for no values: the verdict of every check and of sweep's residual."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 def _parse_float_list(text: str, what: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -209,7 +214,7 @@ def cmd_check(args) -> int:
         resid = el_residual(problem, trajectory)
         header = ["t"] + [f"r_{k + 1}" for k in range(n)]
         rows = encode_table(np.column_stack([resid.grid.array, resid.values]))
-        max_abs = float(np.max(np.abs(resid.values), initial=0.0))
+        max_abs = _max_abs(resid.values)
     elif args.which == "invariance":
         time_transform = generator.has_family or generator.tau != ex.Num(0.0)
         check = check_invariance_time_transform if time_transform else check_invariance_fixed_time
@@ -217,12 +222,12 @@ def cmd_check(args) -> int:
         header = ["t"] + [f"disc_eps={e:g}" if float(f"{e:g}") == e else f"disc_eps={e!r}"
                           for e in report.eps_values]
         rows = encode_table(np.column_stack([report.cell_times, report.discrepancies.T]))
-        max_abs = report.max_discrepancy
+        max_abs = _max_abs(report.discrepancies)
     else:  # conservation
         report = noether_quantity(problem, trajectory, generator)
         header = ["t", "C", "residual"]
         rows = encode_table(np.column_stack([report.times, report.values]), report.residuals)
-        max_abs = report.max_abs_residual
+        max_abs = _max_abs(report.residuals)
 
     _write_csv(out, header, rows)
     if not args.quiet:
@@ -256,7 +261,7 @@ def cmd_sweep(args) -> int:
             problem = Problem(grid, problem.lagrangian, problem.qa, problem.qb)
         result = solve_el(problem, **opts)
         report = noether_quantity(problem, result.trajectory, generator)
-        residuals.append(report.max_abs_residual)
+        residuals.append(_max_abs(report.residuals))
         actions.append(result.action_value)
 
     header = ["h", "action", "max_residual", "order"]

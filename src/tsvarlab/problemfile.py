@@ -222,7 +222,7 @@ def build_grid(pf: ProblemFile, h_override: float | None = None) -> TimeScaleGri
         value = _need(sec, "timescale", key)
         if key == "points":
             params[key] = _as_number_list(value, "timescale.points")
-        elif kind in ("integers", "power2"):  # whole bounds: the constructors truncate a fraction
+        elif kind in ("integers", "power2"):  # whole bounds, named by their key here
             params[key] = float(_as_int(value, f"timescale.{key}"))  # as floats in their messages
         else:
             params[key] = _as_number(value, f"timescale.{key}")

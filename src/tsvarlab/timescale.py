@@ -137,9 +137,17 @@ def _check_size(what: str, count: float) -> None:
         raise ValueError(f"{what} would have {count:.10g} points; the limit is {MAX_POINTS}")
 
 
+def _check_whole(what: str, **bounds) -> None:
+    """Rejects a bound that is not a whole number; an int beyond 2**53 is one."""
+    for name, x in bounds.items():
+        if not float(x).is_integer():
+            raise ValueError(f"{what} needs whole-number bounds, got {name}={x!r}")
+
+
 def integers(a: int, b: int) -> TimeScaleGrid:
     """All integers in [a, b]."""
     _check_size("integers(a, b)", float(b) - float(a) + 1)
+    _check_whole("integers(a, b)", a=a, b=b)
     a, b = int(a), int(b)
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
@@ -169,6 +177,7 @@ def power2(n0: int, n1: int) -> TimeScaleGrid:
     if not n1 < 1024:
         raise ValueError(f"power2(n0, n1) needs n1 < 1024 (2**1024 overflows a float), got {n1!r}")
     _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
+    _check_whole("power2(n0, n1)", n0=n0, n1=n1)
     n0, n1 = int(n0), int(n1)
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")

@@ -120,6 +120,11 @@ class Problem(Frozen):
         n = lagrangian.dim
         if qa.shape != (n,) or qb.shape != (n,):
             raise ValueError(f"boundary values must have shape ({n},)")
+        for name, values in (("qa", qa), ("qb", qb)):
+            for k, x in enumerate(values):
+                if not np.isfinite(x):
+                    raise ValueError(f"boundary value {name} component {k + 1} must be finite, "
+                                     f"got {float(x)!r}")
         qa.setflags(write=False)
         qb.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -409,6 +414,8 @@ def solve_el(
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
     if len(p.grid) < 3:
         raise ValueError("boundary-value solve needs a grid with at least 3 points")
     vals = _traj_values(p, guess if guess is not None else linear_guess(p)).copy()

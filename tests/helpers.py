@@ -20,7 +20,7 @@ from tsvarlab.expr import (
     _FN_TABLE, _ONE, _OPS, _SHOWN_AS, _VAR_RE, _ZERO, FUNCTIONS, VARIABLE_KINDS,
     BinOp, Call, EvalError, Neg, Num, ParseError, Var, _Node, _tokenize, derivative,
 )
-from tsvarlab.timescale import _check_size
+from tsvarlab.timescale import _check_size, _check_whole
 
 
 def random_grid(rng, max_points=50, moderate=False, kind=None):
@@ -101,6 +101,11 @@ def random_generator(rng, dim):
         c = rng.uniform(-0.4, 0.4)
         xi.append(f"{a:.6f} + {b:.6f} * q{k} + {c:.6f} * t")
     return tv.make_generator(dim, tau="0", xi=xi)
+
+
+def max_abs(values):
+    """The largest |value|, 0 for no values: the max_abs verdict of ``tsvarlab check``."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def brute_action(problem, values):
@@ -218,6 +223,7 @@ def recurrence_oracle_power2(qa, qb, npoints):
 
 def loop_integers(a, b):
     _check_size("integers(a, b)", float(b) - float(a) + 1)
+    _check_whole("integers(a, b)", a=a, b=b)
     a, b = int(a), int(b)
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
@@ -243,6 +249,7 @@ def loop_power2(n0, n1):
     if not n1 < 1024:
         raise ValueError(f"power2(n0, n1) needs n1 < 1024 (2**1024 overflows a float), got {n1!r}")
     _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
+    _check_whole("power2(n0, n1)", n0=n0, n1=n1)
     n0, n1 = int(n0), int(n1)
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")

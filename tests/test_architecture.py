@@ -1,6 +1,8 @@
 """The module rules that the README states, read from the package's source with ast."""
 
 import ast
+import collections
+import functools
 import importlib
 from pathlib import Path
 
@@ -9,10 +11,11 @@ TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
-def _named(name: str) -> list[tuple[str, str]]:
-    """(module file, innermost enclosing function or class, '' at module level) of every
-    place that names ``name``: a variable, an attribute or an imported name."""
-    places = []
+@functools.cache
+def _places() -> dict[str, list[tuple[str, str]]]:
+    """name -> (module file, innermost enclosing function or class, '' at module level) of
+    every place that names it: a variable, an attribute or an imported name."""
+    places = collections.defaultdict(list)
     for module, tree in MODULES.items():
         stack = [("", tree)]
         while stack:
@@ -22,10 +25,21 @@ def _named(name: str) -> list[tuple[str, str]]:
             names = ([node.id] if isinstance(node, ast.Name) else [node.attr]
                      if isinstance(node, ast.Attribute) else [node.name, node.asname]
                      if isinstance(node, ast.alias) else [])
-            if name in names:
-                places.append((module, scope))
+            for name in set(names) - {None}:
+                places[name].append((module, scope))
             stack += [(scope, child) for child in ast.iter_child_nodes(node)]
     return places
+
+
+def _named(name: str) -> list[tuple[str, str]]:
+    return _places().get(name, [])
+
+
+def _imported(tree) -> list[str]:
+    """The names that the imports of a module bind, apart from __future__ features."""
+    return [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", "") != "__future__" for alias in node.names]
 
 
 def test_cli_imports_only_the_table_encoder_and_fmt_from_g17():
@@ -59,3 +73,24 @@ def test_every_traced_name_resolves():
     absent = {f"{module}.{attr}" for module, attr, _ in wraps
               if not hasattr(importlib.import_module(module), attr)}
     assert len(wraps) > 2 and absent <= {"tsvarlab.expr.diff_eval", "tsvarlab.noether.TimeScaleGrid"}
+
+
+def test_every_private_definition_is_named_outside_itself():
+    # a deletion that leaves a private helper behind leaves it named only where it is defined
+    private = {node.name for tree in MODULES.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    unused = sorted(name for name in private if all(scope == name for _, scope in _named(name)))
+    assert len(private) > 60 and unused == []
+
+
+def test_every_import_is_used():
+    unused = {module: sorted(set(_imported(tree)) - {node.id for node in ast.walk(tree)
+                                                      if isinstance(node, ast.Name)})
+              for module, tree in MODULES.items() if module != "__init__.py"}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_init_imports_exactly_all():
+    imported = _imported(MODULES["__init__.py"])
+    assert sorted(imported) == sorted(importlib.import_module("tsvarlab").__all__)

@@ -29,7 +29,7 @@ from tsvarlab.problemfile import (
     solver_options,
 )
 
-from helpers import argparse_read_args
+from helpers import argparse_read_args, max_abs
 
 # Hypothesis caches what it reads from source files in its home directory;
 # with database=None as well, a run writes nothing into the checkout
@@ -820,6 +820,19 @@ def test_check_eps_values_must_be_distinct(tmp_path, capsys, eps, first, again):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("qa", ["nan", "inf"])
+def test_non_finite_boundary_value_exits_3_naming_it(tmp_path, capsys, qa):
+    problem = tmp_path / "bad.problem"
+    problem.write_text(
+        "[timescale]\nkind = integers\na = 0\nb = 4\n"
+        f'[problem]\ndim = 1\nlagrangian = "qd1^2"\nqa = [{qa}]\nqb = [1]\n'
+    )
+    out = tmp_path / "bad.csv"
+    assert run(["solve", str(problem), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: boundary value qa component 1 must be finite, got {qa}\n"
+    assert not out.exists()
+
+
 def test_non_finite_generator_value_exits_3_at_its_point(tmp_path, capsys):
     # q1 = 10.75 at point 1, where tau = q1^300 overflows
     huge = tmp_path / "huge.problem"
@@ -860,7 +873,7 @@ def test_oversized_grid_exits_3(tmp_path, capsys, timescale, message):
     ("kind = power2\nn0 = 0.5\nn1 = 4", "timescale.n0: expected an integer, got 0.5"),
 ])
 def test_fractional_integer_bound_exits_3(tmp_path, capsys, timescale, message):
-    # the grid constructors would truncate it: integers(0.5, 4) starts at 0
+    # the grid constructors reject it too, but the file names the key
     problem = tmp_path / "frac.problem"
     problem.write_text(
         f"[timescale]\n{timescale}\n"
@@ -1001,7 +1014,7 @@ def _expected_outputs(path, h_list, eps):
         for h in h_list:
             p = build_problem(pf, grid=build_grid(pf, h_override=h))
             sol = tv.solve_el(p, **opts)
-            res = tv.noether_quantity(p, sol.trajectory, gen).max_abs_residual
+            res = max_abs(tv.noether_quantity(p, sol.trajectory, gen).residuals)
             order = ""
             if prev is not None:
                 if prev[1] <= 1e-12 and res <= 1e-12:

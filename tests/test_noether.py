@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -9,6 +10,7 @@ from tsvarlab import noether
 from helpers import (
     fd_action_eps_derivative,
     gravity_oracle_trajectory,
+    max_abs,
     random_generator,
     random_grid,
     random_quadratic_lagrangian_text,
@@ -74,8 +76,8 @@ def test_rotation_family_exactly_invariant():
         qbar=["q1 * cos(eps) - q2 * sin(eps)", "q1 * sin(eps) + q2 * cos(eps)"],
     )
     rep = tv.check_invariance_fixed_time(p, q, gen, [-0.5, -0.1, 0.1, 0.5])
-    assert rep.max_discrepancy <= 1e-12
-    assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(rep.action_value))
+    assert max_abs(rep.discrepancies) <= 1e-12
+    assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(tv.action(p, q)))
 
 
 def test_translation_invariance_of_free_particle():
@@ -83,7 +85,7 @@ def test_translation_invariance_of_free_particle():
     q = tv.linear_guess(p)
     gen = tv.make_generator(1, tau="0", xi=["1"])
     rep = tv.check_invariance_fixed_time(p, q, gen, [0.7, -0.3])
-    assert rep.max_discrepancy <= 1e-13  # shifting all values leaves each quotient
+    assert max_abs(rep.discrepancies) <= 1e-13  # shifting all values leaves each quotient
 
 
 def test_non_invariant_pair_matches_weighted_residual_sum():
@@ -92,7 +94,7 @@ def test_non_invariant_pair_matches_weighted_residual_sum():
     q = tv.linear_guess(p)
     gen = tv.make_generator(1, tau="0", xi=["1"])
     rep = tv.check_invariance_fixed_time(p, q, gen, [0.1])
-    assert rep.max_discrepancy > 1e-3
+    assert max_abs(rep.discrepancies) > 1e-3
     r = tv.invariance_residual_pointwise(p, q, gen)
     weighted = float(np.sum(tv.graininess(p.grid) * r.values))
     assert abs(rep.action_eps_derivative - weighted) <= 1e-13 * max(1.0, abs(weighted))
@@ -106,8 +108,8 @@ def test_dilation_family_invariant_on_doubling_grid():
     p = tv.make_problem(tv.power2(0, 10), PAPERLIKE_L, 1, [1.0], [13.0])
     q = tv.linear_guess(p)
     rep = tv.check_invariance_time_transform(p, q, dilation_generator(), [-0.5, -0.1, 0.1, 0.5])
-    assert rep.max_discrepancy <= 1e-12
-    assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(rep.action_value))
+    assert max_abs(rep.discrepancies) <= 1e-12
+    assert abs(rep.action_eps_derivative) <= 1e-13 * (1 + abs(tv.action(p, q)))
 
 
 def test_time_shift_relabels_autonomous_action():
@@ -118,7 +120,7 @@ def test_time_shift_relabels_autonomous_action():
     q = tv.GridFunction(p.grid, rng.uniform(-1, 1, size=(7, 1)))
     gen = tv.make_generator(1, tau="1", xi=["0"], tbar="t + eps", qbar=["q1"])
     rep = tv.check_invariance_time_transform(p, q, gen, [-0.5, 0.25, 1.5])
-    assert rep.max_discrepancy == 0.0
+    assert max_abs(rep.discrepancies) == 0.0
 
 
 def test_time_shift_breaks_explicitly_time_dependent_action():
@@ -127,24 +129,28 @@ def test_time_shift_breaks_explicitly_time_dependent_action():
     gen = tv.make_generator(1, tau="1", xi=["0"])
     rep = tv.check_invariance_time_transform(p, q, gen, [0.1, 0.2, 0.4])
     # discrepancy grows linearly in eps for this family
-    d1, d2, d4 = rep.per_eps_max
+    d1, d2, d4 = rep.discrepancies.max(axis=1)
     assert d1 > 1e-6
     assert d2 == pytest.approx(2 * d1, rel=1e-6)
     assert d4 == pytest.approx(4 * d1, rel=1e-6)
 
 
 def test_report_action_is_the_action_bit_for_bit():
-    # the report sums the cells left to right, as action() does; a pairwise
-    # sum differs from it in the last digits on long grids
+    # action() sums mu * L over the cells left to right, as every report's delta
+    # integral does; a pairwise sum differs from it in the last digits on long grids
     rng = np.random.default_rng(39)
     grids = [random_grid(rng, max_points=60, moderate=True) for _ in range(20)]
     grids.append(tv.explicit(np.cumsum(rng.uniform(0.05, 1.5, size=2001))))
     for g in grids:
         p = tv.make_problem(g, "qd1^2 / 2 + cos(qs1) + t * qs1", 1, [0.0], [1.0])
         q = tv.GridFunction(g, rng.uniform(-1, 1, size=(len(g), 1)))
-        fixed = tv.check_invariance_fixed_time(p, q, tv.make_generator(1, xi=["1"]), [0.1])
-        moved = tv.check_invariance_time_transform(p, q, tv.make_generator(1, tau="1"), [0.1])
-        assert fixed.action_value == moved.action_value == tv.action(p, q)
+        t, vals = g.array, q.values
+        mu = np.diff(t)
+        cells = mu * p.lagrangian.value(t[:-1], vals[1:], np.diff(vals, axis=0) / mu[:, None])
+        total = 0.0
+        for term in cells:
+            total += term
+        assert tv.action(p, q) == total
 
 
 def test_time_transform_builds_one_image_grid_per_eps(monkeypatch):
@@ -281,7 +287,7 @@ def test_momentum_conserved_for_free_particle():
         # momentum 2 qd is one constant sequence
         spread = np.max(rep.values) - np.min(rep.values)
         assert spread <= 1e-10 * max(1.0, np.max(np.abs(rep.values)))
-        assert rep.max_abs_residual <= 1e-10
+        assert max_abs(rep.residuals) <= 1e-10
 
 
 def test_angular_momentum_conserved_for_planar_free_particle():
@@ -289,7 +295,7 @@ def test_angular_momentum_conserved_for_planar_free_particle():
     res = tv.solve_el(p)
     gen = tv.make_generator(2, tau="0", xi=["-q2", "q1"])
     rep = tv.noether_quantity(p, res.trajectory, gen)
-    assert rep.max_abs_residual <= 1e-10
+    assert max_abs(rep.residuals) <= 1e-10
     r = tv.invariance_residual_pointwise(p, res.trajectory, gen)
     assert np.max(np.abs(r.values)) <= 1e-10
 
@@ -591,13 +597,11 @@ def test_conservation_residual_recomputes_from_samples():
     rep = tv.noether_quantity(p, traj, dilation_generator())
     prof = tv.delta_derivative(tv.GridFunction(tv.kappa(p.grid), rep.values))
     assert np.array_equal(prof.values, rep.residuals)
-    assert np.max(np.abs(prof.values)) == rep.max_abs_residual
+    assert np.array_equal(rep.times[:-1], tv.kappa(tv.kappa(p.grid)).array)
     short = tv.ConservationReport(
         times=np.array([1.0]),
         values=np.array([2.0]),
-        residual_times=np.array([]),
         residuals=np.array([]),
-        max_abs_residual=0.0,
     )
     with pytest.raises(ValueError, match="at least 2"):
         tv.delta_derivative(tv.GridFunction(tv.TimeScaleGrid(short.times), short.values))
@@ -666,6 +670,19 @@ def test_extended_partials_zero_rate_guarded():
     traj = tv.linear_guess(p)
     with pytest.raises(ValueError, match="nonzero"):
         tv.extended_lagrangian_partials(p, traj, r=0.0)
+
+
+def test_report_parameters_must_be_finite():
+    # unchecked, a nan or inf eps or r was reported as a fault of point 0 or cell 0
+    p = doubling_problem()
+    traj = tv.linear_guess(p)
+    for bad in (math.nan, math.inf, -math.inf):
+        for check, gen in ((tv.check_invariance_time_transform, dilation_generator()),
+                           (tv.check_invariance_fixed_time, tv.make_generator(1, xi=["1"]))):
+            with pytest.raises(ValueError, match=rf"^eps must be finite, got {bad!r}$"):
+                check(p, traj, gen, [0.1, bad])
+        with pytest.raises(ValueError, match=rf"^time-rate r must be nonzero and finite, got {bad!r}$"):
+            tv.extended_lagrangian_partials(p, traj, r=bad)
 
 
 def test_a_dim_1_trajectory_may_be_given_as_a_flat_grid_function():

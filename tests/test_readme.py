@@ -61,9 +61,8 @@ RECORDS = [
                           "dense"),
     (tv.PushforwardResult, "image_grid transported lhs rhs"),
     (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
-    (tv.InvarianceReport, "eps_values cell_times discrepancies per_eps_max max_discrepancy "
-                          "action_value action_eps_derivative"),
-    (tv.ConservationReport, "times values residual_times residuals max_abs_residual"),
+    (tv.InvarianceReport, "eps_values cell_times discrepancies action_eps_derivative"),
+    (tv.ConservationReport, "times values residuals"),
     (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "
                                 "d5_forward d5_formula max_value_error max_d4_error max_d5_error"),
     (ProblemFile, "timescale problem symmetry solver"),

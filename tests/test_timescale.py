@@ -325,6 +325,21 @@ def _constructor_cases(rng):
         yield "explicit", (pts,)
 
 
+def test_integer_constructors_reject_fractional_bounds():
+    # "all integers in [a, b]": a fraction used to be truncated, integers(0.5, 3.7)
+    # giving 0..3 and power2(0.5, 2.9) giving 1, 2, 4
+    for ctor, args, bad in ((tv.integers, (0.5, 3.7), "a=0.5"), (tv.integers, (0, 3.7), "b=3.7"),
+                            (tv.power2, (0.5, 2.9), "n0=0.5"), (tv.power2, (0, 2.9), "n1=2.9")):
+        with pytest.raises(ValueError, match=rf"^{ctor.__name__}\(\w+, \w+\) needs whole-number "
+                                             rf"bounds, got {bad}$"):
+            ctor(*args)
+    assert tv.integers(-2.0, 1.0) == tv.integers(-2, 1)
+    assert tv.power2(np.int64(-1), 2.0) == tv.power2(-1, 2)
+    # an int beyond 2**53 is whole, though float() rounds it: the grid fails, not the bound
+    with pytest.raises(ValueError, match="strictly increasing"):
+        tv.integers(2**53 + 1, 2**53 + 5)
+
+
 def test_constructors_match_the_loop_forms_bit_for_bit():
     rng = np.random.default_rng(2024)
     built = 0

@@ -490,6 +490,25 @@ def test_solve_el_rejects_a_negative_iteration_count():
     assert tv.solve_el(p, max_iter=0).iterations == 0  # the linear guess is the extremal
 
 
+def test_solve_el_rejects_a_tolerance_that_is_negative_nan_or_inf():
+    # unchecked, -1 and nan failed the line search of an exact guess, and inf
+    # returned the unsolved linear guess as converged
+    p = tv.make_problem(tv.integers(0, 4), "qd1^2", 1, [0.0], [4.0])
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^tol must be a non-negative finite number, got {tol!r}$"):
+            tv.solve_el(p, tol=tol)
+    assert tv.solve_el(p, tol=0.0).gradient_norm == 0.0  # the linear guess is exact
+
+
+def test_problem_rejects_non_finite_boundary_values():
+    # unchecked, the solve failed later, at the linear guess or at a cell of the guess
+    grid = tv.integers(0, 4)
+    for qa, qb, name in (([math.nan, 0.0], [1.0, 1.0], "qa component 1 must be finite, got nan"),
+                         ([0.0, 0.0], [1.0, -math.inf], "qb component 2 must be finite, got -inf")):
+        with pytest.raises(ValueError, match=rf"^boundary value {name}$"):
+            tv.make_problem(grid, "qd1^2 + qd2^2", 2, qa, qb)
+
+
 def test_singular_jacobian_reports_pivot():
     # Lagrangian linear in the state: nonzero gradient, identically zero Hessian
     p = tv.make_problem(tv.integers(0, 3), "t * qs1", 1, [0.0], [0.0])
