@@ -40,10 +40,6 @@ class GridFunction(Frozen):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
 
 def _on_cell_axis(mu: np.ndarray, values: np.ndarray) -> np.ndarray:
     """mu shaped to multiply or divide ``values`` along their leading cell axis."""
@@ -165,12 +161,11 @@ def delta_integral(f: GridFunction, r: float, s: float) -> float:
 
 
 class PushforwardResult(NamedTuple):
-    """Image grid and transported values, plus both sides of the substitution identity."""
+    """Image grid, plus both sides of the substitution identity."""
 
     image_grid: TimeScaleGrid
-    transported: GridFunction
     lhs: float  # integral of f(alpha(t)) * alpha^delta(t) over the source grid
-    rhs: float  # integral of the transported values over the image grid
+    rhs: float  # integral of f's values over the image grid
 
 
 def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
@@ -187,11 +182,10 @@ def pushforward(alpha: GridFunction, f: GridFunction) -> PushforwardResult:
         raise ValueError("pushforward expects scalar grid functions")
     avals = alpha.values
     image = TimeScaleGrid(avals)
-    transported = GridFunction(image, f.values)
 
     t, mu, _, _, alpha_delta = grid_cells(alpha.grid.array, avals)
     with np.errstate(all="ignore"):  # an overflow is located by the integral
         integrand = f.values[:-1] * alpha_delta
     lhs = float(integral(t, mu, integrand))
     rhs = float(integral(*grid_cells(avals, f.values)[:3]))
-    return PushforwardResult(image, transported, lhs, rhs)
+    return PushforwardResult(image, lhs, rhs)

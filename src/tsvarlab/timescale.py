@@ -138,22 +138,24 @@ def _check_size(what: str, count: float) -> None:
 
 
 def _check_whole(what: str, **bounds) -> None:
-    """Rejects a bound that is not a whole number; an int beyond 2**53 is one."""
+    """Rejects a bound that is not a whole number."""
     for name, x in bounds.items():
         if not float(x).is_integer():
             raise ValueError(f"{what} needs whole-number bounds, got {name}={x!r}")
 
 
 def integers(a: int, b: int) -> TimeScaleGrid:
-    """All integers in [a, b]."""
+    """All integers in [a, b]; |a| and |b| are at most 2**53, where every integer is a double."""
     _check_size("integers(a, b)", float(b) - float(a) + 1)
     _check_whole("integers(a, b)", a=a, b=b)
     a, b = int(a), int(b)
+    for name, x in (("a", a), ("b", b)):
+        if abs(x) > 2**53:
+            raise ValueError(f"integers(a, b) needs |a|, |b| <= 2**53 (beyond it not every "
+                             f"integer is a float), got {name}={x!r}")
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
-    # base is exact as a float and a - base + k < 2**25: one rounding gives float(a + k)
-    base = a >> 24 << 24
-    return TimeScaleGrid(float(base) + np.arange(a - base, b - base + 1, dtype=float))
+    return TimeScaleGrid(a + np.arange(b - a + 1.0))  # exact: each a + k is a double
 
 
 def uniform(a: float, b: float, h: float) -> TimeScaleGrid:
@@ -179,6 +181,8 @@ def power2(n0: int, n1: int) -> TimeScaleGrid:
     _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
     _check_whole("power2(n0, n1)", n0=n0, n1=n1)
     n0, n1 = int(n0), int(n1)
+    if n0 < -1074:
+        raise ValueError(f"power2(n0, n1) needs n0 >= -1074 (2**-1075 rounds to 0 in a float), got {n0!r}")
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")
     return TimeScaleGrid(np.ldexp(1.0, np.arange(n0, n1 + 1)))

@@ -225,6 +225,10 @@ def loop_integers(a, b):
     _check_size("integers(a, b)", float(b) - float(a) + 1)
     _check_whole("integers(a, b)", a=a, b=b)
     a, b = int(a), int(b)
+    for name, x in (("a", a), ("b", b)):
+        if abs(x) > 2**53:
+            raise ValueError(f"integers(a, b) needs |a|, |b| <= 2**53 (beyond it not every "
+                             f"integer is a float), got {name}={x!r}")
     if b - a < 1:
         raise ValueError("integers(a, b) needs b >= a + 1 (at least 2 points)")
     return tv.TimeScaleGrid(tuple(float(k) for k in range(a, b + 1)))
@@ -251,6 +255,8 @@ def loop_power2(n0, n1):
     _check_size("power2(n0, n1)", float(n1) - float(n0) + 1)
     _check_whole("power2(n0, n1)", n0=n0, n1=n1)
     n0, n1 = int(n0), int(n1)
+    if n0 < -1074:
+        raise ValueError(f"power2(n0, n1) needs n0 >= -1074 (2**-1075 rounds to 0 in a float), got {n0!r}")
     if n1 - n0 < 1:
         raise ValueError("power2(n0, n1) needs n1 >= n0 + 1 (at least 2 points)")
     return tv.TimeScaleGrid(tuple(2.0 ** n for n in range(n0, n1 + 1)))

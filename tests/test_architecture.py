@@ -4,10 +4,12 @@ import ast
 import collections
 import functools
 import importlib
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tsvarlab"
 TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -94,3 +96,24 @@ def test_every_import_is_used():
 def test_init_imports_exactly_all():
     imported = _imported(MODULES["__init__.py"])
     assert sorted(imported) == sorted(importlib.import_module("tsvarlab").__all__)
+
+
+def test_every_public_field_and_member_is_read():
+    # a record field, public method or property that nothing reads is built for no caller.
+    # Reads are matched by name, like _named: a member that shares its name with one that
+    # is read passes unseen, as a GridFunction.dim read nowhere would, since Problem.dim is
+    trees = [*MODULES.values(),
+             *(ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py")))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    package = importlib.import_module("tsvarlab")
+    kinds = (types.FunctionType, property, functools.cached_property, classmethod, staticmethod)
+    members = set()
+    for name in package.__all__:
+        cls = getattr(package, name)
+        if isinstance(cls, type):
+            members |= {(name, field) for field in getattr(cls, "_fields", ())}
+            members |= {(name, attr) for attr, value in vars(cls).items()
+                        if not attr.startswith("_") and isinstance(value, kinds)}
+    assert len(members) > 25 and sorted(f"{cls}.{attr}" for cls, attr in members
+                                        if attr not in read) == []

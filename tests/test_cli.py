@@ -820,6 +820,18 @@ def test_check_eps_values_must_be_distinct(tmp_path, capsys, eps, first, again):
     assert not out.exists()
 
 
+def test_power2_below_the_least_subnormal_exits_3_naming_n0(tmp_path, capsys):
+    # 2**-1075 rounds to 0.0, so the grid would start at t=0.0, a time the file never
+    # asks for, and fail there as a non-finite cell
+    problem, out = tmp_path / "tiny.problem", tmp_path / "tiny.csv"
+    problem.write_text("[timescale]\nkind = power2\nn0 = -1075\nn1 = -1071\n"
+                       '[problem]\ndim = 1\nlagrangian = "qd1^2/2"\nqa = [0]\nqb = [1]\n')
+    assert run(["solve", str(problem), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", "error: timescale: power2(n0, n1) needs n0 >= -1074 "
+                                       "(2**-1075 rounds to 0 in a float), got -1075\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("qa", ["nan", "inf"])
 def test_non_finite_boundary_value_exits_3_naming_it(tmp_path, capsys, qa):
     problem = tmp_path / "bad.problem"

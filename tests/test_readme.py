@@ -59,12 +59,12 @@ CORE = [
 RECORDS = [
     (PointClassification, "t right_scattered right_dense left_scattered left_dense isolated "
                           "dense"),
-    (tv.PushforwardResult, "image_grid transported lhs rhs"),
+    (tv.PushforwardResult, "image_grid lhs rhs"),
     (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
     (tv.InvarianceReport, "eps_values cell_times discrepancies action_eps_derivative"),
     (tv.ConservationReport, "times values residuals"),
-    (tv.ExtendedPartialsReport, "times r value_composite value_reference d4_forward d4_formula "
-                                "d5_forward d5_formula max_value_error max_d4_error max_d5_error"),
+    (tv.ExtendedPartialsReport, "times r d4_forward d5_forward max_value_error max_d4_error "
+                                "max_d5_error"),
     (ProblemFile, "timescale problem symmetry solver"),
 ]
 

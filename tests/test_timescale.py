@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -335,8 +336,9 @@ def test_integer_constructors_reject_fractional_bounds():
             ctor(*args)
     assert tv.integers(-2.0, 1.0) == tv.integers(-2, 1)
     assert tv.power2(np.int64(-1), 2.0) == tv.power2(-1, 2)
-    # an int beyond 2**53 is whole, though float() rounds it: the grid fails, not the bound
-    with pytest.raises(ValueError, match="strictly increasing"):
+    # an int beyond 2**53 is whole, though float() rounds it: the bound fails, by name
+    with pytest.raises(ValueError, match=r"^integers\(a, b\) needs \|a\|, \|b\| <= 2\*\*53 .*, "
+                                         r"got a=9007199254740993$"):
         tv.integers(2**53 + 1, 2**53 + 5)
 
 
@@ -352,6 +354,31 @@ def test_constructors_match_the_loop_forms_bit_for_bit():
             built += 1
         else:
             assert got == want, (name, args)
+    assert built > 500
+
+
+def test_integer_grids_hold_exactly_the_points_they_name():
+    # every point of integers(a, b) is the integer k it names, and of power2(n0, n1)
+    # the power 2**n: compared in exact arithmetic; a refused range names none
+    rng = np.random.default_rng(53)
+    cases = [(tv.integers, edge + d, edge + d + span) for edge in (2**53, -(2**53))
+             for d in range(-5, 6) for span in (1, 2, 5)]
+    cases += [(tv.power2, n0, n0 + span) for n0 in range(-1080, -1069) for span in (1, 3)]
+    for _ in range(300):
+        a = int(rng.integers(-(2**53) - 10, 2**53 + 10)) >> int(rng.integers(0, 54))
+        cases.append((tv.integers, a, a + int(rng.integers(1, 40))))
+        n0 = int(rng.integers(-1080, 1020))
+        cases.append((tv.power2, n0, min(n0 + int(rng.integers(1, 40)), 1023)))
+    built = 0
+    for ctor, lo, hi in cases:
+        try:
+            grid = ctor(lo, hi)
+        except ValueError:
+            continue
+        names = range(lo, hi + 1)
+        exact = list(names) if ctor is tv.integers else [Fraction(2) ** n for n in names]
+        assert [Fraction(t) for t in grid.points] == exact, (ctor.__name__, lo, hi)
+        built += 1
     assert built > 500
 
 
