@@ -319,24 +319,21 @@ def noether_quantity(
 
 class ExtendedPartialsReport(NamedTuple):
     times: np.ndarray
-    r: float
     d4_forward: np.ndarray  # derivative in the time-rate slot, of the composite tree
     d5_forward: np.ndarray  # (K, n) derivative in the velocity slot, of the composite tree
     max_value_error: float  # largest |composite value - L(t, jumped q, v)|, the plain integrand
-    max_d4_error: float  # largest |d4_forward - (L - dL/dv . v/r - dL/dt * mu * r)|, L at shifted args
-    max_d5_error: float  # largest |d5_forward - dL/dv|, at the shifted args (s - mu*r, jumped q, v/r)
+    max_d4_error: float  # largest |d4_forward - (L - dL/dv . v - dL/dt * mu)|, L at (s - mu, jumped q, v)
+    max_d5_error: float  # largest |d5_forward - dL/dv|, at the same args
 
 
-def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) -> ExtendedPartialsReport:
-    """Differentiate the reparameterized Lagrangian L(s - mu*r, q, v/r) * r.
+def extended_lagrangian_partials(p: Problem, q: GridFunction) -> ExtendedPartialsReport:
+    """Differentiate the reparameterized Lagrangian L(s - mu*r, q, v/r) * r at r = 1, the proof's rate.
 
     The composite tree (``t`` is the jumped time s) is differentiated in r and
     in the velocity slot and compared against the closed-form right-hand sides.
-    At r = 1 the composite value reproduces the plain integrand, and the two
+    There the composite value reproduces the plain integrand, and the two
     partials reduce to dL/dv and L - dL/dv . v - dL/dt * mu.
     """
-    if r == 0.0 or not np.isfinite(r):
-        raise ValueError(f"time-rate r must be nonzero and finite, got {r!r}")
     t, mu, _, y, v = grid_cells(p.grid.array, _traj_values(p, q))
     rate = ex.Var("r")
     velocities = [f"qd{k + 1}" for k in range(p.dim)]
@@ -346,11 +343,10 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
     trees = [composite] + [ex.derivative(composite, name) for name in ["r", *velocities]]
 
     def cell(t_i, st, mu_i, y, v):
-        forward = p.lagrangian._sample(trees, st, y, v, mu=mu_i, r=float(r))
-        vr = v / r
-        lval, d1, d3 = p.lagrangian.value_and_partials(st - mu_i * r, y, vr, ("t", "qd"))
+        forward = p.lagrangian._sample(trees, st, y, v, mu=mu_i, r=1.0)
+        lval, d1, d3 = p.lagrangian.value_and_partials(st - mu_i, y, v, ("t", "qd"))
         value_ref = p.lagrangian.value(t_i, y, v)
-        d4_form = _h(lval, d3, vr) - d1 * mu_i * r
+        d4_form = _h(lval, d3, v) - d1 * mu_i
         value_c, d4_fwd, d5_fwd = forward[:, 0], forward[:, 1], forward[:, 2:]
         return (value_c, value_ref, d4_fwd, d4_form, d5_fwd, d3, np.abs(value_c - value_ref),
                 np.abs(d4_fwd - d4_form), np.abs(d5_fwd - d3))
@@ -362,7 +358,6 @@ def extended_lagrangian_partials(p: Problem, q: GridFunction, r: float = 1.0) ->
 
     return ExtendedPartialsReport(
         times=t.copy(),
-        r=float(r),
         d4_forward=d4_fwd,
         d5_forward=d5_fwd,
         max_value_error=float(np.max(value_err, initial=0.0)),

@@ -418,23 +418,35 @@ def solve_el(
         raise ValueError(f"tol must be a non-negative finite number, got {tol!r}")
     if len(p.grid) < 3:
         raise ValueError("boundary-value solve needs a grid with at least 3 points")
-    vals = _traj_values(p, guess if guess is not None else linear_guess(p)).copy()
-    vals[0] = p.qa
-    vals[-1] = p.qb
-    act, g = _action_and_gradient(p, vals)
+    x = _traj_values(p, guess if guess is not None else linear_guess(p))[1:-1]
+
+    def padded(x):  # the interior values between the boundary values
+        return np.concatenate([p.qa[None], x, p.qb[None]])
+    x, it, gnorm, act = _newton(lambda x: _action_and_gradient(p, padded(x)),
+                                lambda x: _interior_hessian(p, padded(x)),
+                                p.grid.array[1:-1], x, tol, max_iter)
+    return SolveResult(GridFunction(p.grid, padded(x)), it, gnorm, act)
+
+
+def _newton(gradient, hessian, times, x, tol, max_iter):
+    """Damped Newton on the unknowns x, shape (m, n): (x, iterations, gradient max-norm, action).
+
+    gradient(x) gives the action and its gradient, hessian(x) the bands of _block_tridiag_solve
+    over rows at ``times``.  The stop, the step scales and the failures are solve_el's.
+    """
+    act, g = gradient(x)
     for it in range(max_iter + 1):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= tol * (1.0 + abs(act)):
-            return SolveResult(GridFunction(p.grid, vals), it, gnorm, act)
+            return x, it, gnorm, act
         if it == max_iter:
             raise NonConvergence(f"no convergence after {max_iter} iterations "
                                  f"(gradient max-norm {gnorm:.3e})", gnorm, it)
-        step = _block_tridiag_solve(p.grid.array[1:-1], *_interior_hessian(p, vals), -g)
+        step = _block_tridiag_solve(times, *hessian(x), -g)
         for halvings in range(31):
-            trial = vals.copy()
-            trial[1:-1] += 0.5**halvings * step
+            trial = x + 0.5**halvings * step
             try:
-                act_trial, g_trial = _action_and_gradient(p, trial)
+                act_trial, g_trial = gradient(trial)
             except ex.EvalError:
                 continue
             if (np.abs(g_trial) < gnorm).all():  # its max-norm is lower
@@ -442,4 +454,4 @@ def solve_el(
         else:
             raise NonConvergence(f"line search failed at iteration {it + 1} "
                                  f"(gradient max-norm {gnorm:.3e})", gnorm, it + 1)
-        vals, act, g = trial, act_trial, g_trial
+        x, act, g = trial, act_trial, g_trial

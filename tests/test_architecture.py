@@ -65,6 +65,19 @@ def test_only_the_cell_layer_names_non_finite_cells():
     assert places and {module for module, _ in places} == {"calculus.py"}
 
 
+def test_the_newton_driver_reads_no_grid():
+    # solve_el hands the driver its interior values and the closures that pad them, and
+    # the driver holds the loop: a new stop test changes only the driver, and new unknowns
+    # or a new guess only solve_el
+    grid_names = ["p", "grid", "lagrangian", "qa", "qb", "Problem", "GridFunction",
+                  "_traj_values", "_action_and_gradient", "_interior_hessian"]
+    assert [name for name in grid_names if ("variational.py", "_newton") in _named(name)] == []
+    assert ("variational.py", "_newton") in _named("_block_tridiag_solve")
+    solve_el = next(node for node in MODULES["variational.py"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "solve_el")
+    assert not [node for node in ast.walk(solve_el) if isinstance(node, (ast.For, ast.While))]
+
+
 def test_every_traced_name_resolves():
     # the benchmark's tracer wraps functions by (module, attribute) name, so a rename
     # would silently leave its per-layer metric at 0; two names it wraps are already

@@ -384,10 +384,10 @@ def test_overflowing_image_cell_is_located_without_a_warning():
 
 
 def test_overflowing_extended_partials_error_is_located():
-    # with r = -1 the composite value L * r = -1e308 and L = 1e308 differ by -2e308
-    p = tv.make_problem(tv.uniform(0, 1, 0.25), "qd1^2/2 + 1e308*cos(qs1)", 1, [0.0], [0.0])
+    # at v = 1 the closed form of d4, L - dL/dv . v = 1e308 + 1e308, overflows
+    p = tv.make_problem(tv.uniform(0, 1, 0.25), "1e308/qd1", 1, [0.0], [1.0])
     with pytest.raises(tv.EvalError, match=r"^cell 0 at t=0\.0: non-finite value inf"):
-        tv.extended_lagrangian_partials(p, tv.linear_guess(p), r=-1.0)
+        tv.extended_lagrangian_partials(p, tv.linear_guess(p))
 
 
 def test_overflowing_family_check_fails_without_a_warning():
@@ -655,25 +655,8 @@ def test_extended_partials_doubling_grid_with_fd_cross_check():
         assert abs(rep.d5_forward[i, 0] - fd_v) <= 1e-5 * max(1.0, abs(fd_v))
 
 
-def test_extended_partials_nontrivial_rate():
-    # away from r = 1 the forward-mode values still match the closed forms
-    p = doubling_problem()
-    traj = tv.as_trajectory(p, recurrence_oracle_power2(1.0, 13.0, 5))
-    rep = tv.extended_lagrangian_partials(p, traj, r=0.75)
-    assert rep.r == 0.75
-    assert rep.max_d4_error <= 1e-10
-    assert rep.max_d5_error <= 1e-10
-
-
-def test_extended_partials_zero_rate_guarded():
-    p = doubling_problem()
-    traj = tv.linear_guess(p)
-    with pytest.raises(ValueError, match="nonzero"):
-        tv.extended_lagrangian_partials(p, traj, r=0.0)
-
-
 def test_report_parameters_must_be_finite():
-    # unchecked, a nan or inf eps or r was reported as a fault of point 0 or cell 0
+    # unchecked, a nan or inf eps was reported as a fault of point 0 or cell 0
     p = doubling_problem()
     traj = tv.linear_guess(p)
     for bad in (math.nan, math.inf, -math.inf):
@@ -681,8 +664,6 @@ def test_report_parameters_must_be_finite():
                            (tv.check_invariance_fixed_time, tv.make_generator(1, xi=["1"]))):
             with pytest.raises(ValueError, match=rf"^eps must be finite, got {bad!r}$"):
                 check(p, traj, gen, [0.1, bad])
-        with pytest.raises(ValueError, match=rf"^time-rate r must be nonzero and finite, got {bad!r}$"):
-            tv.extended_lagrangian_partials(p, traj, r=bad)
 
 
 def test_a_dim_1_trajectory_may_be_given_as_a_flat_grid_function():

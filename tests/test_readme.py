@@ -63,7 +63,7 @@ RECORDS = [
     (tv.SolveResult, "trajectory iterations gradient_norm action_value"),
     (tv.InvarianceReport, "eps_values cell_times discrepancies action_eps_derivative"),
     (tv.ConservationReport, "times values residuals"),
-    (tv.ExtendedPartialsReport, "times r d4_forward d5_forward max_value_error max_d4_error "
+    (tv.ExtendedPartialsReport, "times d4_forward d5_forward max_value_error max_d4_error "
                                 "max_d5_error"),
     (ProblemFile, "timescale problem symmetry solver"),
 ]

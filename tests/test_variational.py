@@ -917,6 +917,36 @@ def test_line_search_fails_at_the_rounding_floor(monkeypatch):
     assert counts == [37, 0]
 
 
+def test_newton_driver_needs_no_grid():
+    # the gradient x^3 - 1 of sum(x^4/4 - x), undefined where any x <= 0, on 3 unknowns;
+    # no problem or grid, only the row times that a singular system would be reported at
+    failed = []
+
+    def gradient(x):
+        if (x <= 0).any():
+            failed.append(x)
+            raise ex.EvalError("x <= 0", 0)
+        return float(np.sum(x**4 / 4 - x)), x**3 - 1
+
+    def hessian(x, sign=1.0):
+        zero = np.zeros((len(x), 1, 1))
+        return zero, sign * 3 * x[:, :, None] ** 2, zero
+
+    times, x0 = np.arange(3.0), np.array([[0.2], [3.0], [1.0]])
+    x, iterations, gnorm, act = va._newton(gradient, hessian, times, x0, 1e-12, 100)
+    assert iterations == 8 and np.allclose(x, 1.0) and gnorm <= 1e-12 * (1 + abs(act))
+    assert act == float(np.sum(x**4 / 4 - x))
+    with pytest.raises(NonConvergence, match=r"^no convergence after 2 iterations "
+                                             r"\(gradient max-norm 5\.680e\+00\)$"):
+        va._newton(gradient, hessian, times, x0, 1e-12, 2)
+    # negated bands give an ascent step: none of its 31 trials decreases, and 6 raise
+    failed.clear()
+    with pytest.raises(NonConvergence, match=r"^line search failed at iteration 1 "
+                                             r"\(gradient max-norm 2\.600e\+01\)$"):
+        va._newton(gradient, lambda x: hessian(x, -1.0), times, x0, 1e-12, 100)
+    assert len(failed) == 6
+
+
 def test_nonconvergence_reports_norm():
     # the gradient exp(q1) is positive everywhere: no stationary point exists
     p = tv.make_problem(tv.integers(0, 2), "exp(qs1)", 1, [0.0], [0.0])
